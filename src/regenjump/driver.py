@@ -30,6 +30,7 @@ __all__ = [
     "DriftReport",
     "derive_replicate_rng",
     "check_drift_condition",
+    "grid_kick_norms",
 ]
 
 BETA_STREAM = 0
@@ -37,6 +38,7 @@ ETA_STREAM = 1
 
 _BETA_KINDS = ("deterministic", "uniform", "exponential", "gamma")
 _ETA_KINDS = ("scalar_constant", "scalar_uniform", "grid_bumps")
+KICK_BLOCK_ROWS = 1024  # grid kicks per sampled block; bounds its temporaries
 
 
 def derive_replicate_rng(
@@ -198,16 +200,30 @@ class EtaLaw:
             if space.kind != "scalar":
                 raise ConfigError("scalar_uniform eta needs a scalar space")
             return rng.uniform(-self.amp, self.amp, size=1)
-        if space.kind != "grid":
+        return next(self.sample_blocks(rng, space, 1))[0]
+
+    def sample_blocks(self, rng: np.random.Generator, space: Space, n: int):
+        """Yield n grid_bumps kicks as blocks of at most KICK_BLOCK_ROWS rows.
+
+        Each block draws ``rng.random((m, n_bumps, 3))`` (center, width,
+        amplitude per bump) and maps it as ``rng.uniform`` maps its draws,
+        ``low + (high - low) * u``, so the rows and the generator state
+        afterwards equal n one-at-a-time draws.  Fixed-size blocks consume
+        the stream in the same order and bound the temporaries.
+        """
+        if self.kind != "grid_bumps" or space.kind != "grid":
             raise ConfigError("grid_bumps eta needs a grid space")
         x = (np.arange(space.n_cells) + 0.5) * space.h
-        out = np.zeros(space.n_cells)
-        for _ in range(self.n_bumps):
-            center = rng.uniform(0.0, space.length)
-            width = rng.uniform(self.width_low, self.width_high)
-            amp = rng.uniform(-self.amp_max, self.amp_max)
-            out += amp * np.exp(-0.5 * ((x - center) / width) ** 2)
-        return out - np.mean(out)
+        low = np.array([0.0, self.width_low, -self.amp_max])
+        high = np.array([space.length, self.width_high, self.amp_max])
+        for first in range(0, n, KICK_BLOCK_ROWS):
+            u = rng.random((min(KICK_BLOCK_ROWS, n - first), self.n_bumps, 3))
+            draws = low + (high - low) * u
+            out = np.zeros((u.shape[0], space.n_cells))
+            for b in range(self.n_bumps):
+                center, width, amp = draws[:, b, 0:1], draws[:, b, 1:2], draws[:, b, 2:3]
+                out += amp * np.exp(-0.5 * ((x - center) / width) ** 2)
+            yield out - np.mean(out, axis=1, keepdims=True)
 
     def sample(self, rng: np.random.Generator, space: Space) -> StateVector:
         return StateVector(space, self.sample_values(rng, space))
@@ -273,6 +289,26 @@ class DriftReport:
         }
 
 
+def grid_kick_norms(
+    law: EtaLaw, rng: np.random.Generator, space: Space, n: int, norm: str
+) -> list:
+    """``norm_v1`` or ``norm_v2`` of n grid_bumps kicks, drawn in blocks.
+
+    Equal bit for bit to the per-kick ``StateVector`` norms: the sums run
+    row by row, and the final root is a Python float power per kick,
+    because numpy's vectorised ``pow`` can differ from it in the last bits.
+    """
+    out = []
+    for block in law.sample_blocks(rng, space, n):
+        if norm == "v1":
+            out.extend(np.sqrt(np.sum(block**2, axis=1) * space.h).tolist())
+        else:
+            inv_q = 1.0 / space.q
+            sums = np.sum(np.abs(block) ** space.q, axis=1) * space.h
+            out.extend(v**inv_q for v in sums.tolist())
+    return out
+
+
 _Z99 = 2.5758293035489004  # two-sided 99% normal quantile
 
 
@@ -306,9 +342,8 @@ def check_drift_condition(
         draws = rng_eta.uniform(-cfg.eta.amp, cfg.eta.amp, size=n_mc)
         eta_terms = np.abs(draws) ** rho
     else:
-        eta_terms = np.empty(n_mc)
-        for i in range(n_mc):
-            eta_terms[i] = cfg.eta.sample(rng_eta, space).norm_v1() ** rho
+        norms = grid_kick_norms(cfg.eta, rng_eta, space, n_mc, "v1")
+        eta_terms = np.array([v**rho for v in norms])
     terms = beta_terms + eta_terms
     estimate = float(np.mean(terms))
     if exact:

@@ -54,6 +54,10 @@ __all__ = [
 
 _ARMIJO_C = 1e-4
 _PARTIAL_STEP_SKIP = 1e-14
+# Every banded solve gets a freshly built matrix and right-hand side, and its
+# callers check the matrix before and the solution after it, so scipy's
+# copies and finiteness checks are waste.
+_SOLVE_OPTS = {"check_finite": False, "overwrite_ab": True, "overwrite_b": True}
 
 
 @dataclass(frozen=True)
@@ -177,8 +181,7 @@ def _energy(w, u, gamma, h, dt, p, eps2) -> float:
 
 def _gradient(w, u, gamma, h, dt, p, eps2) -> np.ndarray:
     d = np.diff(w) / h
-    with np.errstate(divide="ignore"):
-        flux = gamma * (d * d + eps2) ** ((p - 2.0) / 2.0) * d
+    flux = gamma * (d * d + eps2) ** ((p - 2.0) / 2.0) * d
     if eps2 == 0.0:
         flux = np.where(d == 0.0, 0.0, flux)
     g = h * (w - u)
@@ -191,8 +194,7 @@ def _curvature(w, gamma, h, dt, p, eps2) -> np.ndarray:
     """Per-edge second derivative weights dt * gamma_e * phi'(d_e) / h."""
     d = np.diff(w) / h
     s2 = d * d + eps2
-    with np.errstate(divide="ignore"):
-        phi_prime = s2 ** ((p - 4.0) / 2.0) * ((p - 1.0) * d * d + eps2)
+    phi_prime = s2 ** ((p - 4.0) / 2.0) * ((p - 1.0) * d * d + eps2)
     return dt * gamma * phi_prime / h
 
 
@@ -208,7 +210,7 @@ def _banded_system(edge_coeff: np.ndarray, h: float, n: int) -> np.ndarray:
 
 def _newton_direction(g, edge_curv, h):
     ab = _banded_system(edge_curv, h, g.shape[0])
-    return solveh_banded(ab, -g)
+    return solveh_banded(ab, -g, **_SOLVE_OPTS)
 
 
 def _lagged_diffusivity_sweep(w, u, gamma, h, dt, p, eps2):
@@ -221,14 +223,13 @@ def _lagged_diffusivity_sweep(w, u, gamma, h, dt, p, eps2):
     (flat regions, where the energy's curvature varies fastest).
     """
     d = np.diff(w) / h
-    with np.errstate(divide="ignore"):
-        a = gamma * (d * d + eps2) ** ((p - 2.0) / 2.0)
+    a = gamma * (d * d + eps2) ** ((p - 2.0) / 2.0)
     if not np.all(np.isfinite(a)):
         return None
     c = dt * a / h
     ab = _banded_system(c, h, w.shape[0])
     try:
-        out = solveh_banded(ab, h * u)
+        out = solveh_banded(ab, h * u, **_SOLVE_OPTS)
     except np.linalg.LinAlgError:
         return None
     if not np.all(np.isfinite(out)):
@@ -266,15 +267,21 @@ def _merit_backtrack(w, delta, merit, u, gamma, h, dt, p, eps2):
 def _step_values(
     u: np.ndarray, dt: float, cfg: PLaplaceConfig, grid: Grid1D, weights: WeightField
 ) -> np.ndarray:
-    h = grid.h
-    gamma = weights.gamma
+    # One error-state context per step: with eps_reg = 0 the flux and
+    # curvature powers divide by zero on flat edges; the gradient masks those
+    # entries and every solve is guarded by a finiteness check.
+    with np.errstate(divide="ignore"):
+        return _newton_step(u, dt, cfg, grid.h, weights.gamma)
+
+
+def _newton_step(u, dt, cfg, h, gamma):
     p = cfg.p
     eps2 = cfg.eps_reg * cfg.eps_reg
     tol = cfg.newton_tol
     w = u.copy()
     g = _gradient(w, u, gamma, h, dt, p, eps2)
     merit = float(np.dot(g, g))
-    e_w = _energy(w, u, gamma, h, dt, p, eps2)
+    e_w = None  # energy of w, computed only when the Picard test needs it
     residual = math.inf
     stall = 0
     merit_mark = math.inf
@@ -307,7 +314,7 @@ def _step_values(
             res_newton = float(np.max(np.abs(newton[1]))) / h
             if res_newton <= 0.5 * residual:
                 w, g, merit = newton
-                e_w = _energy(w, u, gamma, h, dt, p, eps2)
+                e_w = None
                 continue
         # Newton made poor progress: lagged-diffusivity sweep, accepted on
         # either merit decrease (endgame) or strict energy decrease (far field)
@@ -315,20 +322,25 @@ def _step_values(
         if w_picard is not None:
             g_picard = _gradient(w_picard, u, gamma, h, dt, p, eps2)
             m_picard = float(np.dot(g_picard, g_picard))
+            if m_picard < merit:
+                w, g, merit, e_w = w_picard, g_picard, m_picard, None
+                continue
+            if e_w is None:
+                e_w = _energy(w, u, gamma, h, dt, p, eps2)
             e_picard = _energy(w_picard, u, gamma, h, dt, p, eps2)
-            if m_picard < merit or e_picard < e_w:
+            if e_picard < e_w:
                 w, g, merit, e_w = w_picard, g_picard, m_picard, e_picard
                 continue
         if newton is not None:
             w, g, merit = newton
-            e_w = _energy(w, u, gamma, h, dt, p, eps2)
+            e_w = None
             continue
         # last resort: gradient direction in state units
         grad_step = _merit_backtrack(w, -g / h, merit, u, gamma, h, dt, p, eps2)
         if grad_step[0] is None:
             break  # merit differences below rounding: stagnation
         w, g, merit = grad_step
-        e_w = _energy(w, u, gamma, h, dt, p, eps2)
+        e_w = None
     residual = float(np.max(np.abs(g))) / h
     if residual <= tol:
         return w
@@ -361,6 +373,11 @@ def _split_time(t: float, dt: float) -> tuple[int, float]:
     if rem < _PARTIAL_STEP_SKIP:
         rem = 0.0
     return n, rem
+
+
+def _frozen(vals: np.ndarray) -> np.ndarray:
+    vals.flags.writeable = False
+    return vals
 
 
 def _l2(vals: np.ndarray, h: float) -> float:
@@ -445,13 +462,17 @@ class _SegmentFlow:
     """Cached trajectory along one inter-jump segment.
 
     States at integer multiples of dt are computed once and reused; arbitrary
-    times are reached by a single partial step from the cached grid state.
-    Evaluations reproduce ``evolve_values`` bit-exactly.
+    times are reached by a single partial step from the cached grid state,
+    and each time's state is memoised, so every functional, checkpoint
+    sub-segment and end-of-segment lookup shares one solve per time.
+    Evaluations reproduce ``evolve_values`` bit-exactly.  Returned states are
+    shared and therefore read-only.
     """
 
     def __init__(self, sg: PLaplaceSemigroup, start: np.ndarray):
         self._sg = sg
-        self._states = [start]
+        self._states = [_frozen(start.copy())]
+        self._at: dict[float, np.ndarray] = {}
         self._extinct_index: int | None = 0 if not start.any() else None
 
     def _extend(self, k: int):
@@ -459,18 +480,21 @@ class _SegmentFlow:
             if self._extinct_index is not None:
                 self._states.append(self._states[-1])
                 continue
-            nxt = self._sg._advance(self._states[-1], self._sg.cfg.dt)
+            nxt = _frozen(self._sg._advance(self._states[-1], self._sg.cfg.dt))
             self._states.append(nxt)
             if not nxt.any():
                 self._extinct_index = len(self._states) - 1
 
     def at(self, tau: float) -> np.ndarray:
-        n_full, rem = _split_time(tau, self._sg.cfg.dt)
-        self._extend(n_full)
-        base = self._states[n_full]
-        if rem == 0.0 or not base.any():
-            return base
-        return self._sg._advance(base, rem)
+        state = self._at.get(tau)
+        if state is None:
+            n_full, rem = _split_time(tau, self._sg.cfg.dt)
+            self._extend(n_full)
+            state = self._states[n_full]
+            if rem != 0.0 and state.any():
+                state = _frozen(self._sg._advance(state, rem))
+            self._at[tau] = state
+        return state
 
     def extinction_breakpoint(self, horizon: float) -> float | None:
         """First cached grid time at which the state is exactly zero."""

@@ -17,7 +17,12 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .driver import DriverConfig, check_drift_condition, derive_replicate_rng
+from .driver import (
+    DriverConfig,
+    check_drift_condition,
+    derive_replicate_rng,
+    grid_kick_norms,
+)
 from .errors import ConfigError, DriftViolated
 from .estimators import (
     anscombe_check,
@@ -224,16 +229,20 @@ def validate_moment_sanity(setup: ExperimentSetup, n_draws: int = 100_000) -> di
     rng_b = derive_replicate_rng(setup.driver.master_seed, 0, 102)
     rng_e = derive_replicate_rng(setup.driver.master_seed, 0, 103)
     betas = setup.driver.beta.sample_block(rng_b, n_draws)
-    beta_m12 = float(np.mean(betas**12))
+    # beta^12 as a fixed chain of in-place products (numpy's vectorised pow
+    # can differ in the last bits between builds and CPUs)
+    betas *= betas
+    betas *= betas
+    b12 = betas * betas
+    b12 *= betas
+    beta_m12 = float(np.mean(b12))
     if setup.space.kind == "scalar":
         draws = np.array(
             [setup.driver.eta.sample_values(rng_e, setup.space)[0] for _ in range(2048)]
         )
         eta_m4 = float(np.mean(np.abs(draws) ** 4))
     else:
-        vals = [
-            setup.driver.eta.sample(rng_e, setup.space).norm_v2() for _ in range(2048)
-        ]
+        vals = grid_kick_norms(setup.driver.eta, rng_e, setup.space, 2048, "v2")
         eta_m4 = float(np.mean(np.asarray(vals) ** 4))
     return {
         "beta_moment_12": beta_m12,

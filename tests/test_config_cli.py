@@ -1,6 +1,7 @@
 import csv
 import json
 import os
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -205,6 +206,25 @@ def run_cli(args):
 def read_json(path):
     with open(path, "r", encoding="utf-8") as fh:
         return json.load(fh)
+
+
+REPO = Path(__file__).resolve().parents[1]
+
+
+@pytest.mark.parametrize(
+    "command, output",
+    [
+        ("kappa-fit", "kappa_fit/kappa_fit.csv"),
+        ("semigroup-check", "semigroup_check/semigroup_residuals.csv"),
+        ("validate", "validate/summary.json"),
+    ],
+)
+def test_cli_plaplace_outputs_match_committed(tmp_path, command, output):
+    out = tmp_path / "out"
+    config = REPO / "configs" / "plaplace.ini"
+    assert run_cli([command, "--config", config, "--out", out]) == 0
+    committed = REPO / "out" / "plaplace" / output
+    assert (out / committed.name).read_bytes() == committed.read_bytes()
 
 
 def test_cli_validate_ok(tmp_path):

@@ -1,13 +1,18 @@
+import math
+
 import numpy as np
 import pytest
 from scipy import stats as sps
 
 from regenjump.driver import (
+    _Z99,
     BetaLaw,
     DriverConfig,
     EtaLaw,
+    KICK_BLOCK_ROWS,
     check_drift_condition,
     derive_replicate_rng,
+    grid_kick_norms,
     sample_beta,
     sample_eta,
 )
@@ -106,6 +111,74 @@ def test_eta_space_mismatch():
         EtaLaw.scalar_uniform(1.0).sample(rng, grid_space(4))
     with pytest.raises(ConfigError):
         EtaLaw.grid_bumps(1, 1.0, (0.1, 0.2)).sample(rng, SCALAR)
+    with pytest.raises(ConfigError):
+        next(EtaLaw.scalar_uniform(1.0).sample_blocks(rng, grid_space(4), 1))
+
+
+def kicks_one_at_a_time(law, rng, space, n):
+    """The per-draw grid_bumps loop: the oracle for the block sampler."""
+    x = (np.arange(space.n_cells) + 0.5) * space.h
+    rows = []
+    for _ in range(n):
+        out = np.zeros(space.n_cells)
+        for _ in range(law.n_bumps):
+            center = rng.uniform(0.0, space.length)
+            width = rng.uniform(law.width_low, law.width_high)
+            amp = rng.uniform(-law.amp_max, law.amp_max)
+            out += amp * np.exp(-0.5 * ((x - center) / width) ** 2)
+        rows.append(out - np.mean(out))
+    return np.array(rows)
+
+
+GRID_BUMPS = EtaLaw.grid_bumps(2, 0.6, (0.05, 0.2))
+
+
+@pytest.mark.parametrize("seed", [5, 20250811])
+@pytest.mark.parametrize("n", [1, 1023, 1024, 1025, 10000])
+def test_kick_blocks_match_one_at_a_time(n, seed):
+    space = grid_space(16)
+    rng_blocks = derive_replicate_rng(seed, 0, 101)
+    rng_loop = derive_replicate_rng(seed, 0, 101)
+    blocks = list(GRID_BUMPS.sample_blocks(rng_blocks, space, n))
+    assert [b.shape[0] for b in blocks[:-1]] == [KICK_BLOCK_ROWS] * (len(blocks) - 1)
+    ref = kicks_one_at_a_time(GRID_BUMPS, rng_loop, space, n)
+    assert np.concatenate(blocks).tobytes() == ref.tobytes()
+    assert repr(rng_blocks.bit_generator.state) == repr(rng_loop.bit_generator.state)
+
+
+def test_sample_values_matches_one_at_a_time():
+    space = grid_space(32, length=2.0)
+    law = EtaLaw.grid_bumps(3, 1.0, (0.05, 0.2))
+    rng = derive_replicate_rng(9, 0, 1)
+    got = np.array([law.sample_values(rng, space) for _ in range(20)])
+    ref = kicks_one_at_a_time(law, derive_replicate_rng(9, 0, 1), space, 20)
+    assert got.tobytes() == ref.tobytes()
+
+
+@pytest.mark.parametrize("q", [2.0, 3.0])
+def test_grid_kick_norms_match_state_norms(q):
+    space = grid_space(16, q=q)
+    rng = derive_replicate_rng(3, 0, 103)
+    kicks = kicks_one_at_a_time(GRID_BUMPS, derive_replicate_rng(3, 0, 103), space, 1500)
+    v1 = grid_kick_norms(GRID_BUMPS, rng, space, 1500, "v1")
+    assert v1 == [space.state(k).norm_v1() for k in kicks]
+    rng = derive_replicate_rng(3, 0, 103)
+    v2 = grid_kick_norms(GRID_BUMPS, rng, space, 1500, "v2")
+    assert v2 == [space.state(k).norm_v2() for k in kicks]
+
+
+def test_drift_grid_matches_one_at_a_time():
+    space = grid_space(16)
+    cfg = DriverConfig(BetaLaw.uniform(0.3, 0.7), GRID_BUMPS, 20250811)
+    kappa, rho, n_mc = 2.0, 0.5, 10**4
+    report = check_drift_condition(cfg, kappa, rho, n_mc, space)
+    betas = cfg.beta.sample_block(derive_replicate_rng(cfg.master_seed, 0, 100), n_mc)
+    kicks = kicks_one_at_a_time(
+        cfg.eta, derive_replicate_rng(cfg.master_seed, 0, 101), space, n_mc
+    )
+    terms = -kappa * betas + np.array([space.state(k).norm_v1() ** rho for k in kicks])
+    assert report.lhs_estimate == float(np.mean(terms))
+    assert report.ci_halfwidth == _Z99 * float(np.std(terms, ddof=1)) / math.sqrt(n_mc)
 
 
 def test_stream_determinism_and_separation():

@@ -192,6 +192,51 @@ def test_zero_mean_invariance_and_extinction():
     assert np.all(sg.evolve(u, float(times[-1]) + 1.0).values == 0.0)
 
 
+@pytest.mark.parametrize("where", ["on_grid", "off_grid", "extinct_tail"])
+def test_segment_flow_memoises_each_time(monkeypatch, where):
+    grid, weights, cfg = make_problem(n_cells=16, seed=8)
+    sg = PLaplaceSemigroup(grid, weights, cfg)
+    u = project_zero_mean(sine_state(grid, amp=0.05))
+    t_ext = float(sg.decay_trace(u, 50.0)[0][-1])
+    tau = {
+        "on_grid": 3 * cfg.dt,
+        "off_grid": 2.5 * cfg.dt,
+        "extinct_tail": t_ext + 0.5 * cfg.dt,
+    }[where]
+    steps = []
+    advance = PLaplaceSemigroup._advance
+
+    def counted(self, vals, dt):
+        steps.append(dt)
+        return advance(self, vals, dt)
+
+    monkeypatch.setattr(PLaplaceSemigroup, "_advance", counted)
+    flow = sg.segment_flow(u)
+    flow.extinction_breakpoint(tau)  # fills the grid states up to tau
+    steps.clear()
+    first = flow.at(tau)
+    assert steps == ([tau - 2 * cfg.dt] if where == "off_grid" else [])
+    steps.clear()
+    assert flow.at(tau) is first
+    assert steps == []
+    monkeypatch.undo()
+    assert first.tobytes() == sg.evolve_values(u.values, tau).tobytes()
+
+
+def test_segment_flow_states_are_read_only():
+    grid, weights, cfg = make_problem(n_cells=16, seed=8)
+    sg = PLaplaceSemigroup(grid, weights, cfg)
+    u = project_zero_mean(sine_state(grid))
+    flow = sg.segment_flow(u)
+    for tau in (0.0, cfg.dt, 1.5 * cfg.dt):
+        state = flow.at(tau)
+        with pytest.raises(ValueError):
+            state[0] = 1.0
+        with pytest.raises(ValueError):
+            state += 1.0
+    assert u.values.flags.writeable  # the caller's start state is left alone
+
+
 def test_lq_contraction():
     grid, weights, cfg = make_problem(n_cells=64, seed=13)
     sg = PLaplaceSemigroup(grid, weights, cfg)
