@@ -192,15 +192,19 @@ class EtaLaw:
         return self.amp_max == 0.0
 
     def sample_values(self, rng: np.random.Generator, space: Space) -> np.ndarray:
+        if self.kind == "grid_bumps":
+            return next(self.sample_blocks(rng, space, 1))[0]
+        if space.kind != "scalar":
+            raise ConfigError(f"{self.kind} eta needs a scalar space")
+        return self.sample_block(rng, 1)
+
+    def sample_block(self, rng: np.random.Generator, n: int) -> np.ndarray:
+        """n scalar kicks; equal to n one-at-a-time draws, generator state too."""
         if self.kind == "scalar_constant":
-            if space.kind != "scalar":
-                raise ConfigError("scalar_constant eta needs a scalar space")
-            return np.array([self.value])
+            return np.full(n, self.value)
         if self.kind == "scalar_uniform":
-            if space.kind != "scalar":
-                raise ConfigError("scalar_uniform eta needs a scalar space")
-            return rng.uniform(-self.amp, self.amp, size=1)
-        return next(self.sample_blocks(rng, space, 1))[0]
+            return rng.uniform(-self.amp, self.amp, size=n)
+        raise ConfigError("grid kicks are drawn with sample_blocks")
 
     def sample_blocks(self, rng: np.random.Generator, space: Space, n: int):
         """Yield n grid_bumps kicks as blocks of at most KICK_BLOCK_ROWS rows.
@@ -295,17 +299,16 @@ def grid_kick_norms(
     """``norm_v1`` or ``norm_v2`` of n grid_bumps kicks, drawn in blocks.
 
     Equal bit for bit to the per-kick ``StateVector`` norms: the sums run
-    row by row, and the final root is a Python float power per kick,
-    because numpy's vectorised ``pow`` can differ from it in the last bits.
+    row by row, and the final root is ``np.float_power``, which equals
+    Python's float ``**`` (``np.power`` can differ in the last bits).
     """
     out = []
     for block in law.sample_blocks(rng, space, n):
         if norm == "v1":
             out.extend(np.sqrt(np.sum(block**2, axis=1) * space.h).tolist())
         else:
-            inv_q = 1.0 / space.q
             sums = np.sum(np.abs(block) ** space.q, axis=1) * space.h
-            out.extend(v**inv_q for v in sums.tolist())
+            out.extend(np.float_power(sums, 1.0 / space.q).tolist())
     return out
 
 
@@ -343,7 +346,7 @@ def check_drift_condition(
         eta_terms = np.abs(draws) ** rho
     else:
         norms = grid_kick_norms(cfg.eta, rng_eta, space, n_mc, "v1")
-        eta_terms = np.array([v**rho for v in norms])
+        eta_terms = np.float_power(norms, rho)
     terms = beta_terms + eta_terms
     estimate = float(np.mean(terms))
     if exact:

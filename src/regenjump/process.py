@@ -16,16 +16,19 @@ separately.
 Two drivers are provided: ``simulate_cycles`` streams cycle records with O(1)
 memory in the cycle count, and ``simulate_until_time`` makes a single pass to
 a fixed horizon, producing running integrals at checkpoints, regeneration
-counts, and the per-cycle data needed by the random-index checks.  On the
-scalar power-law backend both run a specialized float loop (closed-form flow
-and integrals) that reproduces the generic loop bit-exactly; the generic loop
-serves the grid semigroups.
+counts, and the per-cycle data needed by the random-index checks;
+``cycle_moments`` accumulates cycle moments without records.  On the scalar
+power-law backend all three read their outputs off a regeneration table
+(``_ScalarChain``), a numpy kernel with the closed-form flow and integrals
+that reproduces the generic loop bit-exactly; the generic loop serves the
+grid semigroups and trajectory hooks.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_right
 from dataclasses import dataclass, field
+from functools import partial
 
 import numpy as np
 
@@ -75,52 +78,26 @@ class ExtinctionPolicy:
             raise ValueError("m_cap must be at least 1")
 
 
-class _InputFeed:
-    """Blocked, replicate-local supply of (beta, eta) draws.
+def _one_at_a_time(sample_block):
+    """Values of successive ``sample_block(_BLOCK)`` draws, one float at a time."""
+    while True:
+        yield from sample_block(_BLOCK).tolist()
 
-    Betas are always drawn in fixed-size blocks; scalar kicks too.  Grid kicks
-    are drawn one at a time (their cost is dominated by the PDE steps).  The
-    consumption order is fixed, so every simulation mode sees the same
-    sequence for the same (master_seed, replicate_index).
+
+def _input_feed(driver: DriverConfig, space, replicate_index: int):
+    """(next_beta, next_eta_values) of one replicate for the per-step loops.
+
+    Betas and scalar kicks are drawn in fixed-size blocks; grid kicks one at a
+    time (their cost is dominated by the PDE steps).  Draws do not depend on
+    the block size, so every simulation mode sees the same sequence for the
+    same (master_seed, replicate_index).
     """
-
-    def __init__(self, driver: DriverConfig, space, replicate_index: int):
-        streams = driver.streams(replicate_index)
-        self._beta_rng = streams.beta_rng
-        self._eta_rng = streams.eta_rng
-        self._beta_law = driver.beta
-        self._eta_law = driver.eta
-        self._space = space
-        self._bbuf = np.empty(0)
-        self._bidx = 0
-        self._scalar_eta = driver.eta.kind in ("scalar_uniform", "scalar_constant")
-        self._const_eta = driver.eta.kind == "scalar_constant"
-        self._ebuf = np.empty(0)
-        self._eidx = 0
-
-    def next_beta(self) -> float:
-        if self._bidx >= self._bbuf.shape[0]:
-            self._bbuf = self._beta_law.sample_block(self._beta_rng, _BLOCK)
-            self._bidx = 0
-        v = self._bbuf[self._bidx]
-        self._bidx += 1
-        return float(v)
-
-    def next_eta_values(self) -> np.ndarray:
-        if not self._scalar_eta:
-            return self._eta_law.sample_values(self._eta_rng, self._space)
-        return np.array([self.next_eta_scalar()])
-
-    def next_eta_scalar(self) -> float:
-        if self._const_eta:
-            return self._eta_law.value
-        if self._eidx >= self._ebuf.shape[0]:
-            amp = self._eta_law.amp
-            self._ebuf = self._eta_rng.uniform(-amp, amp, size=_BLOCK)
-            self._eidx = 0
-        v = self._ebuf[self._eidx]
-        self._eidx += 1
-        return float(v)
+    streams = driver.streams(replicate_index)
+    betas = _one_at_a_time(partial(driver.beta.sample_block, streams.beta_rng))
+    if driver.eta.kind == "grid_bumps":
+        return betas.__next__, partial(driver.eta.sample_values, streams.eta_rng, space)
+    etas = _one_at_a_time(partial(driver.eta.sample_block, streams.eta_rng))
+    return betas.__next__, lambda: np.array([next(etas)])
 
 
 @dataclass
@@ -237,7 +214,7 @@ def simulate_chain(
     replicate_index: int = 0,
 ) -> Chain:
     """Run and store the first n_steps of the chain (small-horizon helper)."""
-    feed = _InputFeed(driver, sg.space, replicate_index)
+    next_beta, next_eta_values = _input_feed(driver, sg.space, replicate_index)
     states = [x0]
     jump_times = [0.0]
     betas: list = []
@@ -246,8 +223,8 @@ def simulate_chain(
     state = x0
     alpha = 0.0
     for _ in range(n_steps):
-        beta = feed.next_beta()
-        eta = StateVector(sg.space, feed.next_eta_values())
+        beta = next_beta()
+        eta = StateVector(sg.space, next_eta_values())
         state, extinct = step_chain(state, beta, eta, sg, policy)
         alpha += beta
         states.append(state)
@@ -282,33 +259,399 @@ def _fast_capable(sg, functionals) -> bool:
     )
 
 
-def _compile_scalar_functional(xi: Functional):
-    """Segment-value evaluator (pos, i_abs, delta) -> float.
+_WINDOW = 1 << 16  # most lanes tabulated at once; bounds memory
+_LANE_STEPS = 8  # most steps a tabulated lane takes; bounds the work wasted on long cycles
+_CHUNK = 1024  # most inputs converted to Python floats at a time for a cycle stepped alone
 
-    Mirrors the closed-form route in ``functionals`` operation for operation,
-    so the fast loop reproduces it bit-exactly.
-    """
+
+def _segment_value(xi: Functional, x, i_abs, delta):
+    """Closed-form segment value of a scalar functional, elementwise; the
+    operations and their order are those of ``functionals._closed_form_scalar``."""
     if isinstance(xi, AffineShift):
-        inner = _compile_scalar_functional(xi.base)
-        w = xi.w
-
-        def shifted(pos, i_abs, delta, _inner=inner, _w=w):
-            return _inner(pos, i_abs, delta) + _w * delta
-
-        return shifted
+        return _segment_value(xi.base, x, i_abs, delta) + xi.w * delta
     if isinstance(xi, NormV2):
-        return lambda pos, i_abs, delta: i_abs
+        return i_abs
+    signed = np.where(x >= 0, i_abs, -i_abs)
     if isinstance(xi, IdentityV2):
-        return lambda pos, i_abs, delta: i_abs if pos else -i_abs
-    if isinstance(xi, Linear):
-        psi = float(xi.psi[0])
-        h = xi.space.h
+        return signed
+    return float(xi.psi[0]) * signed * xi.space.h  # Linear
 
-        def linear(pos, i_abs, delta, _psi=psi, _h=h):
-            return _psi * (i_abs if pos else -i_abs) * _h
 
-        return linear
-    raise ValueError(f"no scalar closed form for {xi.label!r}")
+def _seq_sum(start: float, values: np.ndarray) -> float:
+    """``start + values[0] + ...`` added left to right, as a loop adds (np.sum adds pairwise)."""
+    return float(np.cumsum(np.concatenate(([start], values)))[-1])
+
+
+@dataclass
+class _Window:
+    """The true chain's cycles that closed within one window, in order.
+
+    The first of them is cycle number ``first`` of the run (0 is the
+    warm-up); ``ends`` are their end positions in the window and
+    ``alpha[i]`` is the jump time after i steps of it.  A recorded window
+    also holds the chain's state before each step and each functional's
+    segment value over that step.
+    """
+
+    first: int
+    ends: np.ndarray
+    m_start: np.ndarray
+    m_end: np.ndarray
+    t_start: np.ndarray
+    t_end: np.ndarray
+    tau: np.ndarray
+    integrals: list
+    alpha: np.ndarray
+    states: np.ndarray | None = None
+    values: list | None = None
+
+
+class _ScalarChain:
+    """The scalar power-law chain of one replicate stream, a window at a time.
+
+    ``advance(n)`` draws (beta, eta) pairs through the replicate's streams
+    and builds the regeneration table: one lane per candidate cycle start at
+    the next n positions, namely the cycle open at the window's start (lane
+    0) and the kick at every later position, all advanced together one chain
+    step per iteration until each goes extinct or has taken ``_LANE_STEPS``
+    steps.  A cycle started by a kick depends only on the inputs after it, so
+    following cycle ends from lane 0 visits exactly the true chain's cycles.
+    A cycle on that path still open after its table steps is stepped on alone
+    in Python floats, so no lane runs far inside a long cycle.  Lanes pay
+    only while cycles are short, so once the measured mean cycle outlasts a
+    lane's steps, lanes take no steps and every cycle is stepped alone.  A
+    recorded window (a horizon run) needs the path's states and segment
+    values: its lanes step without integrals, and then only the path's lanes
+    are stepped again, with them, so memory stays linear in the window.
+
+    Every lane repeats the operations of the generic loop
+    (``ScalarPowerLaw.evolve_scalar`` and the closed-form segment integral),
+    and integrals accumulate step by step from 0.0, so every output equals
+    the generic loop's bit for bit.
+    """
+
+    def __init__(self, x0, driver, sg, policy, functionals, replicate_index):
+        streams = driver.streams(replicate_index)
+        self._draw_betas = partial(driver.beta.sample_block, streams.beta_rng)
+        self._draw_etas = partial(driver.eta.sample_block, streams.eta_rng)
+        self._mean_beta = driver.beta.mean()
+        self._kappa = sg.kappa
+        self._rho = sg.rho
+        self._inv_rho = 1.0 / sg.rho
+        self._e1 = self._inv_rho + 1.0
+        self._denom = sg.kappa * self._e1
+        self._eps_ext = policy.eps_ext
+        self._m_cap = policy.m_cap
+        self.functionals = list(functionals)
+        self._b = np.empty(0)  # drawn inputs no window has reached yet
+        self._e = np.empty(0)
+        # the open cycle: current state, integrals so far, first step, start time
+        self._x = x0.scalar
+        self._acc = [0.0] * len(self.functionals)
+        self._m_start = 0
+        self._t_start = 0.0
+        self.m = 0  # chain steps taken
+        self.alpha = 0.0  # jump time of step m
+        self.closed = 0  # cycles closed, the warm-up included
+
+    def per_cycle(self) -> float:
+        """Mean chain steps per cycle so far, the open cycle included."""
+        return (self.m + 2) / (self.closed + 1)
+
+    def window_size(self, cycles: float, time: float = 0.0) -> int:
+        """Inputs to tabulate next for about ``cycles`` more cycles and ``time`` more time."""
+        steps = cycles * self.per_cycle() + max(time, 0.0) / self._mean_beta
+        return min(_WINDOW, int(1.1 * steps) + 64)
+
+    def _flow_integral(self, c, delta):
+        """Integral of ``|T(tau) x|`` over [0, delta] from ``c = |x|**rho``."""
+        live = np.minimum(delta, c / self._kappa)
+        tail = np.maximum(c - self._kappa * live, 0.0)
+        return (np.float_power(c, self._e1) - np.float_power(tail, self._e1)) / self._denom
+
+    def abs_integral(self, x, delta):
+        """Integral of ``|T(tau) x|`` over [0, delta], elementwise."""
+        # np.float_power equals Python's float ** bit for bit; np.power does not
+        return self._flow_integral(np.float_power(np.abs(x), self._rho), delta)
+
+    def _lanes(self, starts, k_cap, acc=None, log=None):
+        """Step lanes that start cycles at window positions ``starts``.
+
+        Each lane steps until it goes extinct or has taken k_cap steps.
+        Returns each lane's end position (after its extinction step, or -1
+        while open) and the state of each open lane.  Given ``acc`` (initial
+        integrals per functional), also accumulates the lanes' integrals and
+        returns them; ``log`` = (states, values) records the state before and
+        each value over every step taken, by position.
+        """
+        b, e, fns = self._b, self._e, self.functionals
+        kappa, rho, inv_rho, eps_ext = self._kappa, self._rho, self._inv_rho, self._eps_ext
+        x = e[starts - 1]
+        x[0] = self._x  # lane 0 (at position 0) continues the open cycle
+        end = np.full(starts.size, -1)
+        x_open = np.zeros(starts.size)
+        out = None if acc is None else [a.copy() for a in acc]
+        lanes = np.arange(starts.size)
+        at = starts
+        for _ in range(k_cap):
+            beta = b[at]
+            ax = np.abs(x)
+            c = np.float_power(ax, rho)
+            if acc is not None:
+                i_abs = self._flow_integral(c, beta)
+                vals = [_segment_value(xi, x, i_abs, beta) for xi in fns]
+                acc = [a + v for a, v in zip(acc, vals)]
+                if log is not None:
+                    log[0][at] = x
+                    for logged, v in zip(log[1], vals):
+                        logged[at] = v
+            pre = np.minimum(np.float_power(np.maximum(c - kappa * beta, 0.0), inv_rho), ax)
+            # a lane goes on only if pre > 0, so x != 0 and copysign is where(x >= 0, pre, -pre)
+            x = np.copysign(pre, x) + e[at]
+            at = at + 1
+            ext = pre <= eps_ext
+            if ext.any():
+                done = lanes[ext]
+                end[done] = at[ext]
+                if acc is not None:
+                    for o, a in zip(out, acc):
+                        o[done] = a[ext]
+                keep = ~ext
+                lanes, x, at = lanes[keep], x[keep], at[keep]
+                if acc is not None:
+                    acc = [a[keep] for a in acc]
+                if not lanes.size:
+                    break
+        x_open[lanes] = x
+        if acc is not None:
+            for o, a in zip(out, acc):
+                o[lanes] = a
+        return end, x_open, out
+
+    def _alone(self, x: float, pos: int, limit: int):
+        """Step one cycle alone from state x before window position pos.
+
+        Stops after its extinction step or at position limit.  Returns the
+        end position (-1 if still open), the state before each step, and the
+        last state.  Python floats take the table lanes' operations one at a
+        time (Python's ``**`` equals ``np.float_power``).
+        """
+        kappa, rho, inv_rho, eps_ext = self._kappa, self._rho, self._inv_rho, self._eps_ext
+        states = []
+        chunk = 32
+        while pos < limit:
+            hi = min(limit, pos + chunk)
+            chunk = min(2 * chunk, _CHUNK)
+            for beta, eta in zip(self._b[pos:hi].tolist(), self._e[pos:hi].tolist()):
+                states.append(x)
+                pos += 1
+                ax = abs(x)
+                r = ax**rho - kappa * beta
+                pre = 0.0
+                if r > 0.0:
+                    pre = r**inv_rho
+                    if pre > ax:  # evolve's ulp clamp
+                        pre = ax
+                if pre <= eps_ext:
+                    return pos, states, x
+                x = (pre if x >= 0 else -pre) + eta
+        return -1, states, x
+
+    def advance(self, n: int, last: int | None = None, record: bool = False) -> _Window:
+        """Tabulate lanes at the next n positions; read the true chain's cycles off.
+
+        The window stops after cycle ``last`` closes, or before a cycle
+        longer than the step cap, which the next call raises for; inputs past
+        the point the chain reached are kept for the next call.
+        """
+        if self.m - self._m_start > self._m_cap:
+            raise CycleCapExceeded(f"cycle {self.closed} exceeded {self._m_cap} chain steps")
+        fns = self.functionals
+        # a lane started inside a cycle is wasted work, so long cycles are
+        # cheaper stepped alone
+        k_cap = _LANE_STEPS if self.per_cycle() <= _LANE_STEPS else 0
+        if self._b.size < n + k_cap:
+            more = n + k_cap - self._b.size
+            self._b = np.concatenate((self._b, self._draw_betas(more)))
+            self._e = np.concatenate((self._e, self._draw_etas(more)))
+        b, e = self._b, self._e
+        acc = [np.zeros(n) for _ in fns]  # lane 0 carries the open cycle's integrals
+        for a, carried in zip(acc, self._acc):
+            a[0] = carried
+        # a recorded window steps the path's lanes again instead (below)
+        end, x_open, sums = self._lanes(np.arange(n), k_cap, None if record else acc)
+        end = end.tolist()
+
+        # follow cycle ends from lane 0; a cycle still open after its table
+        # steps is stepped on alone
+        want = n if last is None else last + 1 - self.closed
+        starts, tails = [], []  # tails: (path index, first position, states)
+        append = starts.append
+        p, is_open = 0, False
+        while True:
+            while p < n and (q := end[p]) > 0:
+                append(p)
+                p = q
+            if p >= n or len(starts) >= want:
+                break
+            q, xs, x_last = self._alone(float(x_open[p]), p + k_cap, n + k_cap)
+            tails.append((len(starts), p + k_cap, xs))
+            append(p)
+            if q < 0:
+                is_open = True
+                break
+            p = q
+        keep = min(len(starts) - is_open, want)
+        stops = starts[1:] + [p]
+        m_end = self.m + np.array(stops[:keep], dtype=np.int64)
+        m_start = np.concatenate(([self._m_start], m_end))[:keep]
+        over = np.flatnonzero(m_end - m_start > self._m_cap)
+        fresh = True  # the next cycle starts at a kick
+        if over.size:  # that cycle stays open, and the next call raises
+            keep = int(over[0])
+            reach = stops[keep]
+        elif is_open and keep == len(starts) - 1:
+            reach, fresh = n + k_cap, False
+        else:
+            reach = stops[keep - 1]
+        n_path = keep + (not fresh)
+
+        # the path's integrals: off the table, or from its lanes stepped again
+        # with a log of their steps, which keeps memory linear in the window
+        states = np.zeros(reach) if record else None
+        values = [np.zeros(reach) for _ in fns] if record else None
+        path = np.array(starts[:n_path], dtype=np.int64)
+        sums = [a[path] for a in (acc if record else sums)]
+        if record and n_path:
+            sums = self._lanes(path, k_cap, sums, (states, values))[2]
+        tails = [t for t in tails if t[0] < n_path and t[2]]
+        if tails:  # and the rest of the cycles stepped alone
+            xs = np.concatenate([t[2] for t in tails])
+            at = np.concatenate([np.arange(lo, lo + len(t)) for _, lo, t in tails])
+            beta = b[at]
+            i_abs = self.abs_integral(xs, beta)
+            for j, xi in enumerate(fns):
+                v = _segment_value(xi, xs, i_abs, beta)
+                flat = iter(v.tolist())
+                for i, _, t in tails:  # as the loop adds: in order, one float at a time
+                    total = float(sums[j][i])
+                    for _, value in zip(t, flat):
+                        total += value
+                    sums[j][i] = total
+                if record:
+                    values[j][at] = v
+            if record:
+                states[at] = xs
+
+        ends = np.array(stops[:keep], dtype=np.int64)
+        alpha = np.cumsum(np.concatenate(([self.alpha], b[:reach])))  # as alpha += beta
+        t_end = alpha[ends]
+        t_start = np.concatenate(([self._t_start], t_end))[:-1]
+        window = _Window(
+            first=self.closed,
+            ends=ends,
+            m_start=m_start[:keep],
+            m_end=m_end[:keep],
+            t_start=t_start,
+            t_end=t_end,
+            tau=t_end - t_start,
+            integrals=[s[:keep] for s in sums],
+            alpha=alpha,
+            states=states,
+            values=values,
+        )
+        if keep:
+            self._m_start = int(m_end[keep - 1])
+            self._t_start = float(t_end[-1])
+        if fresh:
+            self._x = float(e[reach - 1])
+            self._acc = [0.0] * len(fns)
+        else:
+            self._x = x_last
+            self._acc = [float(s[keep]) for s in sums]
+        self._b, self._e = self._b[reach:], self._e[reach:]
+        self.m += reach
+        self.alpha = float(alpha[-1])
+        self.closed += keep
+        return window
+
+
+def _scalar_records(chain: _ScalarChain, n_cycles: int):
+    labels = [xi.label for xi in chain.functionals]
+    while chain.closed <= n_cycles:
+        w = chain.advance(chain.window_size(n_cycles + 1 - chain.closed), last=n_cycles)
+        cols = (w.m_start, w.m_end, w.t_start, w.t_end, w.tau, w.m_end - w.m_start)
+        rows = zip(*(a.tolist() for a in cols), *(s.tolist() for s in w.integrals))
+        for i, (m_start, m_end, t_start, t_end, tau, steps, *values) in enumerate(rows):
+            integrals = dict(zip(labels, values))
+            yield CycleRecord(w.first + i, m_start, m_end, t_start, t_end, tau, integrals, steps)
+
+
+def _scalar_moments(chain: _ScalarChain, n_cycles: int, moments: CycleMoments):
+    while chain.closed <= n_cycles:
+        w = chain.advance(chain.window_size(n_cycles + 1 - chain.closed), last=n_cycles)
+        lo = 1 if w.first == 0 else 0  # the warm-up is not a cycle
+        tau = w.tau[lo:]
+        moments.n += tau.size
+        moments.sum_tau = _seq_sum(moments.sum_tau, tau)
+        moments.sum_tau2 = _seq_sum(moments.sum_tau2, tau * tau)
+        for label, s in zip(moments.labels, w.integrals):
+            s = s[lo:]
+            moments.sum_s[label] = _seq_sum(moments.sum_s[label], s)
+            moments.sum_s2[label] = _seq_sum(moments.sum_s2[label], s * s)
+            moments.sum_s_tau[label] = _seq_sum(moments.sum_s_tau[label], s * tau)
+    return moments
+
+
+def _scalar_horizon(chain: _ScalarChain, cps: list) -> HorizonResult:
+    fns = chain.functionals
+    n_cp = len(cps)
+    out = np.zeros((len(fns), n_cp))
+    counts = np.zeros(n_cp, dtype=np.int64)
+    run = [0.0] * len(fns)
+    cycle_tau: list = []
+    cycle_s = [[] for _ in fns]
+    cp_i = 0
+    last = None  # the cycle whose close ends the run, once every checkpoint is past
+    while last is None or chain.closed <= last:
+        if last is None:
+            n = chain.window_size(2, cps[-1] - chain.alpha)
+        else:
+            n = chain.window_size(last + 1 - chain.closed)
+        w = chain.advance(n, last=last, record=True)
+        alpha = w.alpha
+        runs = [np.cumsum(np.concatenate(([r], v))) for r, v in zip(run, w.values)]
+        while cp_i < n_cp and cps[cp_i] <= alpha[-1]:
+            t = cps[cp_i]
+            i = int(np.searchsorted(alpha, t))
+            if alpha[i] == t:  # on a jump time: the integral through that step
+                for j in range(len(fns)):
+                    out[j, cp_i] = runs[j][i]
+            else:  # inside step i: add that step's segment up to t
+                i -= 1
+                dpart = t - float(alpha[i])
+                x = w.states[i:i + 1]
+                i_abs = chain.abs_integral(x, dpart)
+                for j, xi in enumerate(fns):
+                    out[j, cp_i] = runs[j][i] + _segment_value(xi, x, i_abs, dpart)[0]
+            counts[cp_i] = w.first + np.searchsorted(w.ends, i, side="right")
+            cp_i += 1
+        if last is None and cp_i == n_cp:
+            last = int(counts[-1]) + 1
+        lo = 1 if w.first == 0 else 0  # the warm-up is not a cycle
+        hi = None if last is None else last + 1 - w.first
+        cycle_tau.append(w.tau[lo:hi])
+        for acc, s in zip(cycle_s, w.integrals):
+            acc.append(s[lo:hi])
+        run = [float(r[-1]) for r in runs]
+    return HorizonResult(
+        checkpoints=np.asarray(cps),
+        integrals={xi.label: out[j] for j, xi in enumerate(fns)},
+        counts=counts,
+        cycle_tau=np.concatenate(cycle_tau),
+        cycle_integrals={xi.label: np.concatenate(s) for xi, s in zip(fns, cycle_s)},
+        t_end=cps[-1],
+    )
 
 
 def simulate_cycles(
@@ -335,8 +678,8 @@ def simulate_cycles(
     if len(set(labels)) != len(labels):
         raise ValueError("functional labels must be unique")
     if _fast_capable(sg, functionals) and trajectory_hook is None:
-        yield from _scalar_cycle_loop(
-            x0, driver, sg, policy, n_cycles, functionals, replicate_index
+        yield from _scalar_records(
+            _ScalarChain(x0, driver, sg, policy, functionals, replicate_index), n_cycles
         )
     else:
         yield from _generic_cycle_loop(
@@ -348,7 +691,7 @@ def simulate_cycles(
 def _generic_cycle_loop(
     x0, driver, sg, policy, n_cycles, functionals, replicate_index, quad_cfg, hook
 ):
-    feed = _InputFeed(driver, sg.space, replicate_index)
+    next_beta, next_eta_values = _input_feed(driver, sg.space, replicate_index)
     space = sg.space
     state = x0
     alpha = 0.0
@@ -361,8 +704,8 @@ def _generic_cycle_loop(
     done = 0
     has_flow = hasattr(sg, "segment_flow")
     while done < n_cycles:
-        beta = feed.next_beta()
-        eta_vals = feed.next_eta_values()
+        beta = next_beta()
+        eta_vals = next_eta_values()
         flow = sg.segment_flow(state) if has_flow else None
         for xi in functionals:
             seg = integrate_segment(xi, state, beta, sg, quad_cfg, flow=flow)
@@ -405,80 +748,6 @@ def _generic_cycle_loop(
             acc = {xi.label: xi.zero_value() for xi in functionals}
 
 
-def _scalar_cycle_loop(x0, driver, sg, policy, n_cycles, functionals, replicate_index):
-    feed = _InputFeed(driver, sg.space, replicate_index)
-    next_beta = feed.next_beta
-    next_eta = feed.next_eta_scalar
-    kappa = sg.kappa
-    rho = sg.rho
-    inv_rho = 1.0 / rho
-    e1 = inv_rho + 1.0
-    denom = kappa * e1
-    eps_ext = policy.eps_ext
-    m_cap = policy.m_cap
-    labels = [xi.label for xi in functionals]
-    fns = [_compile_scalar_functional(xi) for xi in functionals]
-    n_f = len(fns)
-    acc = [0.0] * n_f
-    x = x0.scalar
-    alpha = 0.0
-    m = 0
-    cycle_index = 0
-    m_start = 0
-    t_start = 0.0
-    steps = 0
-    done = 0
-    while done < n_cycles:
-        beta = next_beta()
-        eta = next_eta()
-        ax = abs(x)
-        c = ax**rho
-        r = c - kappa * beta
-        # identical operations to the closed-form segment integral
-        live = min(beta, c / kappa)
-        tail = max(c - kappa * live, 0.0)
-        i_abs = (c**e1 - tail**e1) / denom
-        if r <= 0.0:
-            extinct = True
-            pre_mag = 0.0
-        else:
-            pre_mag = r**inv_rho
-            if pre_mag > ax:  # same ulp clamp as the semigroup's evolve
-                pre_mag = ax
-            extinct = pre_mag <= eps_ext
-        pos = x >= 0
-        m += 1
-        alpha += beta
-        steps += 1
-        if steps > m_cap:
-            raise CycleCapExceeded(
-                f"cycle {cycle_index} exceeded {m_cap} chain steps"
-            )
-        for j in range(n_f):
-            acc[j] += fns[j](pos, i_abs, beta)
-        if extinct:
-            x = eta
-            yield CycleRecord(
-                n=cycle_index,
-                m_start=m_start,
-                m_end=m,
-                t_start=t_start,
-                t_end=alpha,
-                tau=alpha - t_start,
-                integrals=dict(zip(labels, acc)),
-                steps=steps,
-            )
-            if cycle_index > 0:
-                done += 1
-            cycle_index += 1
-            m_start = m
-            t_start = alpha
-            steps = 0
-            acc = [0.0] * n_f
-        else:
-            x = (pre_mag if pos else -pre_mag) + eta
-
-
 def cycle_moments(
     x0: StateVector,
     driver: DriverConfig,
@@ -499,97 +768,17 @@ def cycle_moments(
             raise ValueError("moment accumulation needs scalar-valued functionals")
     labels = [xi.label for xi in functionals]
     moments = CycleMoments(labels=labels)
-    if _fast_capable(sg, functionals):
-        _scalar_moment_loop(
-            x0, driver, sg, policy, n_cycles, functionals, replicate_index, moments
-        )
+    if n_cycles < 1:
         return moments
+    if _fast_capable(sg, functionals):
+        chain = _ScalarChain(x0, driver, sg, policy, functionals, replicate_index)
+        return _scalar_moments(chain, n_cycles, moments)
     for rec in _generic_cycle_loop(
         x0, driver, sg, policy, n_cycles, functionals, replicate_index, quad_cfg, None
     ):
         if not rec.is_warmup:
             moments.add(rec.tau, rec.integrals)
     return moments
-
-
-def _scalar_moment_loop(
-    x0, driver, sg, policy, n_cycles, functionals, replicate_index, moments
-):
-    feed = _InputFeed(driver, sg.space, replicate_index)
-    next_beta = feed.next_beta
-    next_eta = feed.next_eta_scalar
-    kappa = sg.kappa
-    rho = sg.rho
-    inv_rho = 1.0 / rho
-    e1 = inv_rho + 1.0
-    denom = kappa * e1
-    eps_ext = policy.eps_ext
-    m_cap = policy.m_cap
-    labels = moments.labels
-    fns = [_compile_scalar_functional(xi) for xi in functionals]
-    n_f = len(fns)
-    acc = [0.0] * n_f
-    sum_s = [0.0] * n_f
-    sum_s2 = [0.0] * n_f
-    sum_s_tau = [0.0] * n_f
-    sum_tau = 0.0
-    sum_tau2 = 0.0
-    n_done = 0
-    x = x0.scalar
-    t_start = 0.0
-    alpha = 0.0
-    steps = 0
-    in_warmup = True
-    while n_done < n_cycles:
-        beta = next_beta()
-        eta = next_eta()
-        ax = abs(x)
-        c = ax**rho
-        r = c - kappa * beta
-        live = min(beta, c / kappa)
-        tail = max(c - kappa * live, 0.0)
-        i_abs = (c**e1 - tail**e1) / denom
-        if r <= 0.0:
-            extinct = True
-            pre_mag = 0.0
-        else:
-            pre_mag = r**inv_rho
-            if pre_mag > ax:  # same ulp clamp as the semigroup's evolve
-                pre_mag = ax
-            extinct = pre_mag <= eps_ext
-        pos = x >= 0
-        alpha += beta
-        steps += 1
-        if steps > m_cap:
-            raise CycleCapExceeded(f"cycle exceeded {m_cap} chain steps")
-        for j in range(n_f):
-            acc[j] += fns[j](pos, i_abs, beta)
-        if extinct:
-            x = eta
-            if in_warmup:
-                in_warmup = False
-            else:
-                tau = alpha - t_start
-                sum_tau += tau
-                sum_tau2 += tau * tau
-                for j in range(n_f):
-                    s = acc[j]
-                    sum_s[j] += s
-                    sum_s2[j] += s * s
-                    sum_s_tau[j] += s * tau
-                n_done += 1
-            t_start = alpha
-            steps = 0
-            acc = [0.0] * n_f
-        else:
-            x = (pre_mag if pos else -pre_mag) + eta
-    moments.n = n_done
-    moments.sum_tau = sum_tau
-    moments.sum_tau2 = sum_tau2
-    for j, label in enumerate(labels):
-        moments.sum_s[label] = sum_s[j]
-        moments.sum_s2[label] = sum_s2[j]
-        moments.sum_s_tau[label] = sum_s_tau[j]
 
 
 def _check_checkpoints(t_end, checkpoints):
@@ -626,120 +815,21 @@ def simulate_until_time(
     if len(set(labels)) != len(labels):
         raise ValueError("functional labels must be unique")
     if _fast_capable(sg, functionals):
-        return _scalar_horizon_loop(
-            x0, driver, sg, policy, cps, functionals, replicate_index
-        )
+        chain = _ScalarChain(x0, driver, sg, policy, functionals, replicate_index)
+        return _scalar_horizon(chain, cps)
     return _generic_horizon_loop(
         x0, driver, sg, policy, cps, functionals, replicate_index, quad_cfg
-    )
-
-
-def _scalar_horizon_loop(x0, driver, sg, policy, cps, functionals, replicate_index):
-    feed = _InputFeed(driver, sg.space, replicate_index)
-    next_beta = feed.next_beta
-    next_eta = feed.next_eta_scalar
-    kappa = sg.kappa
-    rho = sg.rho
-    inv_rho = 1.0 / rho
-    e1 = inv_rho + 1.0
-    denom = kappa * e1
-    eps_ext = policy.eps_ext
-    m_cap = policy.m_cap
-    labels = [xi.label for xi in functionals]
-    fns = [_compile_scalar_functional(xi) for xi in functionals]
-    n_f = len(fns)
-    n_cp = len(cps)
-    out = np.zeros((n_f, n_cp))
-    counts = np.zeros(n_cp, dtype=np.int64)
-    run = [0.0] * n_f
-    cyc_acc = [0.0] * n_f
-    cycle_tau: list = []
-    cycle_s = [[] for _ in range(n_f)]
-    cp_i = 0
-    regen = 0
-    x = x0.scalar
-    alpha = 0.0
-    t_start = 0.0
-    steps = 0
-    l_end = None
-    while True:
-        beta = next_beta()
-        eta = next_eta()
-        alpha_prev = alpha
-        alpha = alpha + beta
-        ax = abs(x)
-        c = ax**rho
-        r = c - kappa * beta
-        live = min(beta, c / kappa)
-        tail = max(c - kappa * live, 0.0)
-        i_abs = (c**e1 - tail**e1) / denom
-        if r <= 0.0:
-            extinct = True
-            pre_mag = 0.0
-        else:
-            pre_mag = r**inv_rho
-            if pre_mag > ax:  # same ulp clamp as the semigroup's evolve
-                pre_mag = ax
-            extinct = pre_mag <= eps_ext
-        pos = x >= 0
-        steps += 1
-        if steps > m_cap:
-            raise CycleCapExceeded(f"cycle exceeded {m_cap} chain steps")
-        while cp_i < n_cp and cps[cp_i] < alpha:
-            dpart = cps[cp_i] - alpha_prev
-            live_p = min(dpart, c / kappa)
-            tail_p = max(c - kappa * live_p, 0.0)
-            i_abs_p = (c**e1 - tail_p**e1) / denom
-            for j in range(n_f):
-                out[j, cp_i] = run[j] + fns[j](pos, i_abs_p, dpart)
-            counts[cp_i] = regen
-            cp_i += 1
-        for j in range(n_f):
-            v = fns[j](pos, i_abs, beta)
-            run[j] += v
-            cyc_acc[j] += v
-        if extinct:
-            regen += 1
-            if regen > 1:
-                cycle_tau.append(alpha - t_start)
-                for j in range(n_f):
-                    cycle_s[j].append(cyc_acc[j])
-            t_start = alpha
-            steps = 0
-            cyc_acc = [0.0] * n_f
-            x = eta
-        else:
-            x = (pre_mag if pos else -pre_mag) + eta
-        while cp_i < n_cp and cps[cp_i] == alpha:
-            for j in range(n_f):
-                out[j, cp_i] = run[j]
-            counts[cp_i] = regen
-            cp_i += 1
-        if cp_i >= n_cp:
-            if l_end is None:
-                l_end = int(counts[-1])
-            if regen >= l_end + 2:
-                break
-    return HorizonResult(
-        checkpoints=np.asarray(cps),
-        integrals={labels[j]: out[j].copy() for j in range(n_f)},
-        counts=counts,
-        cycle_tau=np.asarray(cycle_tau),
-        cycle_integrals={labels[j]: np.asarray(cycle_s[j]) for j in range(n_f)},
-        t_end=cps[-1],
     )
 
 
 def _generic_horizon_loop(
     x0, driver, sg, policy, cps, functionals, replicate_index, quad_cfg
 ):
-    feed = _InputFeed(driver, sg.space, replicate_index)
+    next_beta, next_eta_values = _input_feed(driver, sg.space, replicate_index)
     space = sg.space
     labels = [xi.label for xi in functionals]
     n_cp = len(cps)
-    out = {
-        label: [None] * n_cp for label in labels
-    }
+    out = {label: [None] * n_cp for label in labels}
     counts = np.zeros(n_cp, dtype=np.int64)
     run = {xi.label: xi.zero_value() for xi in functionals}
     cyc_acc = {xi.label: xi.zero_value() for xi in functionals}
@@ -754,8 +844,8 @@ def _generic_horizon_loop(
     l_end = None
     has_flow = hasattr(sg, "segment_flow")
     while True:
-        beta = feed.next_beta()
-        eta_vals = feed.next_eta_values()
+        beta = next_beta()
+        eta_vals = next_eta_values()
         alpha_prev = alpha
         alpha = alpha + beta
         flow = sg.segment_flow(state) if has_flow else None

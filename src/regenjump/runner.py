@@ -237,9 +237,7 @@ def validate_moment_sanity(setup: ExperimentSetup, n_draws: int = 100_000) -> di
     b12 *= betas
     beta_m12 = float(np.mean(b12))
     if setup.space.kind == "scalar":
-        draws = np.array(
-            [setup.driver.eta.sample_values(rng_e, setup.space)[0] for _ in range(2048)]
-        )
+        draws = setup.driver.eta.sample_block(rng_e, 2048)
         eta_m4 = float(np.mean(np.abs(draws) ** 4))
     else:
         vals = grid_kick_norms(setup.driver.eta, rng_e, setup.space, 2048, "v2")

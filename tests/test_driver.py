@@ -155,6 +155,40 @@ def test_sample_values_matches_one_at_a_time():
     assert got.tobytes() == ref.tobytes()
 
 
+@pytest.mark.parametrize(
+    "law",
+    [
+        BetaLaw.deterministic(0.7),
+        BetaLaw.uniform(0.2, 1.5),
+        BetaLaw.exponential(1.3),
+        BetaLaw.gamma(0.6, 0.5),  # shape below 1 takes another sampler branch
+        BetaLaw.gamma(2.5, 0.4),
+        EtaLaw.scalar_uniform(1.0),
+        EtaLaw.scalar_constant(0.4),
+    ],
+    ids=lambda law: f"{law.kind}",
+)
+def test_scalar_blocks_are_block_invariant(law):
+    # the scalar backend draws its inputs in windows of varying size, so n
+    # values must not depend on how the draws are split
+    whole_rng = derive_replicate_rng(11, 0, 0)
+    parts_rng = derive_replicate_rng(11, 0, 0)
+    single_rng = derive_replicate_rng(11, 0, 0)
+    whole = law.sample_block(whole_rng, 10_000)
+    sizes = [1, 63, 4096, 0, 1, 2500, 3339]
+    parts = np.concatenate([law.sample_block(parts_rng, m) for m in sizes])
+    singles = np.concatenate([law.sample_block(single_rng, 1) for _ in range(10_000)])
+    assert parts.tobytes() == whole.tobytes() == singles.tobytes()
+    state = repr(whole_rng.bit_generator.state)
+    assert repr(parts_rng.bit_generator.state) == state
+    assert repr(single_rng.bit_generator.state) == state
+
+
+def test_eta_sample_block_is_scalar_only():
+    with pytest.raises(ConfigError):
+        GRID_BUMPS.sample_block(derive_replicate_rng(1, 0, 1), 4)
+
+
 @pytest.mark.parametrize("q", [2.0, 3.0])
 def test_grid_kick_norms_match_state_norms(q):
     space = grid_space(16, q=q)

@@ -18,7 +18,8 @@ from regenjump.process import (
     simulate_until_time,
     step_chain,
 )
-from regenjump.process import _generic_cycle_loop
+from regenjump import process
+from regenjump.process import _generic_cycle_loop, _generic_horizon_loop
 from regenjump.semigroup import ExtinctionParams, ScalarPowerLaw
 from regenjump.spaces import scalar_space
 
@@ -273,13 +274,11 @@ def test_horizon_monotone_integrals_for_nonnegative():
 
 
 def test_horizon_fast_matches_generic():
-    from regenjump.process import _generic_horizon_loop, _scalar_horizon_loop
-
     sg = scalar_sg()
     driver = stochastic_driver(43)
     fns = [NormV2(SCALAR), Linear(SCALAR, [1.0], label="mass")]
     cps = [2.0, 7.5, 15.0]
-    fast = _scalar_horizon_loop(SCALAR.zero(), driver, sg, POLICY, cps, fns, 0)
+    fast = simulate_until_time(SCALAR.zero(), driver, sg, POLICY, 15.0, fns, checkpoints=cps)
     slow = _generic_horizon_loop(SCALAR.zero(), driver, sg, POLICY, cps, fns, 0, None)
     assert np.all(fast.counts == slow.counts)
     assert np.all(fast.cycle_tau == slow.cycle_tau)
@@ -295,6 +294,291 @@ def test_horizon_cycle_arrays_cover_random_index():
         SCALAR.zero(), driver, sg, POLICY, 50.0, [NormV2(SCALAR)]
     )
     assert res.cycle_tau.shape[0] == int(res.counts[-1]) + 1
+
+
+# --- the scalar regeneration table against the generic loop, bit for bit
+
+
+ALL_SCALAR_KINDS = [
+    NormV2(SCALAR),
+    IdentityV2(SCALAR),
+    Linear(SCALAR, [1.7], label="lin"),
+    AffineShift(Linear(SCALAR, [-0.3], label="lin2"), 0.25, label="lin2+shift"),
+    AffineShift(NormV2(SCALAR), -0.2),
+]
+
+
+def table_sizes(monkeypatch, window, lane_steps):
+    if window is not None:
+        monkeypatch.setattr(process, "_WINDOW", window)
+    if lane_steps is not None:
+        monkeypatch.setattr(process, "_LANE_STEPS", lane_steps)
+
+
+def generic_records(x0, driver, sg, policy, n_cycles, fns, replicate=0):
+    return list(
+        _generic_cycle_loop(x0, driver, sg, policy, n_cycles, fns, replicate, None, None)
+    )
+
+
+def record_tuples(records):
+    return [
+        (r.n, r.m_start, r.m_end, r.t_start, r.t_end, r.tau, r.steps, r.integrals)
+        for r in records
+    ]
+
+
+def moments_tuple(m):
+    return (m.n, m.sum_tau, m.sum_tau2, m.sum_s, m.sum_s2, m.sum_s_tau)
+
+
+def horizon_tuple(res):
+    return (
+        res.checkpoints.tobytes(),
+        res.counts.tobytes(),
+        res.cycle_tau.tobytes(),
+        {k: v.tobytes() for k, v in res.integrals.items()},
+        {k: v.tobytes() for k, v in res.cycle_integrals.items()},
+        res.t_end,
+    )
+
+
+def assert_all_drivers_match_generic(x0, driver, sg, policy, fns, n_cycles, cps):
+    slow = generic_records(x0, driver, sg, policy, n_cycles, fns, replicate=3)
+    fast = simulate_cycles(x0, driver, sg, policy, n_cycles, fns, replicate_index=3)
+    assert record_tuples(fast) == record_tuples(slow)
+
+    ref = CycleMoments(labels=[xi.label for xi in fns])
+    for rec in slow[1:]:  # the loop's order of additions
+        ref.add(rec.tau, rec.integrals)
+    got = cycle_moments(x0, driver, sg, policy, n_cycles, fns, replicate_index=3)
+    assert moments_tuple(got) == moments_tuple(ref)
+
+    fast_h = simulate_until_time(
+        x0, driver, sg, policy, cps[-1], fns, checkpoints=cps, replicate_index=5
+    )
+    slow_h = _generic_horizon_loop(x0, driver, sg, policy, cps, fns, 5, None)
+    assert horizon_tuple(fast_h) == horizon_tuple(slow_h)
+
+
+@pytest.mark.parametrize("rho", [0.45, 0.5, 0.7])
+@pytest.mark.parametrize("x0", [0.0, 9.0, -40.0])
+def test_table_matches_generic_across_rho_and_start(rho, x0):
+    sg = ScalarPowerLaw(ExtinctionParams(1.0, rho), SCALAR)
+    driver = DriverConfig(BetaLaw.exponential(1.5), EtaLaw.scalar_uniform(1.2), 71)
+    assert_all_drivers_match_generic(
+        SCALAR.state([x0]), driver, sg, POLICY, ALL_SCALAR_KINDS, 300, [0.7, 13.0, 60.0]
+    )
+
+
+@pytest.mark.parametrize(
+    "beta_law",
+    [
+        BetaLaw.exponential(1.0),
+        BetaLaw.uniform(0.2, 1.5),
+        BetaLaw.gamma(2.0, 0.4),
+        # many betas below 1e-16: the flow's power round trip then needs
+        # evolve's ulp clamp
+        BetaLaw.gamma(0.05, 20.0),
+        BetaLaw.deterministic(0.7),
+    ],
+)
+@pytest.mark.parametrize("eta_law", [EtaLaw.scalar_uniform(1.0), EtaLaw.scalar_constant(0.4)])
+def test_table_matches_generic_across_laws(beta_law, eta_law):
+    sg = scalar_sg(kappa=1.3, rho=0.5)
+    driver = DriverConfig(beta_law, eta_law, 73)
+    assert_all_drivers_match_generic(
+        SCALAR.zero(), driver, sg, POLICY, ALL_SCALAR_KINDS[:3], 200, [5.0, 40.0]
+    )
+
+
+@pytest.mark.parametrize(
+    "window, lane_steps", [(None, None), (64, None), (64, 3), (None, 1), (1, 1)]
+)
+def test_table_windows_match_generic(monkeypatch, window, lane_steps):
+    # small windows and lane bounds carry open cycles and unused inputs
+    # across many windows; every size must give the generic loop's bits
+    table_sizes(monkeypatch, window, lane_steps)
+    sg = scalar_sg(rho=0.45)
+    driver = stochastic_driver(79)
+    assert_all_drivers_match_generic(
+        SCALAR.state([3.0]), driver, sg, POLICY, ALL_SCALAR_KINDS, 400, [1.5, 50.0, 333.3]
+    )
+
+
+@pytest.mark.parametrize("window, lane_steps", [(None, None), (64, None), (64, 3)])
+def test_table_long_warmup_matches_generic(monkeypatch, window, lane_steps):
+    # |x0|**rho = 400: the warm-up spans hundreds of steps, longer than a
+    # window and than a lane's steps per window
+    table_sizes(monkeypatch, window, lane_steps)
+    sg = scalar_sg()
+    driver = stochastic_driver(83)
+    policy = ExtinctionPolicy(eps_ext=1e-12, m_cap=5_000)
+    slow = generic_records(SCALAR.state([160_000.0]), driver, sg, policy, 50, ALL_SCALAR_KINDS)
+    assert slow[0].steps > 300
+    assert_all_drivers_match_generic(
+        SCALAR.state([160_000.0]), driver, sg, policy, ALL_SCALAR_KINDS, 50, [100.0, 500.0]
+    )
+
+
+@pytest.mark.parametrize("window", [None, 64])
+def test_table_checkpoints_on_jump_times(monkeypatch, window):
+    table_sizes(monkeypatch, window, None)
+    sg = scalar_sg()
+    driver = stochastic_driver(89)
+    fns = ALL_SCALAR_KINDS
+    chain = simulate_chain(SCALAR.zero(), driver, sg, POLICY, 400)
+    regen_times = [t for t, hit in zip(chain.jump_times[1:], chain.extinct_flags) if hit]
+    plain_times = [t for t, hit in zip(chain.jump_times[1:], chain.extinct_flags) if not hit]
+    # a jump time that ends a cycle, one inside a cycle, one between jumps
+    cps = sorted([regen_times[10], plain_times[20], 0.5 * (plain_times[40] + plain_times[41])])
+    cps.append(regen_times[60])
+    slow_h = _generic_horizon_loop(SCALAR.zero(), driver, sg, POLICY, cps, fns, 0, None)
+    fast_h = simulate_until_time(SCALAR.zero(), driver, sg, POLICY, cps[-1], fns, checkpoints=cps)
+    assert horizon_tuple(fast_h) == horizon_tuple(slow_h)
+    assert fast_h.counts[0] == 11 and fast_h.counts[-1] == 61
+
+
+def test_table_default_and_small_windows_agree(monkeypatch):
+    sg = scalar_sg()
+    driver = stochastic_driver(97)
+    fns = [NormV2(SCALAR), IdentityV2(SCALAR)]
+    runs = []
+    for window in (1 << 16, 64):
+        monkeypatch.setattr(process, "_WINDOW", window)
+        runs.append((
+            moments_tuple(cycle_moments(SCALAR.zero(), driver, sg, POLICY, 5000, fns)),
+            horizon_tuple(simulate_until_time(SCALAR.zero(), driver, sg, POLICY, 2000.0, fns)),
+        ))
+    assert runs[0] == runs[1]
+
+
+@pytest.mark.parametrize("window, lane_steps", [(None, None), (64, None), (64, 2)])
+@pytest.mark.parametrize("x0", [0.0, 2500.0])
+def test_table_long_cycles_match_generic(monkeypatch, window, lane_steps, x0):
+    # gamma(0.02, 50) betas: cycles of about 16 steps on average and up to
+    # about 110, so most cycles outlast a tabulated lane's steps and are
+    # finished by stepping them alone
+    table_sizes(monkeypatch, window, lane_steps)
+    sg = scalar_sg()
+    driver = DriverConfig(BetaLaw.gamma(0.02, 50.0), EtaLaw.scalar_uniform(1.0), 107)
+    slow = generic_records(SCALAR.state([x0]), driver, sg, POLICY, 60, [NormV2(SCALAR)])
+    assert max(r.steps for r in slow) > 8 * process._LANE_STEPS
+    assert_all_drivers_match_generic(
+        SCALAR.state([x0]), driver, sg, POLICY, ALL_SCALAR_KINDS[:4], 60, [3.0, 250.0, 900.0]
+    )
+
+
+def test_table_horizon_memory_is_linear_in_the_window(monkeypatch):
+    # cycles of about 94 steps, a horizon of about 20 windows: the memory a
+    # window holds must not grow with the cycle length
+    import tracemalloc
+
+    monkeypatch.setattr(process, "_WINDOW", 2048)
+    sg = scalar_sg()
+    driver = DriverConfig(BetaLaw.gamma(0.002, 500.0), EtaLaw.scalar_uniform(1.0), 109)
+    fns = ALL_SCALAR_KINDS[:4]
+    tracemalloc.start()
+    try:
+        res = simulate_until_time(SCALAR.zero(), driver, sg, POLICY, 40_000.0, fns)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert res.counts[-1] > 200
+    # the kernel peaks at about 0.6 MB here; logging every live lane at every
+    # step of lanes up to 256 steps long takes about 13 MB
+    assert peak < 2_000_000, f"peak {peak} bytes"
+
+
+def test_cycle_moments_of_no_cycles_simulate_nothing():
+    # a transient chain would raise if any step were taken
+    sg, driver = transient_setup()
+    policy = ExtinctionPolicy(eps_ext=1e-12, m_cap=50)
+    for n_cycles in (0, -1):
+        got = cycle_moments(SCALAR.state([1.0]), driver, sg, policy, n_cycles, [NormV2(SCALAR)])
+        assert moments_tuple(got) == moments_tuple(CycleMoments(labels=["norm_v2"]))
+
+
+# --- the step cap on the table
+
+
+def transient_setup():
+    # kappa tiny: the state only grows, so no cycle ever closes
+    sg = scalar_sg(kappa=1e-9)
+    driver = DriverConfig(BetaLaw.deterministic(0.1), EtaLaw.scalar_constant(1.0), 1)
+    return sg, driver
+
+
+@pytest.mark.parametrize("window, m_cap", [(None, 50), (64, 50), (64, 300), (None, 300)])
+def test_table_cap_raises_on_every_driver(monkeypatch, window, m_cap):
+    table_sizes(monkeypatch, window, None)
+    sg, driver = transient_setup()
+    policy = ExtinctionPolicy(eps_ext=1e-12, m_cap=m_cap)
+    x0 = SCALAR.state([1.0])
+    fns = [NormV2(SCALAR)]
+    with pytest.raises(CycleCapExceeded):
+        list(simulate_cycles(x0, driver, sg, policy, 1, fns))
+    with pytest.raises(CycleCapExceeded):
+        cycle_moments(x0, driver, sg, policy, 1, fns)
+    with pytest.raises(CycleCapExceeded):
+        simulate_until_time(x0, driver, sg, policy, 1.0, fns)
+
+
+@pytest.mark.parametrize("window", [None, 64])
+def test_table_cap_stops_at_the_generic_loops_cycle(monkeypatch, window):
+    table_sizes(monkeypatch, window, None)
+    sg = scalar_sg()
+    driver = stochastic_driver(101)
+    fns = [NormV2(SCALAR)]
+    recs = generic_records(SCALAR.zero(), driver, sg, POLICY, 300, fns)
+    longest = max(recs[1:], key=lambda r: r.steps)
+    policy = ExtinctionPolicy(eps_ext=1e-12, m_cap=longest.steps - 1)
+    # the cycles before the long one complete; asking for it raises
+    before = cycle_moments(SCALAR.zero(), driver, sg, policy, longest.n - 1, fns)
+    assert before.n == longest.n - 1
+    with pytest.raises(CycleCapExceeded):
+        cycle_moments(SCALAR.zero(), driver, sg, policy, longest.n, fns)
+    got = []
+    with pytest.raises(CycleCapExceeded):
+        for rec in simulate_cycles(SCALAR.zero(), driver, sg, policy, 300, fns):
+            got.append(rec)
+    assert record_tuples(got) == record_tuples(recs[: longest.n])
+
+
+def test_table_cycle_longer_than_window_under_cap(monkeypatch):
+    monkeypatch.setattr(process, "_WINDOW", 64)
+    sg = scalar_sg()
+    driver = stochastic_driver(103)
+    policy = ExtinctionPolicy(eps_ext=1e-12, m_cap=1_000)
+    x0 = SCALAR.state([40_000.0])  # a warm-up of about 200 steps
+    fns = [NormV2(SCALAR), IdentityV2(SCALAR)]
+    slow = generic_records(x0, driver, sg, policy, 20, fns)
+    assert 64 < slow[0].steps < 1_000
+    assert_all_drivers_match_generic(x0, driver, sg, policy, fns, 20, [30.0, 300.0])
+    with pytest.raises(CycleCapExceeded):
+        list(simulate_cycles(x0, driver, sg, ExtinctionPolicy(1e-12, slow[0].steps - 1), 20, fns))
+
+
+def test_float_power_equals_python_pow():
+    # The table takes every power with np.float_power because it equals
+    # Python's float ** bit for bit; np.power (SIMD) can differ in the last
+    # ulp.  If this fails, this numpy build breaks that premise and the
+    # scalar backend's outputs are no longer those of a per-step loop.
+    rng = np.random.default_rng(20250810)
+    x = rng.exponential(1.0, 200_000) * 10.0 ** rng.uniform(-12.0, 4.0, 200_000)
+    values = x.tolist()
+    for rho in (0.45, 0.5, 0.7):
+        for exponent in (rho, 1.0 / rho, 1.0 / rho + 1.0):
+            got = np.float_power(x, exponent)
+            ref = np.array([v**exponent for v in values])
+            differ = int(np.count_nonzero(got != ref))
+            assert differ == 0, (
+                f"np.float_power differs from Python ** on {differ} of 200000 "
+                f"draws at exponent {exponent}"
+            )
+            # a lane's power does not depend on the lanes beside it
+            singles = [np.float_power(x[i : i + 1], exponent)[0] for i in range(0, 200_000, 997)]
+            assert singles == got[::997].tolist()
 
 
 def test_trajectory_hook_rows():
