@@ -18,7 +18,6 @@ from .errors import (
     InsufficientCycles,
     NoExtinction,
     NonConvergence,
-    OutOfHorizon,
     QuadratureBudgetExceeded,
 )
 from .estimators import (
@@ -38,7 +37,6 @@ from .functionals import (
     Linear,
     NormV2,
     QuadratureConfig,
-    integrate_cycle,
     integrate_segment,
 )
 from .plaplace import (
@@ -48,26 +46,20 @@ from .plaplace import (
     WeightField,
     apply_discrete_operator,
     estimate_kappa,
-    evolve_plaplace,
     implicit_euler_step,
 )
 from .process import (
-    Chain,
     CycleRecord,
     ExtinctionPolicy,
     HorizonResult,
     cycle_moments,
-    evaluate_path,
-    simulate_chain,
     simulate_cycles,
     simulate_until_time,
-    step_chain,
 )
 from .semigroup import (
     ExtinctionParams,
     ScalarPowerLaw,
     check_semigroup_axioms,
-    scalar_extinction_time,
 )
 from .spaces import Space, StateVector, grid_space, project_zero_mean, scalar_space
 

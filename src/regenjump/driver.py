@@ -124,10 +124,6 @@ class BetaLaw:
         return rng.gamma(self.shape, self.scale, size=n)
 
 
-def sample_beta(law: BetaLaw, rng: np.random.Generator) -> float:
-    return law.sample(rng)
-
-
 @dataclass(frozen=True)
 class EtaLaw:
     """Law of the kicks.
@@ -243,10 +239,6 @@ class EtaLaw:
         raise ConfigError("no analytic moment for this law")
 
 
-def sample_eta(law: EtaLaw, rng: np.random.Generator, space: Space) -> StateVector:
-    return law.sample(rng, space)
-
-
 @dataclass(frozen=True)
 class DriverConfig:
     """Noise laws plus the master seed all replicate streams derive from."""
@@ -343,7 +335,7 @@ def check_drift_condition(
         eta_terms = np.full(n_mc, abs(cfg.eta.value) ** rho)
     elif cfg.eta.kind == "scalar_uniform":
         draws = rng_eta.uniform(-cfg.eta.amp, cfg.eta.amp, size=n_mc)
-        eta_terms = np.abs(draws) ** rho
+        eta_terms = np.float_power(np.abs(draws), rho)
     else:
         norms = grid_kick_norms(cfg.eta, rng_eta, space, n_mc, "v1")
         eta_terms = np.float_power(norms, rho)

@@ -37,10 +37,6 @@ class CycleCapExceeded(RuntimeError):
     """A regeneration cycle exceeded the maximum chain-step budget."""
 
 
-class OutOfHorizon(ValueError):
-    """A path was queried beyond the simulated time range."""
-
-
 class QuadratureBudgetExceeded(RuntimeError):
     """Adaptive quadrature hit its evaluation cap before reaching tolerance."""
 

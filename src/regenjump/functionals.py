@@ -15,8 +15,7 @@ time-step grid where the trajectory has kinks.
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -33,7 +32,6 @@ __all__ = [
     "QuadratureConfig",
     "SegmentIntegralResult",
     "integrate_segment",
-    "integrate_cycle",
 ]
 
 
@@ -188,34 +186,40 @@ class SegmentIntegralResult:
     n_evals: int
 
 
-def _power_flow_integral(c: float, kappa: float, rho: float, delta: float) -> float:
-    """int_0^delta ((c - kappa*tau)_+)^(1/rho) dtau in closed form."""
-    e1 = 1.0 / rho + 1.0
-    live = min(delta, c / kappa)
-    if live <= 0.0:
-        return 0.0
-    tail = max(c - kappa * live, 0.0)
-    return (c**e1 - tail**e1) / (kappa * e1)
-
-
-def _closed_form_scalar(xi: Functional, x: float, delta: float, sg: ScalarPowerLaw):
-    """Closed-form segment integral on the power-law flow, or None."""
+def has_closed_form(xi: Functional) -> bool:
+    """Whether xi's segment integral on the scalar power-law flow has a closed form."""
     if isinstance(xi, AffineShift):
-        inner = _closed_form_scalar(xi.base, x, delta, sg)
-        if inner is None:
-            return None
-        return inner + xi.w * delta
-    c = abs(x) ** sg.rho
+        return has_closed_form(xi.base)
+    return isinstance(xi, (NormV2, IdentityV2, Linear))
+
+
+def abs_flow_integral(c, delta, kappa: float, rho: float):
+    """Integral of ``|T(tau) x|`` over [0, delta] on the power-law flow, elementwise.
+
+    Takes ``c = |x|**rho``: ``int_0^delta ((c - kappa*tau)_+)^(1/rho) dtau``.
+    Powers use ``np.float_power``, which equals Python's float ``**`` bit for
+    bit; ``np.power`` does not.
+    """
+    e1 = 1.0 / rho + 1.0
+    live = np.minimum(delta, c / kappa)
+    tail = np.maximum(c - kappa * live, 0.0)
+    return (np.float_power(c, e1) - np.float_power(tail, e1)) / (kappa * e1)
+
+
+def closed_form_value(xi: Functional, x, i_abs, delta):
+    """Segment integral of a closed-form functional from states x, elementwise.
+
+    ``i_abs`` is ``abs_flow_integral`` over [0, delta]; the flow keeps the
+    sign of x, so the signed integral is ``+-i_abs``.
+    """
+    if isinstance(xi, AffineShift):
+        return closed_form_value(xi.base, x, i_abs, delta) + xi.w * delta
     if isinstance(xi, NormV2):
-        return _power_flow_integral(c, sg.kappa, sg.rho, delta)
+        return i_abs
+    signed = np.where(x >= 0, i_abs, -i_abs)
     if isinstance(xi, IdentityV2):
-        signed = _power_flow_integral(c, sg.kappa, sg.rho, delta)
-        return signed if x >= 0 else -signed
-    if isinstance(xi, Linear):
-        signed = _power_flow_integral(c, sg.kappa, sg.rho, delta)
-        base = signed if x >= 0 else -signed
-        return float(xi.psi[0]) * base * xi.space.h
-    return None
+        return signed
+    return float(xi.psi[0]) * signed * xi.space.h  # Linear
 
 
 class _EvalBudget:
@@ -300,9 +304,10 @@ def integrate_segment(
     if method not in ("auto", "closed_form", "simpson"):
         raise ValueError(f"unknown integration method {method!r}")
     if method in ("auto", "closed_form") and isinstance(sg, ScalarPowerLaw):
-        value = _closed_form_scalar(xi, state.scalar, delta, sg)
-        if value is not None:
-            return SegmentIntegralResult(value, 0.0, 0)
+        if has_closed_form(xi):
+            x = state.values
+            i_abs = abs_flow_integral(np.float_power(np.abs(x), sg.rho), delta, sg.kappa, sg.rho)
+            return SegmentIntegralResult(float(closed_form_value(xi, x, i_abs, delta)[0]), 0.0, 0)
         if method == "closed_form":
             raise ValueError(f"no closed form for functional {xi.label!r}")
 
@@ -333,15 +338,3 @@ def integrate_segment(
     value, err = _integrate_piecewise(f, breaks, quad_cfg.tol, xi, budget)
     return SegmentIntegralResult(value, err, budget.used)
 
-
-def integrate_cycle(
-    xi: Functional,
-    segments,
-    sg,
-    quad_cfg: QuadratureConfig = DEFAULT_QUADRATURE,
-):
-    """Sum of per-segment integrals over one cycle's (state, delta) slices."""
-    total = xi.zero_value()
-    for state, delta in segments:
-        total = total + integrate_segment(xi, state, delta, sg, quad_cfg).value
-    return total

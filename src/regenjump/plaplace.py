@@ -47,7 +47,6 @@ __all__ = [
     "PLaplaceSemigroup",
     "apply_discrete_operator",
     "implicit_euler_step",
-    "evolve_plaplace",
     "estimate_kappa",
     "KappaFit",
 ]
@@ -504,17 +503,6 @@ class _SegmentFlow:
             return None
         t0 = self._extinct_index * self._sg.cfg.dt
         return t0 if t0 < horizon else None
-
-
-def evolve_plaplace(
-    u: StateVector,
-    t: float,
-    cfg: PLaplaceConfig,
-    grid: Grid1D,
-    weights: WeightField,
-    q: float = 2.0,
-) -> StateVector:
-    return PLaplaceSemigroup(grid, weights, cfg, q=q).evolve(u, t)
 
 
 @dataclass

@@ -20,42 +20,28 @@ counts, and the per-cycle data needed by the random-index checks;
 ``cycle_moments`` accumulates cycle moments without records.  On the scalar
 power-law backend all three read their outputs off a regeneration table
 (``_ScalarChain``), a numpy kernel with the closed-form flow and integrals
-that reproduces the generic loop bit-exactly; the generic loop serves the
-grid semigroups and trajectory hooks.
+that reproduces the generic stepper (``_chain_steps``) bit-exactly; the
+generic stepper serves the grid semigroups and trajectory hooks.
 """
 
 from __future__ import annotations
 
-from bisect import bisect_right
 from dataclasses import dataclass, field
 from functools import partial
 
 import numpy as np
 
 from .driver import DriverConfig
-from .errors import CycleCapExceeded, OutOfHorizon
-from .functionals import (
-    DEFAULT_QUADRATURE,
-    AffineShift,
-    Functional,
-    IdentityV2,
-    Linear,
-    NormV2,
-    QuadratureConfig,
-    integrate_segment,
-)
+from .errors import CycleCapExceeded
+from .functionals import abs_flow_integral, closed_form_value, has_closed_form, integrate_segment
 from .semigroup import ScalarPowerLaw
 from .spaces import StateVector
 
 __all__ = [
     "ExtinctionPolicy",
-    "Chain",
     "CycleRecord",
     "HorizonResult",
     "CycleMoments",
-    "step_chain",
-    "simulate_chain",
-    "evaluate_path",
     "simulate_cycles",
     "simulate_until_time",
     "cycle_moments",
@@ -85,7 +71,7 @@ def _one_at_a_time(sample_block):
 
 
 def _input_feed(driver: DriverConfig, space, replicate_index: int):
-    """(next_beta, next_eta_values) of one replicate for the per-step loops.
+    """(next_beta, next_eta_values) of one replicate for the generic stepper.
 
     Betas and scalar kicks are drawn in fixed-size blocks; grid kicks one at a
     time (their cost is dominated by the PDE steps).  Draws do not depend on
@@ -98,17 +84,6 @@ def _input_feed(driver: DriverConfig, space, replicate_index: int):
         return betas.__next__, partial(driver.eta.sample_values, streams.eta_rng, space)
     etas = _one_at_a_time(partial(driver.eta.sample_block, streams.eta_rng))
     return betas.__next__, lambda: np.array([next(etas)])
-
-
-@dataclass
-class Chain:
-    """A stored chain prefix: states, jump times, and the consumed inputs."""
-
-    states: list
-    jump_times: list
-    betas: list
-    etas: list
-    extinct_flags: list
 
 
 @dataclass
@@ -189,92 +164,15 @@ class CycleMoments:
         return out
 
 
-def step_chain(prev: StateVector, beta: float, eta: StateVector, sg, policy: ExtinctionPolicy):
-    """One chain step: returns (next state, extinct flag).
-
-    The flag fires when the pre-kick state's ambient norm is at or below the
-    policy threshold; the pre-kick state is then treated as exactly zero, so
-    the next state equals the kick bit-exactly.
-    """
-    if beta <= 0:
-        raise ValueError("beta must be positive")
-    pre = sg.evolve(prev, beta)
-    extinct = pre.norm_v() <= policy.eps_ext
-    if extinct:
-        return StateVector(prev.space, eta.values.copy()), True
-    return pre + eta, False
-
-
-def simulate_chain(
-    x0: StateVector,
-    driver: DriverConfig,
-    sg,
-    policy: ExtinctionPolicy,
-    n_steps: int,
-    replicate_index: int = 0,
-) -> Chain:
-    """Run and store the first n_steps of the chain (small-horizon helper)."""
-    next_beta, next_eta_values = _input_feed(driver, sg.space, replicate_index)
-    states = [x0]
-    jump_times = [0.0]
-    betas: list = []
-    etas: list = []
-    flags: list = []
-    state = x0
-    alpha = 0.0
-    for _ in range(n_steps):
-        beta = next_beta()
-        eta = StateVector(sg.space, next_eta_values())
-        state, extinct = step_chain(state, beta, eta, sg, policy)
-        alpha += beta
-        states.append(state)
-        jump_times.append(alpha)
-        betas.append(beta)
-        etas.append(eta)
-        flags.append(extinct)
-    return Chain(states, jump_times, betas, etas, flags)
-
-
-def evaluate_path(chain: Chain, sg, t: float) -> StateVector:
-    """Path value at time t (right-continuous at jumps)."""
-    if t < 0:
-        raise ValueError("time must be nonnegative")
-    if t >= chain.jump_times[-1]:
-        raise OutOfHorizon(
-            f"t = {t} is beyond the simulated range [0, {chain.jump_times[-1]})"
-        )
-    m = bisect_right(chain.jump_times, t) - 1
-    return sg.evolve(chain.states[m], t - chain.jump_times[m])
-
-
-def _is_closed_form_scalar(xi: Functional) -> bool:
-    if isinstance(xi, AffineShift):
-        return _is_closed_form_scalar(xi.base)
-    return isinstance(xi, (NormV2, IdentityV2, Linear))
-
-
 def _fast_capable(sg, functionals) -> bool:
     return isinstance(sg, ScalarPowerLaw) and all(
-        _is_closed_form_scalar(xi) and not xi.vector_valued for xi in functionals
+        has_closed_form(xi) and not xi.vector_valued for xi in functionals
     )
 
 
 _WINDOW = 1 << 16  # most lanes tabulated at once; bounds memory
 _LANE_STEPS = 8  # most steps a tabulated lane takes; bounds the work wasted on long cycles
 _CHUNK = 1024  # most inputs converted to Python floats at a time for a cycle stepped alone
-
-
-def _segment_value(xi: Functional, x, i_abs, delta):
-    """Closed-form segment value of a scalar functional, elementwise; the
-    operations and their order are those of ``functionals._closed_form_scalar``."""
-    if isinstance(xi, AffineShift):
-        return _segment_value(xi.base, x, i_abs, delta) + xi.w * delta
-    if isinstance(xi, NormV2):
-        return i_abs
-    signed = np.where(x >= 0, i_abs, -i_abs)
-    if isinstance(xi, IdentityV2):
-        return signed
-    return float(xi.psi[0]) * signed * xi.space.h  # Linear
 
 
 def _seq_sum(start: float, values: np.ndarray) -> float:
@@ -324,10 +222,11 @@ class _ScalarChain:
     values: its lanes step without integrals, and then only the path's lanes
     are stepped again, with them, so memory stays linear in the window.
 
-    Every lane repeats the operations of the generic loop
-    (``ScalarPowerLaw.evolve_scalar`` and the closed-form segment integral),
-    and integrals accumulate step by step from 0.0, so every output equals
-    the generic loop's bit for bit.
+    Every lane repeats the operations of the generic stepper
+    (``ScalarPowerLaw.evolve_scalar``; the closed-form segment integral of
+    ``functionals`` is shared with ``integrate_segment``), and integrals
+    accumulate step by step from 0.0, so every output equals the generic
+    stepper's bit for bit.
     """
 
     def __init__(self, x0, driver, sg, policy, functionals, replicate_index):
@@ -338,8 +237,6 @@ class _ScalarChain:
         self._kappa = sg.kappa
         self._rho = sg.rho
         self._inv_rho = 1.0 / sg.rho
-        self._e1 = self._inv_rho + 1.0
-        self._denom = sg.kappa * self._e1
         self._eps_ext = policy.eps_ext
         self._m_cap = policy.m_cap
         self.functionals = list(functionals)
@@ -363,16 +260,11 @@ class _ScalarChain:
         steps = cycles * self.per_cycle() + max(time, 0.0) / self._mean_beta
         return min(_WINDOW, int(1.1 * steps) + 64)
 
-    def _flow_integral(self, c, delta):
-        """Integral of ``|T(tau) x|`` over [0, delta] from ``c = |x|**rho``."""
-        live = np.minimum(delta, c / self._kappa)
-        tail = np.maximum(c - self._kappa * live, 0.0)
-        return (np.float_power(c, self._e1) - np.float_power(tail, self._e1)) / self._denom
-
     def abs_integral(self, x, delta):
         """Integral of ``|T(tau) x|`` over [0, delta], elementwise."""
         # np.float_power equals Python's float ** bit for bit; np.power does not
-        return self._flow_integral(np.float_power(np.abs(x), self._rho), delta)
+        c = np.float_power(np.abs(x), self._rho)
+        return abs_flow_integral(c, delta, self._kappa, self._rho)
 
     def _lanes(self, starts, k_cap, acc=None, log=None):
         """Step lanes that start cycles at window positions ``starts``.
@@ -398,8 +290,8 @@ class _ScalarChain:
             ax = np.abs(x)
             c = np.float_power(ax, rho)
             if acc is not None:
-                i_abs = self._flow_integral(c, beta)
-                vals = [_segment_value(xi, x, i_abs, beta) for xi in fns]
+                i_abs = abs_flow_integral(c, beta, kappa, rho)
+                vals = [closed_form_value(xi, x, i_abs, beta) for xi in fns]
                 acc = [a + v for a, v in zip(acc, vals)]
                 if log is not None:
                     log[0][at] = x
@@ -531,7 +423,7 @@ class _ScalarChain:
             beta = b[at]
             i_abs = self.abs_integral(xs, beta)
             for j, xi in enumerate(fns):
-                v = _segment_value(xi, xs, i_abs, beta)
+                v = closed_form_value(xi, xs, i_abs, beta)
                 flat = iter(v.tolist())
                 for i, _, t in tails:  # as the loop adds: in order, one float at a time
                     total = float(sums[j][i])
@@ -633,7 +525,7 @@ def _scalar_horizon(chain: _ScalarChain, cps: list) -> HorizonResult:
                 x = w.states[i:i + 1]
                 i_abs = chain.abs_integral(x, dpart)
                 for j, xi in enumerate(fns):
-                    out[j, cp_i] = runs[j][i] + _segment_value(xi, x, i_abs, dpart)[0]
+                    out[j, cp_i] = runs[j][i] + closed_form_value(xi, x, i_abs, dpart)[0]
             counts[cp_i] = w.first + np.searchsorted(w.ends, i, side="right")
             cp_i += 1
         if last is None and cp_i == n_cp:
@@ -654,6 +546,76 @@ def _scalar_horizon(chain: _ScalarChain, cps: list) -> HorizonResult:
     )
 
 
+@dataclass
+class _Step:
+    """One step of the generic chain: from ``state`` at jump time ``t`` to
+    ``after`` at ``t_end``, with the cycle it closed when it went extinct."""
+
+    state: StateVector
+    flow: object  # the segment flow from state, or None
+    t: float
+    t_end: float
+    values: list  # each functional's integral over the step
+    extinct: bool
+    after: StateVector
+    record: CycleRecord | None
+
+
+def _chain_steps(x0, driver, sg, policy, functionals, replicate_index):
+    """The generic chain, one step at a time (grid semigroups, trajectory hooks).
+
+    Each step draws (beta, eta), makes one segment flow from the current
+    state where the semigroup has them (the integrals and the pre-kick state
+    then share its solves), integrates every functional over the step
+    through ``integrate_segment`` and snaps an extinct pre-kick state to
+    zero.  Raises CycleCapExceeded, as the scalar table does, once a cycle
+    outlasts the policy's step cap.
+    """
+    next_beta, next_eta_values = _input_feed(driver, sg.space, replicate_index)
+    space = sg.space
+    labels = [xi.label for xi in functionals]
+    has_flow = hasattr(sg, "segment_flow")
+    state, alpha, m = x0, 0.0, 0
+    cycle, m_start, t_start = 0, 0, 0.0
+    acc = [xi.zero_value() for xi in functionals]
+    while True:
+        beta = next_beta()
+        eta_vals = next_eta_values()
+        flow = sg.segment_flow(state) if has_flow else None
+        values = [integrate_segment(xi, state, beta, sg, flow=flow).value for xi in functionals]
+        acc = [a + v for a, v in zip(acc, values)]
+        pre = StateVector(space, flow.at(beta)) if has_flow else sg.evolve(state, beta)
+        extinct = pre.norm_v() <= policy.eps_ext
+        m += 1
+        if m - m_start > policy.m_cap:
+            raise CycleCapExceeded(f"cycle {cycle} exceeded {policy.m_cap} chain steps")
+        t = alpha
+        alpha += beta
+        after = StateVector(space, eta_vals if extinct else pre.values + eta_vals)
+        record = None
+        if extinct:
+            integrals = dict(zip(labels, acc))
+            tau, steps = alpha - t_start, m - m_start
+            record = CycleRecord(cycle, m_start, m, t_start, alpha, tau, integrals, steps)
+            cycle, m_start, t_start = cycle + 1, m, alpha
+            acc = [xi.zero_value() for xi in functionals]
+        yield _Step(state, flow, t, alpha, values, extinct, after, record)
+        state = after
+
+
+def _generic_cycles(x0, driver, sg, policy, n_cycles, functionals, replicate_index, hook=None):
+    done = 0
+    steps = _chain_steps(x0, driver, sg, policy, functionals, replicate_index)
+    for m, step in enumerate(steps, start=1):
+        if hook is not None:
+            hook(m, step.t_end, step.after.norm_v1(), step.after.norm_v2(), step.extinct)
+        if step.record is not None:
+            yield step.record
+            done += step.record.n > 0
+            if done == n_cycles:
+                return
+
+
 def simulate_cycles(
     x0: StateVector,
     driver: DriverConfig,
@@ -662,7 +624,6 @@ def simulate_cycles(
     n_cycles: int,
     functionals,
     replicate_index: int = 0,
-    quad_cfg: QuadratureConfig = DEFAULT_QUADRATURE,
     trajectory_hook=None,
 ):
     """Stream the warm-up record and then n_cycles regeneration cycles.
@@ -682,70 +643,9 @@ def simulate_cycles(
             _ScalarChain(x0, driver, sg, policy, functionals, replicate_index), n_cycles
         )
     else:
-        yield from _generic_cycle_loop(
-            x0, driver, sg, policy, n_cycles, functionals, replicate_index,
-            quad_cfg, trajectory_hook,
+        yield from _generic_cycles(
+            x0, driver, sg, policy, n_cycles, functionals, replicate_index, trajectory_hook
         )
-
-
-def _generic_cycle_loop(
-    x0, driver, sg, policy, n_cycles, functionals, replicate_index, quad_cfg, hook
-):
-    next_beta, next_eta_values = _input_feed(driver, sg.space, replicate_index)
-    space = sg.space
-    state = x0
-    alpha = 0.0
-    m = 0
-    cycle_index = 0
-    m_start = 0
-    t_start = 0.0
-    steps = 0
-    acc = {xi.label: xi.zero_value() for xi in functionals}
-    done = 0
-    has_flow = hasattr(sg, "segment_flow")
-    while done < n_cycles:
-        beta = next_beta()
-        eta_vals = next_eta_values()
-        flow = sg.segment_flow(state) if has_flow else None
-        for xi in functionals:
-            seg = integrate_segment(xi, state, beta, sg, quad_cfg, flow=flow)
-            acc[xi.label] = acc[xi.label] + seg.value
-        if flow is not None:
-            pre = StateVector(space, flow.at(beta))
-        else:
-            pre = sg.evolve(state, beta)
-        extinct = pre.norm_v() <= policy.eps_ext
-        m += 1
-        alpha += beta
-        steps += 1
-        if steps > policy.m_cap:
-            raise CycleCapExceeded(
-                f"cycle {cycle_index} exceeded {policy.m_cap} chain steps"
-            )
-        if extinct:
-            state = StateVector(space, eta_vals)
-        else:
-            state = StateVector(space, pre.values + eta_vals)
-        if hook is not None:
-            hook(m, alpha, state.norm_v1(), state.norm_v2(), extinct)
-        if extinct:
-            yield CycleRecord(
-                n=cycle_index,
-                m_start=m_start,
-                m_end=m,
-                t_start=t_start,
-                t_end=alpha,
-                tau=alpha - t_start,
-                integrals=acc,
-                steps=steps,
-            )
-            if cycle_index > 0:
-                done += 1
-            cycle_index += 1
-            m_start = m
-            t_start = alpha
-            steps = 0
-            acc = {xi.label: xi.zero_value() for xi in functionals}
 
 
 def cycle_moments(
@@ -756,7 +656,6 @@ def cycle_moments(
     n_cycles: int,
     functionals,
     replicate_index: int = 0,
-    quad_cfg: QuadratureConfig = DEFAULT_QUADRATURE,
 ) -> CycleMoments:
     """Accumulate per-cycle (S, tau) first and second moments without records.
 
@@ -773,9 +672,7 @@ def cycle_moments(
     if _fast_capable(sg, functionals):
         chain = _ScalarChain(x0, driver, sg, policy, functionals, replicate_index)
         return _scalar_moments(chain, n_cycles, moments)
-    for rec in _generic_cycle_loop(
-        x0, driver, sg, policy, n_cycles, functionals, replicate_index, quad_cfg, None
-    ):
+    for rec in _generic_cycles(x0, driver, sg, policy, n_cycles, functionals, replicate_index):
         if not rec.is_warmup:
             moments.add(rec.tau, rec.integrals)
     return moments
@@ -806,7 +703,6 @@ def simulate_until_time(
     functionals,
     checkpoints=None,
     replicate_index: int = 0,
-    quad_cfg: QuadratureConfig = DEFAULT_QUADRATURE,
 ) -> HorizonResult:
     """One pass to the horizon: checkpoint integrals, regeneration counts,
     and the cycles needed one past the horizon."""
@@ -817,72 +713,34 @@ def simulate_until_time(
     if _fast_capable(sg, functionals):
         chain = _ScalarChain(x0, driver, sg, policy, functionals, replicate_index)
         return _scalar_horizon(chain, cps)
-    return _generic_horizon_loop(
-        x0, driver, sg, policy, cps, functionals, replicate_index, quad_cfg
-    )
+    return _generic_horizon(x0, driver, sg, policy, cps, functionals, replicate_index)
 
 
-def _generic_horizon_loop(
-    x0, driver, sg, policy, cps, functionals, replicate_index, quad_cfg
-):
-    next_beta, next_eta_values = _input_feed(driver, sg.space, replicate_index)
-    space = sg.space
-    labels = [xi.label for xi in functionals]
+def _generic_horizon(x0, driver, sg, policy, cps, functionals, replicate_index):
     n_cp = len(cps)
-    out = {label: [None] * n_cp for label in labels}
+    out = [[None] * n_cp for _ in functionals]
     counts = np.zeros(n_cp, dtype=np.int64)
-    run = {xi.label: xi.zero_value() for xi in functionals}
-    cyc_acc = {xi.label: xi.zero_value() for xi in functionals}
-    cycle_tau: list = []
-    cycle_s = {label: [] for label in labels}
+    run = [xi.zero_value() for xi in functionals]
+    cycles = []  # the records of cycles 1, 2, ...
     cp_i = 0
     regen = 0
-    state = x0
-    alpha = 0.0
-    t_start = 0.0
-    steps = 0
     l_end = None
-    has_flow = hasattr(sg, "segment_flow")
-    while True:
-        beta = next_beta()
-        eta_vals = next_eta_values()
-        alpha_prev = alpha
-        alpha = alpha + beta
-        flow = sg.segment_flow(state) if has_flow else None
-        steps += 1
-        if steps > policy.m_cap:
-            raise CycleCapExceeded(f"cycle exceeded {policy.m_cap} chain steps")
-        while cp_i < n_cp and cps[cp_i] < alpha:
-            dpart = cps[cp_i] - alpha_prev
-            for xi in functionals:
-                seg = integrate_segment(xi, state, dpart, sg, quad_cfg, flow=flow)
-                out[xi.label][cp_i] = run[xi.label] + seg.value
+    for step in _chain_steps(x0, driver, sg, policy, functionals, replicate_index):
+        while cp_i < n_cp and cps[cp_i] < step.t_end:  # inside the step: its part up to there
+            dpart = cps[cp_i] - step.t
+            for j, xi in enumerate(functionals):
+                seg = integrate_segment(xi, step.state, dpart, sg, flow=step.flow)
+                out[j][cp_i] = run[j] + seg.value
             counts[cp_i] = regen
             cp_i += 1
-        for xi in functionals:
-            seg = integrate_segment(xi, state, beta, sg, quad_cfg, flow=flow)
-            run[xi.label] = run[xi.label] + seg.value
-            cyc_acc[xi.label] = cyc_acc[xi.label] + seg.value
-        if flow is not None:
-            pre = StateVector(space, flow.at(beta))
-        else:
-            pre = sg.evolve(state, beta)
-        extinct = pre.norm_v() <= policy.eps_ext
-        if extinct:
+        run = [r + v for r, v in zip(run, step.values)]
+        if step.record is not None:
             regen += 1
             if regen > 1:
-                cycle_tau.append(alpha - t_start)
-                for label in labels:
-                    cycle_s[label].append(cyc_acc[label])
-            t_start = alpha
-            steps = 0
-            cyc_acc = {xi.label: xi.zero_value() for xi in functionals}
-            state = StateVector(space, eta_vals)
-        else:
-            state = StateVector(space, pre.values + eta_vals)
-        while cp_i < n_cp and cps[cp_i] == alpha:
-            for label in labels:
-                out[label][cp_i] = run[label]
+                cycles.append(step.record)
+        while cp_i < n_cp and cps[cp_i] == step.t_end:
+            for j in range(len(functionals)):
+                out[j][cp_i] = run[j]
             counts[cp_i] = regen
             cp_i += 1
         if cp_i >= n_cp:
@@ -892,23 +750,20 @@ def _generic_horizon_loop(
                 break
     integrals = {}
     cycle_integrals = {}
-    for xi in functionals:
+    for xi, vals in zip(functionals, out):
         label = xi.label
+        cycle_s = [rec.integrals[label] for rec in cycles]
         if xi.vector_valued:
-            integrals[label] = np.stack(out[label])
-            cycle_integrals[label] = (
-                np.stack(cycle_s[label])
-                if cycle_s[label]
-                else np.zeros((0, space.dim))
-            )
+            integrals[label] = np.stack(vals)
+            cycle_integrals[label] = np.stack(cycle_s) if cycle_s else np.zeros((0, sg.space.dim))
         else:
-            integrals[label] = np.asarray(out[label], dtype=float)
-            cycle_integrals[label] = np.asarray(cycle_s[label], dtype=float)
+            integrals[label] = np.asarray(vals, dtype=float)
+            cycle_integrals[label] = np.asarray(cycle_s, dtype=float)
     return HorizonResult(
         checkpoints=np.asarray(cps),
         integrals=integrals,
         counts=counts,
-        cycle_tau=np.asarray(cycle_tau),
+        cycle_tau=np.asarray([rec.tau for rec in cycles]),
         cycle_integrals=cycle_integrals,
         t_end=cps[-1],
     )

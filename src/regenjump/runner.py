@@ -30,7 +30,6 @@ from .estimators import (
     ks_test_normal,
     stats_from_moments,
 )
-from .functionals import QuadratureConfig, DEFAULT_QUADRATURE
 from .plaplace import PLaplaceSemigroup, estimate_kappa
 from .process import (
     CycleMoments,
@@ -68,7 +67,6 @@ class ExperimentSetup:
     policy: ExtinctionPolicy
     functionals: list
     initial_spec: tuple = ("zero",)
-    quad_cfg: QuadratureConfig = DEFAULT_QUADRATURE
     kappa_fit: object = None  # attached for the grid backend at build time
 
     @property
@@ -152,7 +150,6 @@ def _moments_task(args) -> CycleMoments:
         n_cycles,
         _scalar_functionals(setup),
         replicate_index=ESTIMATION_SHARD_BASE + shard_index,
-        quad_cfg=setup.quad_cfg,
     )
 
 
@@ -189,7 +186,6 @@ def _horizon_task(args) -> dict:
         setup.functionals,
         checkpoints=checkpoints,
         replicate_index=replicate,
-        quad_cfg=setup.quad_cfg,
     )
     out = {
         "replicate": replicate,
@@ -238,10 +234,10 @@ def validate_moment_sanity(setup: ExperimentSetup, n_draws: int = 100_000) -> di
     beta_m12 = float(np.mean(b12))
     if setup.space.kind == "scalar":
         draws = setup.driver.eta.sample_block(rng_e, 2048)
-        eta_m4 = float(np.mean(np.abs(draws) ** 4))
+        eta_m4 = float(np.mean(np.float_power(np.abs(draws), 4)))
     else:
         vals = grid_kick_norms(setup.driver.eta, rng_e, setup.space, 2048, "v2")
-        eta_m4 = float(np.mean(np.asarray(vals) ** 4))
+        eta_m4 = float(np.mean(np.float_power(vals, 4)))
     return {
         "beta_moment_12": beta_m12,
         "eta_v2_moment_4": eta_m4,
@@ -434,7 +430,6 @@ def run_clt_vector(
             plan.n_cycles,
             [xi],
             replicate_index=ESTIMATION_SHARD_BASE,
-            quad_cfg=setup.quad_cfg,
         )
     )
     s = cycles.integrals[xi.label]

@@ -82,19 +82,12 @@ class ScalarPowerLaw:
             return v
         return StateVector(v.space, [self.evolve_scalar(v.scalar, t)])
 
-    def extinction_time(self, v: StateVector) -> float:
-        """Zero crossing of the decay bound: |v|**rho / kappa.
+    def extinction_time_scalar(self, x: float) -> float:
+        """Zero crossing of the decay bound: |x|**rho / kappa.
 
         Evolving for any t at or beyond this value returns exactly zero.
         """
-        return self.extinction_time_scalar(v.scalar)
-
-    def extinction_time_scalar(self, x: float) -> float:
         return abs(x) ** self.rho / self.kappa
-
-
-def scalar_extinction_time(params: ExtinctionParams, v: StateVector) -> float:
-    return abs(v.scalar) ** params.rho / params.kappa
 
 
 @dataclass

@@ -13,10 +13,12 @@ from regenjump.driver import (
     check_drift_condition,
     derive_replicate_rng,
     grid_kick_norms,
-    sample_beta,
-    sample_eta,
 )
 from regenjump.errors import ConfigError
+from regenjump.plaplace import Grid1D, PLaplaceConfig, PLaplaceSemigroup, WeightField
+from regenjump.process import ExtinctionPolicy
+from regenjump.runner import ExperimentSetup, validate_moment_sanity
+from regenjump.semigroup import ExtinctionParams, ScalarPowerLaw
 from regenjump.spaces import grid_space, scalar_space
 
 SCALAR = scalar_space()
@@ -25,14 +27,14 @@ SCALAR = scalar_space()
 def test_deterministic_beta():
     law = BetaLaw.deterministic(3.0)
     rng = derive_replicate_rng(1, 0, 0)
-    assert all(sample_beta(law, rng) == 3.0 for _ in range(5))
+    assert all(law.sample(rng) == 3.0 for _ in range(5))
     assert law.mean() == 3.0
 
 
 def test_degenerate_uniform_beta():
     law = BetaLaw.uniform(1.0, 1.0)
     rng = derive_replicate_rng(1, 0, 0)
-    assert sample_beta(law, rng) == 1.0
+    assert law.sample(rng) == 1.0
 
 
 def test_exponential_mean_lln():
@@ -74,14 +76,14 @@ def test_law_validation(bad):
 def test_scalar_uniform_zero_amp():
     law = EtaLaw.scalar_uniform(0.0)
     rng = derive_replicate_rng(1, 0, 1)
-    assert sample_eta(law, rng, SCALAR).scalar == 0.0
+    assert law.sample(rng, SCALAR).scalar == 0.0
     assert law.is_zero
 
 
 def test_scalar_constant_eta():
     law = EtaLaw.scalar_constant(1.0)
     rng = derive_replicate_rng(1, 0, 1)
-    assert sample_eta(law, rng, SCALAR).scalar == 1.0
+    assert law.sample(rng, SCALAR).scalar == 1.0
     assert law.is_deterministic
     assert law.abs_moment(0.5) == 1.0
 
@@ -100,7 +102,7 @@ def test_grid_bumps_zero_mean_and_bounded():
     law = EtaLaw.grid_bumps(3, 1.0, (0.05, 0.2))
     rng = derive_replicate_rng(5, 0, 1)
     for _ in range(50):
-        eta = sample_eta(law, rng, space)
+        eta = law.sample(rng, space)
         assert abs(eta.mean()) <= 1e-14
         assert np.max(np.abs(eta.values)) <= 2 * 3 * 1.0  # bumps plus mean shift
 
@@ -213,6 +215,40 @@ def test_drift_grid_matches_one_at_a_time():
     terms = -kappa * betas + np.array([space.state(k).norm_v1() ** rho for k in kicks])
     assert report.lhs_estimate == float(np.mean(terms))
     assert report.ci_halfwidth == _Z99 * float(np.std(terms, ddof=1)) / math.sqrt(n_mc)
+
+
+@pytest.mark.parametrize("seed, rho", [(7, 0.7), (11, 0.45)])
+def test_drift_scalar_matches_one_at_a_time(seed, rho):
+    # np.power's SIMD route moves a few of these terms by an ulp, and with
+    # them the mean; the powers must be those of Python's float **
+    cfg = DriverConfig(BetaLaw.uniform(0.3, 0.7), EtaLaw.scalar_uniform(1.5), seed)
+    kappa, n_mc = 2.0, 10**5
+    report = check_drift_condition(cfg, kappa, rho, n_mc, SCALAR)
+    betas = cfg.beta.sample_block(derive_replicate_rng(seed, 0, 100), n_mc)
+    draws = derive_replicate_rng(seed, 0, 101).uniform(-1.5, 1.5, size=n_mc)
+    terms = -kappa * betas + np.array([abs(d) ** rho for d in draws.tolist()])
+    assert report.lhs_estimate == float(np.mean(terms))
+    assert report.ci_halfwidth == _Z99 * float(np.std(terms, ddof=1)) / math.sqrt(n_mc)
+
+
+@pytest.mark.parametrize("seed", [1, 3])
+def test_moment_sanity_scalar_matches_one_at_a_time(seed):
+    driver = DriverConfig(BetaLaw.exponential(1.0), EtaLaw.scalar_uniform(1.3), seed)
+    sg = ScalarPowerLaw(ExtinctionParams(1.0, 0.5), SCALAR)
+    got = validate_moment_sanity(ExperimentSetup(sg, driver, ExtinctionPolicy(), []), 10)
+    draws = driver.eta.sample_block(derive_replicate_rng(seed, 0, 103), 2048)
+    assert got["eta_v2_moment_4"] == float(np.mean([abs(d) ** 4 for d in draws.tolist()]))
+
+
+@pytest.mark.parametrize("seed", [1, 6])
+def test_moment_sanity_grid_matches_one_at_a_time(seed):
+    grid = Grid1D(16, 1.0)
+    sg = PLaplaceSemigroup(grid, WeightField.constant(grid, 1.0), PLaplaceConfig(p=1.5))
+    driver = DriverConfig(BetaLaw.uniform(0.1, 0.4), GRID_BUMPS, seed)
+    got = validate_moment_sanity(ExperimentSetup(sg, driver, ExtinctionPolicy(), []), 10)
+    kicks = kicks_one_at_a_time(GRID_BUMPS, derive_replicate_rng(seed, 0, 103), sg.space, 2048)
+    norms = [sg.space.state(k).norm_v2() for k in kicks]
+    assert got["eta_v2_moment_4"] == float(np.mean([v**4 for v in norms]))
 
 
 def test_stream_determinism_and_separation():

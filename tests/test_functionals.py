@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from _oracles import quad_segment_integral
 from regenjump.errors import QuadratureBudgetExceeded
@@ -12,7 +12,6 @@ from regenjump.functionals import (
     Linear,
     NormV2,
     QuadratureConfig,
-    integrate_cycle,
     integrate_segment,
 )
 from regenjump.plaplace import Grid1D, PLaplaceConfig, PLaplaceSemigroup, WeightField
@@ -92,6 +91,16 @@ def test_segment_signed_and_linear():
     assert integrate_segment(lin, neg, 1.0, sg).value == pytest.approx(-2.0 / 3.0)
 
 
+# the closed form's sign, pairing and shift branches, on both signs of the state
+CLOSED_FORM_KINDS = [
+    NormV2(SCALAR),
+    IdentityV2(SCALAR),
+    Linear(SCALAR, [-1.7]),
+    AffineShift(Linear(SCALAR, [0.6]), -0.35),
+]
+
+
+@pytest.mark.parametrize("xi", CLOSED_FORM_KINDS, ids=lambda xi: type(xi).__name__)
 @settings(max_examples=150, deadline=None)
 @given(
     st.floats(min_value=-4.0, max_value=4.0, allow_nan=False),
@@ -99,10 +108,11 @@ def test_segment_signed_and_linear():
     st.sampled_from([0.3, 0.5, 0.7]),
     st.sampled_from([0.5, 1.0, 2.0]),
 )
-def test_closed_form_matches_simpson(x, delta, rho, kappa):
+@example(-2.5, 1.3, 0.5, 1.0)  # a negative state, extinct inside the segment
+@example(-0.0, 0.7, 0.3, 2.0)
+def test_closed_form_matches_simpson(xi, x, delta, rho, kappa):
     sg = scalar_sg(kappa, rho)
     state = SCALAR.state([x])
-    xi = NormV2(SCALAR)
     closed = integrate_segment(xi, state, delta, sg, method="closed_form").value
     quad_cfg = QuadratureConfig(tol=1e-10)
     simpson = integrate_segment(xi, state, delta, sg, quad_cfg, method="simpson").value
@@ -155,20 +165,11 @@ def test_sublinearity_of_integral():
             assert abs(val) <= bound + 1e-12
 
 
-def test_integrate_cycle_sums_segments():
-    sg = scalar_sg()
-    xi = NormV2(SCALAR)
-    segments = [(SCALAR.state([1.0]), 3.0), (SCALAR.state([0.5]), 1.0)]
-    total = integrate_cycle(xi, segments, sg)
-    parts = sum(integrate_segment(xi, s, d, sg).value for s, d in segments)
-    assert total == pytest.approx(parts, abs=1e-15)
-
-
 def test_deterministic_cycle_value():
     # beta = 3, eta = 1 cycle: integral 1/3, affine shift subtracts 3w
     sg = scalar_sg()
     xi = AffineShift(NormV2(SCALAR), -0.1)
-    val = integrate_cycle(xi, [(SCALAR.state([1.0]), 3.0)], sg)
+    val = integrate_segment(xi, SCALAR.state([1.0]), 3.0, sg).value
     assert val == pytest.approx(1.0 / 3.0 - 0.3, abs=1e-14)
 
 

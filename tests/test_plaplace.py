@@ -13,7 +13,6 @@ from regenjump.plaplace import (
     WeightField,
     apply_discrete_operator,
     estimate_kappa,
-    evolve_plaplace,
     implicit_euler_step,
 )
 from regenjump.spaces import project_zero_mean
@@ -294,14 +293,6 @@ def test_no_extinction_error():
     u = project_zero_mean(sine_state(grid, amp=1.0))
     with pytest.raises(NoExtinction):
         estimate_kappa([u], cfg, grid, weights, t_cap=2 * cfg.dt)
-
-
-def test_evolve_plaplace_wrapper():
-    grid, weights, cfg = make_problem(n_cells=16, seed=8)
-    u = project_zero_mean(sine_state(grid))
-    a = evolve_plaplace(u, 0.04, cfg, grid, weights)
-    b = PLaplaceSemigroup(grid, weights, cfg).evolve(u, 0.04)
-    assert np.all(a.values == b.values)
 
 
 @pytest.mark.parametrize(

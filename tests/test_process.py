@@ -1,10 +1,10 @@
-import math
+from itertools import islice
 
 import numpy as np
 import pytest
 
 from regenjump.driver import BetaLaw, DriverConfig, EtaLaw
-from regenjump.errors import CycleCapExceeded, OutOfHorizon
+from regenjump.errors import CycleCapExceeded
 from regenjump.estimators import CycleSet
 from regenjump.functionals import AffineShift, IdentityV2, Linear, NormV2
 from regenjump.plaplace import Grid1D, PLaplaceConfig, PLaplaceSemigroup, WeightField
@@ -12,14 +12,11 @@ from regenjump.process import (
     CycleMoments,
     ExtinctionPolicy,
     cycle_moments,
-    evaluate_path,
-    simulate_chain,
     simulate_cycles,
     simulate_until_time,
-    step_chain,
 )
 from regenjump import process
-from regenjump.process import _generic_cycle_loop, _generic_horizon_loop
+from regenjump.process import _chain_steps, _generic_cycles, _generic_horizon
 from regenjump.semigroup import ExtinctionParams, ScalarPowerLaw
 from regenjump.spaces import scalar_space
 
@@ -39,17 +36,41 @@ def deterministic_driver(seed=1):
     return DriverConfig(BetaLaw.deterministic(3.0), EtaLaw.scalar_constant(1.0), seed)
 
 
+def chain_prefix(x0, driver, sg, policy, n_steps, fns=()):
+    """The generic stepper's first n_steps steps of replicate 0."""
+    return list(islice(_chain_steps(x0, driver, sg, policy, list(fns), 0), n_steps))
+
+
+def chain_inputs(driver, n_steps):
+    """The (betas, etas) the first n_steps steps of replicate 0 consume."""
+    streams = driver.streams(0)
+    betas = driver.beta.sample_block(streams.beta_rng, n_steps).tolist()
+    etas = driver.eta.sample_block(streams.eta_rng, n_steps).tolist()
+    return betas, etas
+
+
+def reference_step(prev, beta, eta, sg, policy):
+    """One chain step by its definition: flow, snap at the threshold, kick."""
+    pre = sg.evolve(SCALAR.state([prev]), beta).scalar
+    extinct = abs(pre) <= policy.eps_ext
+    return (eta if extinct else pre + eta), extinct
+
+
+def first_step(x0, beta, eta, sg, policy=POLICY):
+    driver = DriverConfig(BetaLaw.deterministic(beta), EtaLaw.scalar_constant(eta), 1)
+    return chain_prefix(SCALAR.state([x0]), driver, sg, policy, 1)[0]
+
+
 def test_step_chain_examples():
     sg = scalar_sg()
-    one = SCALAR.state([1.0])
-    nxt, flag = step_chain(SCALAR.zero(), 5.0, one, sg, POLICY)
-    assert nxt.scalar == 1.0 and flag
+    step = first_step(0.0, 5.0, 1.0, sg)
+    assert step.after.scalar == 1.0 and step.extinct
 
-    nxt, flag = step_chain(one, 0.25, SCALAR.state([0.5]), sg, POLICY)
-    assert nxt.scalar == pytest.approx(1.0625, abs=1e-15) and not flag
+    step = first_step(1.0, 0.25, 0.5, sg)
+    assert step.after.scalar == pytest.approx(1.0625, abs=1e-15) and not step.extinct
 
-    nxt, flag = step_chain(one, 2.0, SCALAR.state([0.3]), sg, POLICY)
-    assert nxt.scalar == 0.3 and flag
+    step = first_step(1.0, 2.0, 0.3, sg)
+    assert step.after.scalar == 0.3 and step.extinct
 
 
 def test_step_chain_threshold_snaps_to_kick():
@@ -60,58 +81,47 @@ def test_step_chain_threshold_snaps_to_kick():
     beta = 0.9999999
     pre = sg.evolve(prev, beta)
     assert 0.0 < pre.scalar <= 1e-2
-    eta = SCALAR.state([0.5])
-    nxt, flag = step_chain(prev, beta, eta, sg, policy)
-    assert flag and nxt.scalar == 0.5  # bit-exact regeneration
-
-
-def test_step_chain_rejects_nonpositive_beta():
-    with pytest.raises(ValueError):
-        step_chain(SCALAR.zero(), 0.0, SCALAR.zero(), scalar_sg(), POLICY)
+    step = first_step(1.0, beta, 0.5, sg, policy)
+    assert step.extinct and step.after.scalar == 0.5  # bit-exact regeneration
 
 
 def test_chain_invariants():
     sg = scalar_sg()
     driver = stochastic_driver(7)
-    chain = simulate_chain(SCALAR.zero(), driver, sg, POLICY, 200)
-    assert chain.jump_times[0] == 0.0
-    alphas = np.asarray(chain.jump_times)
+    steps = chain_prefix(SCALAR.zero(), driver, sg, POLICY, 200)
+    betas, etas = chain_inputs(driver, 200)
+    assert steps[0].t == 0.0
+    alphas = np.array([0.0] + [s.t_end for s in steps])
     assert np.all(np.diff(alphas) > 0)
-    assert abs(alphas[-1] - sum(chain.betas)) <= 1e-12 * max(1.0, alphas[-1])
-    for m in range(1, 201):
-        expected, _ = step_chain(
-            chain.states[m - 1], chain.betas[m - 1], chain.etas[m - 1], sg, POLICY
-        )
-        assert expected.scalar == chain.states[m].scalar
+    assert abs(alphas[-1] - sum(betas)) <= 1e-12 * max(1.0, alphas[-1])
+    for m, step in enumerate(steps):
+        expected, extinct = reference_step(step.state.scalar, betas[m], etas[m], sg, POLICY)
+        assert expected == step.after.scalar and extinct == step.extinct
+        assert step.t == alphas[m]
 
 
 def test_evaluate_path_cadlag():
     sg = scalar_sg()
-    chain = simulate_chain(SCALAR.state([1.0]), deterministic_driver(), sg, POLICY, 3)
+    steps = chain_prefix(SCALAR.state([1.0]), deterministic_driver(), sg, POLICY, 3)
     # value at a jump time is the post-jump state
-    at_jump = evaluate_path(chain, sg, chain.jump_times[1])
-    assert at_jump.scalar == chain.states[1].scalar
+    assert steps[1].state.scalar == steps[0].after.scalar
     # interior point follows the closed-form flow: t = 0.5 from state 1.0
-    mid = evaluate_path(chain, sg, 0.5)
+    mid = sg.evolve(steps[0].state, 0.5)
     assert mid.scalar == pytest.approx(0.25, abs=1e-15)
     # beyond the extinction time inside a segment the path is exactly zero
-    assert evaluate_path(chain, sg, 1.5).scalar == 0.0
-    with pytest.raises(OutOfHorizon):
-        evaluate_path(chain, sg, chain.jump_times[-1])
+    assert sg.evolve(steps[0].state, 1.5).scalar == 0.0
 
 
 def test_chain_path_consistency():
     sg = scalar_sg()
     driver = stochastic_driver(11)
-    chain = simulate_chain(SCALAR.zero(), driver, sg, POLICY, 100)
-    for m in range(30):
-        just_before = evaluate_path(chain, sg, chain.jump_times[m + 1] - 1e-12)
+    steps = chain_prefix(SCALAR.zero(), driver, sg, POLICY, 100)
+    _, etas = chain_inputs(driver, 100)
+    for m, step in enumerate(steps[:30]):
+        just_before = sg.evolve(step.state, (step.t_end - 1e-12) - step.t)
         reconstructed = just_before.scalar
-        if not chain.extinct_flags[m]:
-            assert (
-                abs(reconstructed + chain.etas[m].scalar - chain.states[m + 1].scalar)
-                <= 1e-9
-            )
+        if not step.extinct:
+            assert abs(reconstructed + etas[m] - step.after.scalar) <= 1e-9
 
 
 def test_deterministic_cycles_oracle():
@@ -162,22 +172,24 @@ def test_cycle_monotonicity_and_regeneration_law():
 def test_cycle_boundary_state_is_kick_bit_exact():
     sg = scalar_sg()
     driver = stochastic_driver(23)
-    chain = simulate_chain(SCALAR.zero(), driver, sg, POLICY, 400)
+    steps = chain_prefix(SCALAR.zero(), driver, sg, POLICY, 400)
+    _, etas = chain_inputs(driver, 400)
     for m in range(400):
-        if chain.extinct_flags[m]:
-            assert chain.states[m + 1].scalar == chain.etas[m].scalar
+        if steps[m].extinct:
+            assert steps[m].after.scalar == etas[m]
 
 
 def test_bounded_growth_within_cycles():
     sg = scalar_sg()
     driver = stochastic_driver(29)
-    chain = simulate_chain(SCALAR.zero(), driver, sg, POLICY, 300)
+    steps = chain_prefix(SCALAR.zero(), driver, sg, POLICY, 300)
+    _, etas = chain_inputs(driver, 300)
     kick_sum = 0.0
     for m in range(300):
-        kick_sum += chain.etas[m].norm_v2()
-        assert chain.states[m + 1].norm_v2() <= kick_sum + 1e-9
-        if chain.extinct_flags[m]:
-            kick_sum = chain.etas[m].norm_v2()
+        kick_sum += abs(etas[m])
+        assert steps[m].after.norm_v2() <= kick_sum + 1e-9
+        if steps[m].extinct:
+            kick_sum = abs(etas[m])
 
 
 def test_cycle_cap():
@@ -197,7 +209,7 @@ def test_fast_loop_matches_generic_bit_exactly():
     fns = [NormV2(SCALAR), IdentityV2(SCALAR), AffineShift(NormV2(SCALAR), -0.2)]
     fast = list(simulate_cycles(SCALAR.zero(), driver, sg, POLICY, 200, fns))
     slow = list(
-        _generic_cycle_loop(SCALAR.zero(), driver, sg, POLICY, 200, fns, 0, None, None)
+        _generic_cycles(SCALAR.zero(), driver, sg, POLICY, 200, fns, 0)
     )
     assert len(fast) == len(slow)
     for a, b in zip(fast, slow):
@@ -279,7 +291,7 @@ def test_horizon_fast_matches_generic():
     fns = [NormV2(SCALAR), Linear(SCALAR, [1.0], label="mass")]
     cps = [2.0, 7.5, 15.0]
     fast = simulate_until_time(SCALAR.zero(), driver, sg, POLICY, 15.0, fns, checkpoints=cps)
-    slow = _generic_horizon_loop(SCALAR.zero(), driver, sg, POLICY, cps, fns, 0, None)
+    slow = _generic_horizon(SCALAR.zero(), driver, sg, POLICY, cps, fns, 0)
     assert np.all(fast.counts == slow.counts)
     assert np.all(fast.cycle_tau == slow.cycle_tau)
     for label in ("norm_v2", "mass"):
@@ -316,9 +328,7 @@ def table_sizes(monkeypatch, window, lane_steps):
 
 
 def generic_records(x0, driver, sg, policy, n_cycles, fns, replicate=0):
-    return list(
-        _generic_cycle_loop(x0, driver, sg, policy, n_cycles, fns, replicate, None, None)
-    )
+    return list(_generic_cycles(x0, driver, sg, policy, n_cycles, fns, replicate))
 
 
 def record_tuples(records):
@@ -357,7 +367,7 @@ def assert_all_drivers_match_generic(x0, driver, sg, policy, fns, n_cycles, cps)
     fast_h = simulate_until_time(
         x0, driver, sg, policy, cps[-1], fns, checkpoints=cps, replicate_index=5
     )
-    slow_h = _generic_horizon_loop(x0, driver, sg, policy, cps, fns, 5, None)
+    slow_h = _generic_horizon(x0, driver, sg, policy, cps, fns, 5)
     assert horizon_tuple(fast_h) == horizon_tuple(slow_h)
 
 
@@ -427,13 +437,13 @@ def test_table_checkpoints_on_jump_times(monkeypatch, window):
     sg = scalar_sg()
     driver = stochastic_driver(89)
     fns = ALL_SCALAR_KINDS
-    chain = simulate_chain(SCALAR.zero(), driver, sg, POLICY, 400)
-    regen_times = [t for t, hit in zip(chain.jump_times[1:], chain.extinct_flags) if hit]
-    plain_times = [t for t, hit in zip(chain.jump_times[1:], chain.extinct_flags) if not hit]
+    steps = chain_prefix(SCALAR.zero(), driver, sg, POLICY, 400)
+    regen_times = [s.t_end for s in steps if s.extinct]
+    plain_times = [s.t_end for s in steps if not s.extinct]
     # a jump time that ends a cycle, one inside a cycle, one between jumps
     cps = sorted([regen_times[10], plain_times[20], 0.5 * (plain_times[40] + plain_times[41])])
     cps.append(regen_times[60])
-    slow_h = _generic_horizon_loop(SCALAR.zero(), driver, sg, POLICY, cps, fns, 0, None)
+    slow_h = _generic_horizon(SCALAR.zero(), driver, sg, POLICY, cps, fns, 0)
     fast_h = simulate_until_time(SCALAR.zero(), driver, sg, POLICY, cps[-1], fns, checkpoints=cps)
     assert horizon_tuple(fast_h) == horizon_tuple(slow_h)
     assert fast_h.counts[0] == 11 and fast_h.counts[-1] == 61
@@ -516,12 +526,22 @@ def test_table_cap_raises_on_every_driver(monkeypatch, window, m_cap):
     policy = ExtinctionPolicy(eps_ext=1e-12, m_cap=m_cap)
     x0 = SCALAR.state([1.0])
     fns = [NormV2(SCALAR)]
-    with pytest.raises(CycleCapExceeded):
-        list(simulate_cycles(x0, driver, sg, policy, 1, fns))
-    with pytest.raises(CycleCapExceeded):
-        cycle_moments(x0, driver, sg, policy, 1, fns)
-    with pytest.raises(CycleCapExceeded):
-        simulate_until_time(x0, driver, sg, policy, 1.0, fns)
+    runs = [
+        lambda: list(simulate_cycles(x0, driver, sg, policy, 1, fns)),
+        lambda: cycle_moments(x0, driver, sg, policy, 1, fns),
+        lambda: simulate_until_time(x0, driver, sg, policy, 1.0, fns),
+    ]
+    messages = []
+    for run in runs:
+        with pytest.raises(CycleCapExceeded) as table:
+            run()
+        messages.append(str(table.value))
+    # the generic stepper stops the same cycle with the same message
+    monkeypatch.setattr(process, "_fast_capable", lambda sg, functionals: False)
+    for run, message in zip(runs, messages):
+        with pytest.raises(CycleCapExceeded) as generic:
+            run()
+        assert str(generic.value) == message == f"cycle 0 exceeded {m_cap} chain steps"
 
 
 @pytest.mark.parametrize("window", [None, 64])

@@ -6,7 +6,6 @@ from regenjump.semigroup import (
     ExtinctionParams,
     ScalarPowerLaw,
     check_semigroup_axioms,
-    scalar_extinction_time,
 )
 from regenjump.spaces import scalar_space
 
@@ -30,9 +29,9 @@ def test_evolve_examples():
 
 
 def test_extinction_time_examples():
-    assert scalar_extinction_time(ExtinctionParams(1.0, 0.5), SPACE.state([1.0])) == 1.0
-    assert scalar_extinction_time(ExtinctionParams(2.0, 0.5), SPACE.state([4.0])) == 1.0
-    assert scalar_extinction_time(ExtinctionParams(1.0, 0.5), SPACE.state([0.0])) == 0.0
+    assert make(1.0, 0.5).extinction_time_scalar(1.0) == 1.0
+    assert make(2.0, 0.5).extinction_time_scalar(4.0) == 1.0
+    assert make(1.0, 0.5).extinction_time_scalar(0.0) == 0.0
 
 
 @given(values, times, kappas, rhos)
