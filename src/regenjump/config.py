@@ -82,11 +82,11 @@ class ExperimentConfig:
     def hash(self) -> str:
         return config_hash(self.raw_items)
 
-    def build_setup(self, skip_kappa_fit: bool = False) -> ExperimentSetup:
+    def build_setup(self) -> ExperimentSetup:
         """Construct the semigroup, functionals, and driver for this config.
 
-        For the grid backend the empirical decay rate is fitted here (unless
-        skipped), since validation needs it before any simulation.
+        For the grid backend the empirical decay rate is fitted here, since
+        validation needs it before any simulation.
         """
         driver = DriverConfig(self.beta, self.eta, self.master_seed)
         if self.backend == "scalar":
@@ -119,7 +119,7 @@ class ExperimentConfig:
             functionals=functionals,
             initial_spec=self.initial,
         )
-        if self.backend == "plaplace" and not skip_kappa_fit:
+        if self.backend == "plaplace":
             fit = run_kappa_fit(
                 setup,
                 n_samples=self.plaplace["kappa_samples"],

@@ -13,15 +13,21 @@ path into cycles whose lengths and functional integrals are i.i.d.; the
 segment before the first regeneration is the warm-up and is emitted
 separately.
 
-Two drivers are provided: ``simulate_cycles`` streams cycle records with O(1)
-memory in the cycle count, and ``simulate_until_time`` makes a single pass to
-a fixed horizon, producing running integrals at checkpoints, regeneration
-counts, and the per-cycle data needed by the random-index checks;
-``cycle_moments`` accumulates cycle moments without records.  On the scalar
-power-law backend all three read their outputs off a regeneration table
-(``_ScalarChain``), a numpy kernel with the closed-form flow and integrals
-that reproduces the generic stepper (``_chain_steps``) bit-exactly; the
-generic stepper serves the grid semigroups and trajectory hooks.
+Three drivers are provided: ``simulate_cycles`` streams cycle records with
+O(1) memory in the cycle count, ``cycle_moments`` accumulates cycle moments
+without records, and ``simulate_until_time`` makes a single pass to a fixed
+horizon, producing running integrals at checkpoints, regeneration counts,
+and the per-cycle data needed by the random-index checks.
+
+A chain has one interface and two implementations: ``advance`` returns the
+next window of the run's cycles (a ``_Window``) and ``partial`` integrates
+every functional over the start of one step of a window.  On the scalar
+power-law backend the chain is a regeneration table (``_ScalarChain``), a
+numpy kernel with the closed-form flow and integrals whose windows hold many
+cycles; elsewhere (grid semigroups, trajectory hooks) it is the generic
+stepper (``_StepChain``), whose windows hold one cycle.  ``_chain`` picks
+one, and each driver has one reader over its windows; both chains give the
+readers the same bits.
 """
 
 from __future__ import annotations
@@ -62,28 +68,6 @@ class ExtinctionPolicy:
             raise ValueError("eps_ext must be positive")
         if self.m_cap < 1:
             raise ValueError("m_cap must be at least 1")
-
-
-def _one_at_a_time(sample_block):
-    """Values of successive ``sample_block(_BLOCK)`` draws, one float at a time."""
-    while True:
-        yield from sample_block(_BLOCK).tolist()
-
-
-def _input_feed(driver: DriverConfig, space, replicate_index: int):
-    """(next_beta, next_eta_values) of one replicate for the generic stepper.
-
-    Betas and scalar kicks are drawn in fixed-size blocks; grid kicks one at a
-    time (their cost is dominated by the PDE steps).  Draws do not depend on
-    the block size, so every simulation mode sees the same sequence for the
-    same (master_seed, replicate_index).
-    """
-    streams = driver.streams(replicate_index)
-    betas = _one_at_a_time(partial(driver.beta.sample_block, streams.beta_rng))
-    if driver.eta.kind == "grid_bumps":
-        return betas.__next__, partial(driver.eta.sample_values, streams.eta_rng, space)
-    etas = _one_at_a_time(partial(driver.eta.sample_block, streams.eta_rng))
-    return betas.__next__, lambda: np.array([next(etas)])
 
 
 @dataclass
@@ -186,9 +170,11 @@ class _Window:
 
     The first of them is cycle number ``first`` of the run (0 is the
     warm-up); ``ends`` are their end positions in the window and
-    ``alpha[i]`` is the jump time after i steps of it.  A recorded window
-    also holds the chain's state before each step and each functional's
-    segment value over that step.
+    ``alpha[i]`` is the jump time after i steps of it.  ``integrals`` and
+    ``values`` hold one array per functional, with one row per cycle or
+    step.  A recorded window also holds the chain's state before each step
+    (what its chain's ``partial`` reads) and each functional's segment value
+    over that step.
     """
 
     first: int
@@ -200,33 +186,34 @@ class _Window:
     tau: np.ndarray
     integrals: list
     alpha: np.ndarray
-    states: np.ndarray | None = None
+    states: object = None
     values: list | None = None
 
 
 class _ScalarChain:
     """The scalar power-law chain of one replicate stream, a window at a time.
 
-    ``advance(n)`` draws (beta, eta) pairs through the replicate's streams
-    and builds the regeneration table: one lane per candidate cycle start at
-    the next n positions, namely the cycle open at the window's start (lane
-    0) and the kick at every later position, all advanced together one chain
-    step per iteration until each goes extinct or has taken ``_LANE_STEPS``
-    steps.  A cycle started by a kick depends only on the inputs after it, so
-    following cycle ends from lane 0 visits exactly the true chain's cycles.
-    A cycle on that path still open after its table steps is stepped on alone
-    in Python floats, so no lane runs far inside a long cycle.  Lanes pay
-    only while cycles are short, so once the measured mean cycle outlasts a
-    lane's steps, lanes take no steps and every cycle is stepped alone.  A
-    recorded window (a horizon run) needs the path's states and segment
-    values: its lanes step without integrals, and then only the path's lanes
-    are stepped again, with them, so memory stays linear in the window.
+    ``advance`` draws (beta, eta) pairs through the replicate's streams and
+    builds the regeneration table: one lane per candidate cycle start at the
+    next n positions (n sized from the work asked for), namely the cycle open
+    at the window's start (lane 0) and the kick at every later position, all
+    advanced together one chain step per iteration until each goes extinct or
+    has taken ``_LANE_STEPS`` steps.  A cycle started by a kick depends only on
+    the inputs after it, so following cycle ends from lane 0 visits exactly
+    the true chain's cycles.  A cycle on that path still open after its table
+    steps is stepped on alone in Python floats, so no lane runs far inside a
+    long cycle.  Lanes pay only while cycles are short, so once the measured
+    mean cycle outlasts a lane's steps, lanes take no steps and every cycle is
+    stepped alone.  A recorded window (a horizon run) needs the path's states
+    and segment values: its lanes step without integrals, and then only the
+    path's lanes are stepped again, with them, so memory stays linear in the
+    window.
 
     Every lane repeats the operations of the generic stepper
-    (``ScalarPowerLaw.evolve_scalar``; the closed-form segment integral of
-    ``functionals`` is shared with ``integrate_segment``), and integrals
-    accumulate step by step from 0.0, so every output equals the generic
-    stepper's bit for bit.
+    (``ScalarPowerLaw.evolve_scalar``, which leaves the state unchanged on a
+    zero beta; the closed-form segment integral of ``functionals`` is shared
+    with ``integrate_segment``), and integrals accumulate step by step from
+    0.0, so every output equals the generic stepper's bit for bit.
     """
 
     def __init__(self, x0, driver, sg, policy, functionals, replicate_index):
@@ -255,16 +242,17 @@ class _ScalarChain:
         """Mean chain steps per cycle so far, the open cycle included."""
         return (self.m + 2) / (self.closed + 1)
 
-    def window_size(self, cycles: float, time: float = 0.0) -> int:
-        """Inputs to tabulate next for about ``cycles`` more cycles and ``time`` more time."""
-        steps = cycles * self.per_cycle() + max(time, 0.0) / self._mean_beta
-        return min(_WINDOW, int(1.1 * steps) + 64)
-
     def abs_integral(self, x, delta):
         """Integral of ``|T(tau) x|`` over [0, delta], elementwise."""
         # np.float_power equals Python's float ** bit for bit; np.power does not
         c = np.float_power(np.abs(x), self._rho)
         return abs_flow_integral(c, delta, self._kappa, self._rho)
+
+    def partial(self, window: _Window, i: int, dt: float) -> list:
+        """Each functional's integral over the first dt of step i of a recorded window."""
+        x = window.states[i : i + 1]
+        i_abs = self.abs_integral(x, dt)
+        return [closed_form_value(xi, x, i_abs, dt)[0] for xi in self.functionals]
 
     def _lanes(self, starts, k_cap, acc=None, log=None):
         """Step lanes that start cycles at window positions ``starts``.
@@ -298,6 +286,8 @@ class _ScalarChain:
                     for logged, v in zip(log[1], vals):
                         logged[at] = v
             pre = np.minimum(np.float_power(np.maximum(c - kappa * beta, 0.0), inv_rho), ax)
+            if self._zero_beta:  # T(0) = I, not the power round trip
+                pre = np.where(beta == 0.0, ax, pre)
             # a lane goes on only if pre > 0, so x != 0 and copysign is where(x >= 0, pre, -pre)
             x = np.copysign(pre, x) + e[at]
             at = at + 1
@@ -329,6 +319,7 @@ class _ScalarChain:
         time (Python's ``**`` equals ``np.float_power``).
         """
         kappa, rho, inv_rho, eps_ext = self._kappa, self._rho, self._inv_rho, self._eps_ext
+        zero_beta = self._zero_beta
         states = []
         chunk = 32
         while pos < limit:
@@ -342,23 +333,27 @@ class _ScalarChain:
                 pre = 0.0
                 if r > 0.0:
                     pre = r**inv_rho
-                    if pre > ax:  # evolve's ulp clamp
+                    if pre > ax or (zero_beta and beta == 0.0):  # evolve's ulp clamp; T(0) = I
                         pre = ax
                 if pre <= eps_ext:
                     return pos, states, x
                 x = (pre if x >= 0 else -pre) + eta
         return -1, states, x
 
-    def advance(self, n: int, last: int | None = None, record: bool = False) -> _Window:
-        """Tabulate lanes at the next n positions; read the true chain's cycles off.
+    def advance(self, cycles: float, time: float = 0.0, last: int | None = None,
+                record: bool = False) -> _Window:
+        """Tabulate lanes for about ``cycles`` more cycles and ``time`` more time.
 
-        The window stops after cycle ``last`` closes, or before a cycle
-        longer than the step cap, which the next call raises for; inputs past
-        the point the chain reached are kept for the next call.
+        Reads the true chain's cycles off the table.  The window stops after
+        cycle ``last`` closes, or before a cycle longer than the step cap,
+        which the next call raises for; inputs past the point the chain
+        reached are kept for the next call.
         """
         if self.m - self._m_start > self._m_cap:
             raise CycleCapExceeded(f"cycle {self.closed} exceeded {self._m_cap} chain steps")
         fns = self.functionals
+        steps = cycles * self.per_cycle() + max(time, 0.0) / self._mean_beta
+        n = min(_WINDOW, int(1.1 * steps) + 64)
         # a lane started inside a cycle is wasted work, so long cycles are
         # cheaper stepped alone
         k_cap = _LANE_STEPS if self.per_cycle() <= _LANE_STEPS else 0
@@ -367,6 +362,7 @@ class _ScalarChain:
             self._b = np.concatenate((self._b, self._draw_betas(more)))
             self._e = np.concatenate((self._e, self._draw_etas(more)))
         b, e = self._b, self._e
+        self._zero_beta = not b.all()  # rare (gamma draws can underflow): masked only then
         acc = [np.zeros(n) for _ in fns]  # lane 0 carries the open cycle's integrals
         for a, carried in zip(acc, self._acc):
             a[0] = carried
@@ -468,20 +464,122 @@ class _ScalarChain:
         return window
 
 
-def _scalar_records(chain: _ScalarChain, n_cycles: int):
+def _one_at_a_time(sample_block):
+    """Values of successive ``sample_block(_BLOCK)`` draws, one float at a time."""
+    while True:
+        yield from sample_block(_BLOCK).tolist()
+
+
+class _StepChain:
+    """The generic chain of one replicate stream, a cycle at a time.
+
+    Each step draws (beta, eta), makes one segment flow from the current
+    state where the semigroup has them (the integrals and the pre-kick state
+    then share its solves), integrates every functional over the step
+    through ``integrate_segment`` and snaps an extinct pre-kick state to
+    zero.  A window is one cycle, so a run takes no step past the cycle that
+    ends it; a recorded window keeps each step's (state, flow) for
+    ``partial``.  Betas and scalar kicks are drawn in blocks, grid kicks one
+    at a time; draws do not depend on the block size, so both chains see the
+    same inputs.  The hook receives (m, alpha_m, norm_v1, norm_v2, extinct)
+    after every step.
+    """
+
+    def __init__(self, x0, driver, sg, policy, functionals, replicate_index, hook=None):
+        streams = driver.streams(replicate_index)
+        betas = _one_at_a_time(partial(driver.beta.sample_block, streams.beta_rng))
+        self._next_beta = betas.__next__
+        if driver.eta.kind == "grid_bumps":
+            self._next_eta = partial(driver.eta.sample_values, streams.eta_rng, sg.space)
+        else:
+            etas = _one_at_a_time(partial(driver.eta.sample_block, streams.eta_rng))
+            self._next_eta = lambda: np.array([next(etas)])
+        self._sg, self._policy, self._hook = sg, policy, hook
+        self.functionals = list(functionals)
+        self._x = x0
+        self.m = 0
+        self.alpha = 0.0
+        self.closed = 0
+
+    def advance(self, cycles=1, time=0.0, last=None, record=False) -> _Window:
+        """Step to the end of the open cycle: here a window is one cycle.
+
+        The table's sizing arguments (cycles, time, last) do not apply.
+        """
+        sg, fns, policy, space = self._sg, self.functionals, self._policy, self._sg.space
+        has_flow = hasattr(sg, "segment_flow")
+        state, m_start, alpha = self._x, self.m, [self.alpha]
+        acc = [xi.zero_value() for xi in fns]
+        steps, values = [], []
+        extinct = False
+        while not extinct:
+            beta = self._next_beta()
+            eta_vals = self._next_eta()
+            flow = sg.segment_flow(state) if has_flow else None
+            vals = [integrate_segment(xi, state, beta, sg, flow=flow).value for xi in fns]
+            acc = [a + v for a, v in zip(acc, vals)]
+            pre = StateVector(space, flow.at(beta)) if has_flow else sg.evolve(state, beta)
+            extinct = pre.norm_v() <= policy.eps_ext
+            self.m += 1
+            if self.m - m_start > policy.m_cap:
+                raise CycleCapExceeded(f"cycle {self.closed} exceeded {policy.m_cap} chain steps")
+            alpha.append(alpha[-1] + beta)
+            if record:
+                steps.append((state, flow))
+                values.append(vals)
+            state = StateVector(space, eta_vals if extinct else pre.values + eta_vals)
+            if self._hook is not None:
+                self._hook(self.m, alpha[-1], state.norm_v1(), state.norm_v2(), extinct)
+        t_start, t_end = self.alpha, alpha[-1]
+        window = _Window(
+            first=self.closed,
+            ends=np.array([self.m - m_start]),
+            m_start=np.array([m_start]),
+            m_end=np.array([self.m]),
+            t_start=np.array([t_start]),
+            t_end=np.array([t_end]),
+            tau=np.array([t_end - t_start]),
+            integrals=[np.array([a]) for a in acc],
+            alpha=np.array(alpha),
+            states=steps if record else None,
+            values=[np.array(v) for v in zip(*values)] if record else None,
+        )
+        self._x, self.alpha, self.closed = state, t_end, self.closed + 1
+        return window
+
+    def partial(self, window: _Window, i: int, dt: float) -> list:
+        """Each functional's integral over the first dt of step i of a recorded window."""
+        state, flow = window.states[i]
+        sg = self._sg
+        return [integrate_segment(xi, state, dt, sg, flow=flow).value for xi in self.functionals]
+
+
+def _chain(x0, driver, sg, policy, functionals, replicate_index, hook=None):
+    """The chain of one replicate: the scalar table where it applies, else the stepper."""
+    labels = [xi.label for xi in functionals]
+    if len(set(labels)) != len(labels):
+        raise ValueError("functional labels must be unique")
+    if hook is None and _fast_capable(sg, functionals):
+        return _ScalarChain(x0, driver, sg, policy, functionals, replicate_index)
+    return _StepChain(x0, driver, sg, policy, functionals, replicate_index, hook)
+
+
+def _records(chain, n_cycles: int):
     labels = [xi.label for xi in chain.functionals]
     while chain.closed <= n_cycles:
-        w = chain.advance(chain.window_size(n_cycles + 1 - chain.closed), last=n_cycles)
+        w = chain.advance(n_cycles + 1 - chain.closed, last=n_cycles)
         cols = (w.m_start, w.m_end, w.t_start, w.t_end, w.tau, w.m_end - w.m_start)
-        rows = zip(*(a.tolist() for a in cols), *(s.tolist() for s in w.integrals))
+        # floats per cycle, or the rows of a vector-valued functional's stack
+        sums = (s.tolist() if s.ndim == 1 else list(s) for s in w.integrals)
+        rows = zip(*(a.tolist() for a in cols), *sums)
         for i, (m_start, m_end, t_start, t_end, tau, steps, *values) in enumerate(rows):
             integrals = dict(zip(labels, values))
             yield CycleRecord(w.first + i, m_start, m_end, t_start, t_end, tau, integrals, steps)
 
 
-def _scalar_moments(chain: _ScalarChain, n_cycles: int, moments: CycleMoments):
+def _moments(chain, n_cycles: int, moments: CycleMoments):
     while chain.closed <= n_cycles:
-        w = chain.advance(chain.window_size(n_cycles + 1 - chain.closed), last=n_cycles)
+        w = chain.advance(n_cycles + 1 - chain.closed, last=n_cycles)
         lo = 1 if w.first == 0 else 0  # the warm-up is not a cycle
         tau = w.tau[lo:]
         moments.n += tau.size
@@ -495,37 +593,34 @@ def _scalar_moments(chain: _ScalarChain, n_cycles: int, moments: CycleMoments):
     return moments
 
 
-def _scalar_horizon(chain: _ScalarChain, cps: list) -> HorizonResult:
+def _horizon(chain, cps: list) -> HorizonResult:
     fns = chain.functionals
     n_cp = len(cps)
-    out = np.zeros((len(fns), n_cp))
+    out = [[None] * n_cp for _ in fns]
     counts = np.zeros(n_cp, dtype=np.int64)
-    run = [0.0] * len(fns)
+    run = [xi.zero_value() for xi in fns]
     cycle_tau: list = []
     cycle_s = [[] for _ in fns]
     cp_i = 0
     last = None  # the cycle whose close ends the run, once every checkpoint is past
     while last is None or chain.closed <= last:
         if last is None:
-            n = chain.window_size(2, cps[-1] - chain.alpha)
+            w = chain.advance(2, cps[-1] - chain.alpha, record=True)
         else:
-            n = chain.window_size(last + 1 - chain.closed)
-        w = chain.advance(n, last=last, record=True)
+            w = chain.advance(last + 1 - chain.closed, last=last, record=True)
         alpha = w.alpha
-        runs = [np.cumsum(np.concatenate(([r], v))) for r, v in zip(run, w.values)]
+        # running integrals after each step, added in order as a loop adds
+        runs = [np.cumsum(np.concatenate(([r], v)), axis=0) for r, v in zip(run, w.values)]
         while cp_i < n_cp and cps[cp_i] <= alpha[-1]:
             t = cps[cp_i]
             i = int(np.searchsorted(alpha, t))
             if alpha[i] == t:  # on a jump time: the integral through that step
-                for j in range(len(fns)):
-                    out[j, cp_i] = runs[j][i]
+                vals = [r[i] for r in runs]
             else:  # inside step i: add that step's segment up to t
                 i -= 1
-                dpart = t - float(alpha[i])
-                x = w.states[i:i + 1]
-                i_abs = chain.abs_integral(x, dpart)
-                for j, xi in enumerate(fns):
-                    out[j, cp_i] = runs[j][i] + closed_form_value(xi, x, i_abs, dpart)[0]
+                vals = [r[i] + p for r, p in zip(runs, chain.partial(w, i, t - float(alpha[i])))]
+            for o, v in zip(out, vals):
+                o[cp_i] = v
             counts[cp_i] = w.first + np.searchsorted(w.ends, i, side="right")
             cp_i += 1
         if last is None and cp_i == n_cp:
@@ -535,85 +630,15 @@ def _scalar_horizon(chain: _ScalarChain, cps: list) -> HorizonResult:
         cycle_tau.append(w.tau[lo:hi])
         for acc, s in zip(cycle_s, w.integrals):
             acc.append(s[lo:hi])
-        run = [float(r[-1]) for r in runs]
+        run = [r[-1] for r in runs]
     return HorizonResult(
         checkpoints=np.asarray(cps),
-        integrals={xi.label: out[j] for j, xi in enumerate(fns)},
+        integrals={xi.label: np.stack(o) for xi, o in zip(fns, out)},
         counts=counts,
         cycle_tau=np.concatenate(cycle_tau),
         cycle_integrals={xi.label: np.concatenate(s) for xi, s in zip(fns, cycle_s)},
         t_end=cps[-1],
     )
-
-
-@dataclass
-class _Step:
-    """One step of the generic chain: from ``state`` at jump time ``t`` to
-    ``after`` at ``t_end``, with the cycle it closed when it went extinct."""
-
-    state: StateVector
-    flow: object  # the segment flow from state, or None
-    t: float
-    t_end: float
-    values: list  # each functional's integral over the step
-    extinct: bool
-    after: StateVector
-    record: CycleRecord | None
-
-
-def _chain_steps(x0, driver, sg, policy, functionals, replicate_index):
-    """The generic chain, one step at a time (grid semigroups, trajectory hooks).
-
-    Each step draws (beta, eta), makes one segment flow from the current
-    state where the semigroup has them (the integrals and the pre-kick state
-    then share its solves), integrates every functional over the step
-    through ``integrate_segment`` and snaps an extinct pre-kick state to
-    zero.  Raises CycleCapExceeded, as the scalar table does, once a cycle
-    outlasts the policy's step cap.
-    """
-    next_beta, next_eta_values = _input_feed(driver, sg.space, replicate_index)
-    space = sg.space
-    labels = [xi.label for xi in functionals]
-    has_flow = hasattr(sg, "segment_flow")
-    state, alpha, m = x0, 0.0, 0
-    cycle, m_start, t_start = 0, 0, 0.0
-    acc = [xi.zero_value() for xi in functionals]
-    while True:
-        beta = next_beta()
-        eta_vals = next_eta_values()
-        flow = sg.segment_flow(state) if has_flow else None
-        values = [integrate_segment(xi, state, beta, sg, flow=flow).value for xi in functionals]
-        acc = [a + v for a, v in zip(acc, values)]
-        pre = StateVector(space, flow.at(beta)) if has_flow else sg.evolve(state, beta)
-        extinct = pre.norm_v() <= policy.eps_ext
-        m += 1
-        if m - m_start > policy.m_cap:
-            raise CycleCapExceeded(f"cycle {cycle} exceeded {policy.m_cap} chain steps")
-        t = alpha
-        alpha += beta
-        after = StateVector(space, eta_vals if extinct else pre.values + eta_vals)
-        record = None
-        if extinct:
-            integrals = dict(zip(labels, acc))
-            tau, steps = alpha - t_start, m - m_start
-            record = CycleRecord(cycle, m_start, m, t_start, alpha, tau, integrals, steps)
-            cycle, m_start, t_start = cycle + 1, m, alpha
-            acc = [xi.zero_value() for xi in functionals]
-        yield _Step(state, flow, t, alpha, values, extinct, after, record)
-        state = after
-
-
-def _generic_cycles(x0, driver, sg, policy, n_cycles, functionals, replicate_index, hook=None):
-    done = 0
-    steps = _chain_steps(x0, driver, sg, policy, functionals, replicate_index)
-    for m, step in enumerate(steps, start=1):
-        if hook is not None:
-            hook(m, step.t_end, step.after.norm_v1(), step.after.norm_v2(), step.extinct)
-        if step.record is not None:
-            yield step.record
-            done += step.record.n > 0
-            if done == n_cycles:
-                return
 
 
 def simulate_cycles(
@@ -635,17 +660,8 @@ def simulate_cycles(
     """
     if n_cycles < 1:
         raise ValueError("need at least one cycle")
-    labels = [xi.label for xi in functionals]
-    if len(set(labels)) != len(labels):
-        raise ValueError("functional labels must be unique")
-    if _fast_capable(sg, functionals) and trajectory_hook is None:
-        yield from _scalar_records(
-            _ScalarChain(x0, driver, sg, policy, functionals, replicate_index), n_cycles
-        )
-    else:
-        yield from _generic_cycles(
-            x0, driver, sg, policy, n_cycles, functionals, replicate_index, trajectory_hook
-        )
+    chain = _chain(x0, driver, sg, policy, functionals, replicate_index, trajectory_hook)
+    yield from _records(chain, n_cycles)
 
 
 def cycle_moments(
@@ -665,17 +681,9 @@ def cycle_moments(
     for xi in functionals:
         if xi.vector_valued:
             raise ValueError("moment accumulation needs scalar-valued functionals")
-    labels = [xi.label for xi in functionals]
-    moments = CycleMoments(labels=labels)
-    if n_cycles < 1:
-        return moments
-    if _fast_capable(sg, functionals):
-        chain = _ScalarChain(x0, driver, sg, policy, functionals, replicate_index)
-        return _scalar_moments(chain, n_cycles, moments)
-    for rec in _generic_cycles(x0, driver, sg, policy, n_cycles, functionals, replicate_index):
-        if not rec.is_warmup:
-            moments.add(rec.tau, rec.integrals)
-    return moments
+    chain = _chain(x0, driver, sg, policy, functionals, replicate_index)
+    moments = CycleMoments(labels=[xi.label for xi in functionals])
+    return _moments(chain, n_cycles, moments) if n_cycles >= 1 else moments
 
 
 def _check_checkpoints(t_end, checkpoints):
@@ -707,63 +715,4 @@ def simulate_until_time(
     """One pass to the horizon: checkpoint integrals, regeneration counts,
     and the cycles needed one past the horizon."""
     cps = _check_checkpoints(t_end, checkpoints)
-    labels = [xi.label for xi in functionals]
-    if len(set(labels)) != len(labels):
-        raise ValueError("functional labels must be unique")
-    if _fast_capable(sg, functionals):
-        chain = _ScalarChain(x0, driver, sg, policy, functionals, replicate_index)
-        return _scalar_horizon(chain, cps)
-    return _generic_horizon(x0, driver, sg, policy, cps, functionals, replicate_index)
-
-
-def _generic_horizon(x0, driver, sg, policy, cps, functionals, replicate_index):
-    n_cp = len(cps)
-    out = [[None] * n_cp for _ in functionals]
-    counts = np.zeros(n_cp, dtype=np.int64)
-    run = [xi.zero_value() for xi in functionals]
-    cycles = []  # the records of cycles 1, 2, ...
-    cp_i = 0
-    regen = 0
-    l_end = None
-    for step in _chain_steps(x0, driver, sg, policy, functionals, replicate_index):
-        while cp_i < n_cp and cps[cp_i] < step.t_end:  # inside the step: its part up to there
-            dpart = cps[cp_i] - step.t
-            for j, xi in enumerate(functionals):
-                seg = integrate_segment(xi, step.state, dpart, sg, flow=step.flow)
-                out[j][cp_i] = run[j] + seg.value
-            counts[cp_i] = regen
-            cp_i += 1
-        run = [r + v for r, v in zip(run, step.values)]
-        if step.record is not None:
-            regen += 1
-            if regen > 1:
-                cycles.append(step.record)
-        while cp_i < n_cp and cps[cp_i] == step.t_end:
-            for j in range(len(functionals)):
-                out[j][cp_i] = run[j]
-            counts[cp_i] = regen
-            cp_i += 1
-        if cp_i >= n_cp:
-            if l_end is None:
-                l_end = int(counts[-1])
-            if regen >= l_end + 2:
-                break
-    integrals = {}
-    cycle_integrals = {}
-    for xi, vals in zip(functionals, out):
-        label = xi.label
-        cycle_s = [rec.integrals[label] for rec in cycles]
-        if xi.vector_valued:
-            integrals[label] = np.stack(vals)
-            cycle_integrals[label] = np.stack(cycle_s) if cycle_s else np.zeros((0, sg.space.dim))
-        else:
-            integrals[label] = np.asarray(vals, dtype=float)
-            cycle_integrals[label] = np.asarray(cycle_s, dtype=float)
-    return HorizonResult(
-        checkpoints=np.asarray(cps),
-        integrals=integrals,
-        counts=counts,
-        cycle_tau=np.asarray([rec.tau for rec in cycles]),
-        cycle_integrals=cycle_integrals,
-        t_end=cps[-1],
-    )
+    return _horizon(_chain(x0, driver, sg, policy, functionals, replicate_index), cps)

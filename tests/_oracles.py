@@ -4,10 +4,17 @@ These deliberately re-derive their formulas instead of importing package
 internals: the projected-gradient minimizer checks the damped-Newton step,
 finite differences of the edge energy check the discrete operator, and
 scipy.integrate.quad checks the closed-form / Simpson segment integrals.
+The per-step chain loops take the flow and the segment integrals from the
+public ``sg.evolve`` and ``integrate_segment`` and re-derive the rest: the
+chain's steps, its cycles, regeneration counts and checkpoint integrals.
 """
+
+from types import SimpleNamespace
 
 import numpy as np
 from scipy.integrate import quad
+
+from regenjump.functionals import integrate_segment
 
 
 def energy_reference(w, u, gamma, h, dt, p, eps_reg):
@@ -104,3 +111,96 @@ def quad_segment_integral(x, kappa, rho, delta, weight=1.0, shift=0.0, signed=Fa
     points = [t for t in (t_star,) if 0.0 < t < delta]
     val, _ = quad(f, 0.0, delta, points=points or None, limit=200)
     return val
+
+
+def chain_by_steps(x0, driver, sg, eps_ext, functionals, replicate_index=0):
+    """The jump chain by its definition, one step at a time, without end.
+
+    Yields (state, t, t_end, values, extinct, after) per step.  Inputs are
+    drawn one at a time, every integral makes its own flow, and an extinct
+    pre-kick state is replaced by zero before the kick.
+    """
+    streams = driver.streams(replicate_index)
+    space = x0.space
+    state, t = x0, 0.0
+    while True:
+        beta = driver.beta.sample(streams.beta_rng)
+        kick = driver.eta.sample_values(streams.eta_rng, space)
+        values = [integrate_segment(xi, state, beta, sg).value for xi in functionals]
+        pre = sg.evolve(state, beta)
+        extinct = pre.norm_v() <= eps_ext
+        after = space.state(kick if extinct else pre.values + kick)
+        yield state, t, t + beta, values, extinct, after
+        state, t = after, t + beta
+
+
+def records_by_steps(x0, driver, sg, eps_ext, functionals, n_cycles, replicate_index=0):
+    """The warm-up and cycles 1..n_cycles, each as
+    (n, m_start, m_end, t_start, t_end, tau, steps, {label: integral bytes})."""
+    out = []
+    acc = [xi.zero_value() for xi in functionals]
+    m_start, t_start = 0, 0.0
+    steps = chain_by_steps(x0, driver, sg, eps_ext, functionals, replicate_index)
+    for m, (_, _, t_end, values, extinct, _) in enumerate(steps, start=1):
+        acc = [a + v for a, v in zip(acc, values)]
+        if extinct:
+            integrals = {xi.label: np.asarray(a).tobytes() for xi, a in zip(functionals, acc)}
+            out.append((len(out), m_start, m, t_start, t_end, t_end - t_start, m - m_start,
+                        integrals))
+            if len(out) > n_cycles:
+                return out
+            acc = [xi.zero_value() for xi in functionals]
+            m_start, t_start = m, t_end
+
+
+def horizon_by_steps(x0, driver, sg, eps_ext, functionals, checkpoints, replicate_index=0):
+    """What ``simulate_until_time`` reports, by a plain loop over the steps.
+
+    A checkpoint inside a step adds that step's segment up to it; one on a
+    jump time takes the integral through that step and counts a regeneration
+    there.  The loop stops once the cycle after the one open at the last
+    checkpoint has closed.
+    """
+    cps = [float(t) for t in checkpoints]
+    out = [[None] * len(cps) for _ in functionals]
+    counts = np.zeros(len(cps), dtype=np.int64)
+    run = [xi.zero_value() for xi in functionals]
+    acc = list(run)
+    cycle_tau, cycle_s = [], []
+    cp_i, regen, t_start, stop = 0, 0, 0.0, None
+    for state, t, t_end, values, extinct, _ in chain_by_steps(
+        x0, driver, sg, eps_ext, functionals, replicate_index
+    ):
+        while cp_i < len(cps) and cps[cp_i] < t_end:
+            for j, xi in enumerate(functionals):
+                out[j][cp_i] = run[j] + integrate_segment(xi, state, cps[cp_i] - t, sg).value
+            counts[cp_i] = regen
+            cp_i += 1
+        run = [r + v for r, v in zip(run, values)]
+        acc = [a + v for a, v in zip(acc, values)]
+        if extinct:
+            regen += 1
+            if regen > 1:  # the warm-up is not a cycle
+                cycle_tau.append(t_end - t_start)
+                cycle_s.append(acc)
+            acc = [xi.zero_value() for xi in functionals]
+            t_start = t_end
+        while cp_i < len(cps) and cps[cp_i] == t_end:
+            for j in range(len(functionals)):
+                out[j][cp_i] = run[j]
+            counts[cp_i] = regen
+            cp_i += 1
+        if cp_i == len(cps):
+            stop = int(counts[-1]) + 2 if stop is None else stop
+            if regen >= stop:
+                break
+    return SimpleNamespace(
+        checkpoints=np.asarray(cps),
+        integrals={xi.label: np.stack(o) for xi, o in zip(functionals, out)},
+        counts=counts,
+        cycle_tau=np.asarray(cycle_tau),
+        cycle_integrals={
+            xi.label: np.stack([s[j] for s in cycle_s]) for j, xi in enumerate(functionals)
+        },
+        t_end=cps[-1],
+    )

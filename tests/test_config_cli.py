@@ -9,6 +9,7 @@ import pytest
 from regenjump.cli import main
 from regenjump.config import build_functional, config_hash, parse_config_text
 from regenjump.errors import ConfigError
+from regenjump.runner import run_semigroup_check
 from regenjump.spaces import scalar_space
 
 SCALAR_CFG = """
@@ -217,6 +218,8 @@ REPO = Path(__file__).resolve().parents[1]
         ("kappa-fit", "kappa_fit/kappa_fit.csv"),
         ("semigroup-check", "semigroup_check/semigroup_residuals.csv"),
         ("validate", "validate/summary.json"),
+        ("semigroup-check", "semigroup_check/summary.json"),
+        ("kappa-fit", "kappa_fit/summary.json"),
     ],
 )
 def test_cli_plaplace_outputs_match_committed(tmp_path, command, output):
@@ -225,6 +228,16 @@ def test_cli_plaplace_outputs_match_committed(tmp_path, command, output):
     assert run_cli([command, "--config", config, "--out", out]) == 0
     committed = REPO / "out" / "plaplace" / output
     assert (out / committed.name).read_bytes() == committed.read_bytes()
+
+
+def test_semigroup_check_evaluates_each_flow_once():
+    # per sample: T(t+s)v, T(s)v, T(t)T(s)v, T(t)u, T(t)v and T(0)v, once each
+    setup = parse_config_text(SCALAR_CFG).build_setup()
+    calls = []
+    evolve = setup.sg.evolve
+    setup.sg.evolve = lambda v, t: calls.append(t) or evolve(v, t)
+    result = run_semigroup_check(setup, n_samples=10)
+    assert len(result["rows"]) == 10 and len(calls) == 60
 
 
 def test_cli_validate_ok(tmp_path):

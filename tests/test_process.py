@@ -1,3 +1,4 @@
+from collections import namedtuple
 from itertools import islice
 
 import numpy as np
@@ -16,9 +17,11 @@ from regenjump.process import (
     simulate_until_time,
 )
 from regenjump import process
-from regenjump.process import _chain_steps, _generic_cycles, _generic_horizon
+from regenjump.process import _StepChain
 from regenjump.semigroup import ExtinctionParams, ScalarPowerLaw
 from regenjump.spaces import scalar_space
+
+from _oracles import chain_by_steps, horizon_by_steps, records_by_steps
 
 SCALAR = scalar_space()
 POLICY = ExtinctionPolicy(eps_ext=1e-12)
@@ -36,9 +39,24 @@ def deterministic_driver(seed=1):
     return DriverConfig(BetaLaw.deterministic(3.0), EtaLaw.scalar_constant(1.0), seed)
 
 
+Step = namedtuple("Step", "state t t_end extinct after")
+
+
 def chain_prefix(x0, driver, sg, policy, n_steps, fns=()):
-    """The generic stepper's first n_steps steps of replicate 0."""
-    return list(islice(_chain_steps(x0, driver, sg, policy, list(fns), 0), n_steps))
+    """The generic stepper's first n_steps steps of replicate 0, off its recorded windows."""
+    chain = _StepChain(x0, driver, sg, policy, list(fns), 0)
+    states, alphas, extinct = [], [0.0], []
+    while len(states) <= n_steps:  # one state past the last step: its post-kick state
+        w = chain.advance(record=True)
+        states += [state for state, _ in w.states]
+        alphas += w.alpha[1:].tolist()
+        ends = np.zeros(len(w.states), dtype=bool)
+        ends[w.ends - 1] = True
+        extinct += ends.tolist()
+    return [
+        Step(states[m], alphas[m], alphas[m + 1], extinct[m], states[m + 1])
+        for m in range(n_steps)
+    ]
 
 
 def chain_inputs(driver, n_steps):
@@ -56,8 +74,24 @@ def reference_step(prev, beta, eta, sg, policy):
     return (eta if extinct else pre + eta), extinct
 
 
+class FirstThen:
+    """A beta or scalar kick law stub: draws ``first`` once, then ``then`` forever."""
+
+    kind = "scalar_constant"
+
+    def __init__(self, first, then):
+        self.first, self.then = first, then
+
+    def sample_block(self, rng, n):
+        out = np.full(n, self.then)
+        if self.first is not None:
+            out[0], self.first = self.first, None
+        return out
+
+
 def first_step(x0, beta, eta, sg, policy=POLICY):
-    driver = DriverConfig(BetaLaw.deterministic(beta), EtaLaw.scalar_constant(eta), 1)
+    # a long second step closes the cycle, so the window holds the first step
+    driver = DriverConfig(FirstThen(beta, 1e6), FirstThen(eta, 0.0), 1)
     return chain_prefix(SCALAR.state([x0]), driver, sg, policy, 1)[0]
 
 
@@ -208,9 +242,7 @@ def test_fast_loop_matches_generic_bit_exactly():
     driver = stochastic_driver(31)
     fns = [NormV2(SCALAR), IdentityV2(SCALAR), AffineShift(NormV2(SCALAR), -0.2)]
     fast = list(simulate_cycles(SCALAR.zero(), driver, sg, POLICY, 200, fns))
-    slow = list(
-        _generic_cycles(SCALAR.zero(), driver, sg, POLICY, 200, fns, 0)
-    )
+    slow = generic_records(SCALAR.zero(), driver, sg, POLICY, 200, fns)
     assert len(fast) == len(slow)
     for a, b in zip(fast, slow):
         assert a.m_start == b.m_start and a.m_end == b.m_end
@@ -291,7 +323,7 @@ def test_horizon_fast_matches_generic():
     fns = [NormV2(SCALAR), Linear(SCALAR, [1.0], label="mass")]
     cps = [2.0, 7.5, 15.0]
     fast = simulate_until_time(SCALAR.zero(), driver, sg, POLICY, 15.0, fns, checkpoints=cps)
-    slow = _generic_horizon(SCALAR.zero(), driver, sg, POLICY, cps, fns, 0)
+    slow = generic_horizon(SCALAR.zero(), driver, sg, POLICY, cps, fns)
     assert np.all(fast.counts == slow.counts)
     assert np.all(fast.cycle_tau == slow.cycle_tau)
     for label in ("norm_v2", "mass"):
@@ -308,7 +340,7 @@ def test_horizon_cycle_arrays_cover_random_index():
     assert res.cycle_tau.shape[0] == int(res.counts[-1]) + 1
 
 
-# --- the scalar regeneration table against the generic loop, bit for bit
+# --- the scalar regeneration table against the generic stepper, bit for bit
 
 
 ALL_SCALAR_KINDS = [
@@ -328,12 +360,20 @@ def table_sizes(monkeypatch, window, lane_steps):
 
 
 def generic_records(x0, driver, sg, policy, n_cycles, fns, replicate=0):
-    return list(_generic_cycles(x0, driver, sg, policy, n_cycles, fns, replicate))
+    """The records reader over the generic stepper."""
+    chain = _StepChain(x0, driver, sg, policy, fns, replicate)
+    return list(process._records(chain, n_cycles))
+
+
+def generic_horizon(x0, driver, sg, policy, cps, fns, replicate=0):
+    """The horizon reader over the generic stepper."""
+    return process._horizon(_StepChain(x0, driver, sg, policy, fns, replicate), cps)
 
 
 def record_tuples(records):
     return [
-        (r.n, r.m_start, r.m_end, r.t_start, r.t_end, r.tau, r.steps, r.integrals)
+        (r.n, r.m_start, r.m_end, r.t_start, r.t_end, r.tau, r.steps,
+         {label: np.asarray(s).tobytes() for label, s in r.integrals.items()})
         for r in records
     ]
 
@@ -367,7 +407,7 @@ def assert_all_drivers_match_generic(x0, driver, sg, policy, fns, n_cycles, cps)
     fast_h = simulate_until_time(
         x0, driver, sg, policy, cps[-1], fns, checkpoints=cps, replicate_index=5
     )
-    slow_h = _generic_horizon(x0, driver, sg, policy, cps, fns, 5)
+    slow_h = generic_horizon(x0, driver, sg, policy, cps, fns, 5)
     assert horizon_tuple(fast_h) == horizon_tuple(slow_h)
 
 
@@ -391,6 +431,8 @@ def test_table_matches_generic_across_rho_and_start(rho, x0):
         # evolve's ulp clamp
         BetaLaw.gamma(0.05, 20.0),
         BetaLaw.deterministic(0.7),
+        # about 2% of these betas underflow to exactly 0.0, where T(0) = I
+        BetaLaw.gamma(0.005, 200.0),
     ],
 )
 @pytest.mark.parametrize("eta_law", [EtaLaw.scalar_uniform(1.0), EtaLaw.scalar_constant(0.4)])
@@ -443,7 +485,7 @@ def test_table_checkpoints_on_jump_times(monkeypatch, window):
     # a jump time that ends a cycle, one inside a cycle, one between jumps
     cps = sorted([regen_times[10], plain_times[20], 0.5 * (plain_times[40] + plain_times[41])])
     cps.append(regen_times[60])
-    slow_h = _generic_horizon(SCALAR.zero(), driver, sg, POLICY, cps, fns, 0)
+    slow_h = generic_horizon(SCALAR.zero(), driver, sg, POLICY, cps, fns)
     fast_h = simulate_until_time(SCALAR.zero(), driver, sg, POLICY, cps[-1], fns, checkpoints=cps)
     assert horizon_tuple(fast_h) == horizon_tuple(slow_h)
     assert fast_h.counts[0] == 11 and fast_h.counts[-1] == 61
@@ -658,3 +700,70 @@ def test_grid_horizon_vector_functional():
     vals = res.integrals["identity_v2"]
     assert vals.shape == (2, 12)
     assert res.cycle_integrals["identity_v2"].shape[1] == 12
+
+
+def test_duplicate_labels_raise_on_every_driver():
+    sg = scalar_sg()
+    driver = stochastic_driver(5)
+    fns = [NormV2(SCALAR), NormV2(SCALAR)]
+    runs = [
+        lambda: list(simulate_cycles(SCALAR.zero(), driver, sg, POLICY, 5, fns)),
+        lambda: cycle_moments(SCALAR.zero(), driver, sg, POLICY, 5, fns),
+        lambda: simulate_until_time(SCALAR.zero(), driver, sg, POLICY, 5.0, fns),
+    ]
+    for run in runs:
+        with pytest.raises(ValueError, match="functional labels must be unique"):
+            run()
+
+
+# --- every driver against the per-step oracle, bit for bit
+
+
+def oracle_moments(records, fns):
+    ref = CycleMoments(labels=[xi.label for xi in fns])
+    for rec in records[1:]:  # the warm-up is not a cycle
+        ref.add(rec[5], {label: np.frombuffer(s)[0] for label, s in rec[7].items()})
+    return ref
+
+
+@pytest.mark.parametrize("chain", ["table", "stepper"])
+def test_scalar_drivers_match_the_per_step_oracle(monkeypatch, chain):
+    if chain == "stepper":
+        monkeypatch.setattr(process, "_fast_capable", lambda sg, functionals: False)
+    sg = scalar_sg(rho=0.45)
+    driver = stochastic_driver(113)
+    fns = ALL_SCALAR_KINDS
+    steps = list(islice(chain_by_steps(SCALAR.zero(), driver, sg, POLICY.eps_ext, fns), 300))
+    regen = [t_end for _, _, t_end, _, extinct, _ in steps if extinct]
+    plain = [t_end for _, _, t_end, _, extinct, _ in steps if not extinct]
+    # a regeneration time, a plain jump time, a time between jumps, then the horizon
+    between = 0.5 * (steps[150][1] + steps[150][2])
+    cps = sorted([regen[10], plain[40], between]) + [regen[-1]]
+    records = records_by_steps(SCALAR.zero(), driver, sg, POLICY.eps_ext, fns, 80)
+    got = simulate_cycles(SCALAR.zero(), driver, sg, POLICY, 80, fns)
+    assert record_tuples(got) == records
+    got_m = cycle_moments(SCALAR.zero(), driver, sg, POLICY, 80, fns)
+    assert moments_tuple(got_m) == moments_tuple(oracle_moments(records, fns))
+    ref = horizon_by_steps(SCALAR.zero(), driver, sg, POLICY.eps_ext, fns, cps)
+    got_h = simulate_until_time(SCALAR.zero(), driver, sg, POLICY, cps[-1], fns, checkpoints=cps)
+    assert horizon_tuple(got_h) == horizon_tuple(ref)
+    assert got_h.counts[0] > 0 and got_h.counts[-1] == len(regen)
+
+
+def test_grid_drivers_match_the_per_step_oracle():
+    sg, _ = grid_setup(seed=3)
+    driver = DriverConfig(BetaLaw.uniform(0.05, 0.15), EtaLaw.grid_bumps(2, 0.6, (0.05, 0.2)), 61)
+    policy = ExtinctionPolicy(eps_ext=1e-10, m_cap=10_000)
+    fns = [IdentityV2(sg.space), NormV2(sg.space)]
+    x0 = sg.space.zero()
+    records = records_by_steps(x0, driver, sg, policy.eps_ext, fns, 2)
+    assert record_tuples(simulate_cycles(x0, driver, sg, policy, 2, fns)) == records
+    steps = list(islice(chain_by_steps(x0, driver, sg, policy.eps_ext, []), 4))
+    assert [s[4] for s in steps] == [True, False, True, False]
+    # a plain jump time, a regeneration time, and a time between jumps
+    cps = [steps[1][2], steps[2][2], 0.5 * (steps[3][1] + steps[3][2])]
+    ref = horizon_by_steps(x0, driver, sg, policy.eps_ext, fns, cps)
+    got = simulate_until_time(x0, driver, sg, policy, cps[-1], fns, checkpoints=cps)
+    assert horizon_tuple(got) == horizon_tuple(ref)
+    assert list(got.counts) == [1, 2, 2]
+    assert got.integrals["identity_v2"].shape == (3, 12)
