@@ -147,6 +147,7 @@ def _cmd_kappa_fit(cfg, setup, args, manifest) -> int:
         setup,
         n_samples=max(cfg.plaplace["kappa_samples"], 20),
         t_cap=cfg.plaplace["kappa_t_cap"],
+        prior=setup.kappa_fit,  # the first kappa_samples states, fitted by build_setup
     )
     fit = result["fit"]
     rows = []

@@ -10,7 +10,10 @@ and the integral is evaluated in closed form, split at the extinction time.
 Otherwise adaptive composite Simpson is used, with interval bisection until
 the local Richardson error estimate is below tolerance; breakpoints are
 placed at the extinction time when known and, for stepped flows, at the
-time-step grid where the trajectory has kinks.
+time-step grid where the trajectory has kinks.  The bisection tree is
+refined level by level; on a grid flow each level's nodes go to the segment
+flow's ``at_many`` first, which solves all of their partial implicit-Euler
+steps as one row-batched step.
 """
 
 from __future__ import annotations
@@ -222,64 +225,78 @@ def closed_form_value(xi: Functional, x, i_abs, delta):
     return float(xi.psi[0]) * signed * xi.space.h  # Linear
 
 
-class _EvalBudget:
-    def __init__(self, cap: int):
-        self.cap = cap
-        self.used = 0
-
-    def tick(self):
-        self.used += 1
-        if self.used > self.cap:
-            raise QuadratureBudgetExceeded(
-                f"segment quadrature exceeded {self.cap} evaluations"
-            )
-
-
 def _simpson(fa, fm, fb, width):
     return (width / 6.0) * (fa + 4.0 * fm + fb)
 
 
-def _adaptive_simpson(f, a, fa, b, fb, fm, whole, tol, xi, budget, depth=0):
-    m = 0.5 * (a + b)
-    lm = 0.5 * (a + m)
-    rm = 0.5 * (m + b)
-    budget.tick()
-    flm = f(lm)
-    budget.tick()
-    frm = f(rm)
-    left = _simpson(fa, flm, fm, m - a)
-    right = _simpson(fm, frm, fb, b - m)
-    refined = left + right
-    err = xi.w_norm((refined - whole)) / 15.0
-    if err <= tol or depth >= 48:
-        correction = (refined - whole) / 15.0
-        return refined + correction, err
-    lv, le = _adaptive_simpson(f, a, fa, m, fm, flm, left, 0.5 * tol, xi, budget, depth + 1)
-    rv, re = _adaptive_simpson(f, m, fm, b, fb, frm, right, 0.5 * tol, xi, budget, depth + 1)
-    return lv + rv, le + re
+def _charge(used: int, n: int, cap: int) -> int:
+    used += n
+    if used > cap:
+        raise QuadratureBudgetExceeded(f"segment quadrature exceeded {cap} evaluations")
+    return used
 
 
-def _integrate_piecewise(f, breakpoints, tol, xi, budget):
+def _adaptive_simpson(f, breakpoints, tol, xi, max_evals, prefetch=None):
+    """Adaptive Simpson over each piece between breakpoints, a level at a time.
+
+    An interval is accepted once its Richardson error estimate is within its
+    tolerance (halved per bisection) or at depth 48, and values and errors
+    add over the bisection tree (left + right, pieces in order), exactly as
+    the depth-first recursion would.  Each level's nodes are known before any
+    is evaluated, so ``prefetch`` (if given) receives them all at once.  The
+    budget counts every evaluation and is charged a level ahead, so it is
+    exceeded exactly when the full tree would exceed it.
+    Returns (value, error estimate, evaluations).
+    """
+    pieces = [(a, b) for a, b in zip(breakpoints[:-1], breakpoints[1:]) if b > a]
+    used = _charge(0, 3 * len(pieces), max_evals)
+    if prefetch is not None:
+        prefetch([t for a, b in pieces for t in (a, b, 0.5 * (a + b))])
+    span = breakpoints[-1] - breakpoints[0]
+    level = []  # open intervals: (node, a, b, fa, fm, fb, whole, tol)
+    for node, (a, b) in enumerate(pieces):
+        fa, fb, fm = f(a), f(b), f(0.5 * (a + b))
+        piece_tol = tol * max((b - a) / span, 1e-3)
+        level.append((node, a, b, fa, fm, fb, _simpson(fa, fm, fb, b - a), piece_tol))
+    n_nodes = len(pieces)
+    result = {}  # node -> (value, error) of an accepted interval
+    children = {}  # node -> (left, right) of a bisected one
+    depth = 0
+    while level:
+        used = _charge(used, 2 * len(level), max_evals)
+        halves = [(0.5 * (a + b), a, b) for _, a, b, *_ in level]
+        halves = [(m, 0.5 * (a + m), 0.5 * (m + b)) for m, a, b in halves]
+        if prefetch is not None:
+            prefetch([t for _, lm, rm in halves for t in (lm, rm)])
+        next_level = []
+        for (node, a, b, fa, fm, fb, whole, piece_tol), (m, lm, rm) in zip(level, halves):
+            flm, frm = f(lm), f(rm)
+            left = _simpson(fa, flm, fm, m - a)
+            right = _simpson(fm, frm, fb, b - m)
+            refined = left + right
+            err = xi.w_norm(refined - whole) / 15.0
+            if err <= piece_tol or depth >= 48:
+                correction = (refined - whole) / 15.0
+                result[node] = (refined + correction, err)
+            else:
+                children[node] = (n_nodes, n_nodes + 1)
+                next_level.append((n_nodes, a, m, fa, flm, fm, left, 0.5 * piece_tol))
+                next_level.append((n_nodes + 1, m, b, fm, frm, fb, right, 0.5 * piece_tol))
+                n_nodes += 2
+        level = next_level
+        depth += 1
+    for node in reversed(children):  # bisected after their parents, so combined first
+        (lv, le), (rv, re) = (result[child] for child in children[node])
+        result[node] = (lv + rv, le + re)
     total = None
     err_total = 0.0
-    span = breakpoints[-1] - breakpoints[0]
-    for a, b in zip(breakpoints[:-1], breakpoints[1:]):
-        if b <= a:
-            continue
-        budget.tick()
-        fa = f(a)
-        budget.tick()
-        fb = f(b)
-        budget.tick()
-        fm = f(0.5 * (a + b))
-        whole = _simpson(fa, fm, fb, b - a)
-        piece_tol = tol * max((b - a) / span, 1e-3)
-        value, err = _adaptive_simpson(f, a, fa, b, fb, fm, whole, piece_tol, xi, budget)
+    for node in range(len(pieces)):
+        value, err = result[node]
         total = value if total is None else total + value
         err_total += err
     if total is None:
         total = xi.zero_value()
-    return total, err_total
+    return total, err_total, used
 
 
 def integrate_segment(
@@ -311,8 +328,8 @@ def integrate_segment(
         if method == "closed_form":
             raise ValueError(f"no closed form for functional {xi.label!r}")
 
-    budget = _EvalBudget(quad_cfg.max_evals)
     breaks = [0.0, delta]
+    prefetch = None
     if isinstance(sg, ScalarPowerLaw):
         x = state.scalar
         t_star = sg.extinction_time_scalar(x)
@@ -335,6 +352,10 @@ def integrate_segment(
         def f(tau):
             return xi.apply_values(flow.at(tau))
 
-    value, err = _integrate_piecewise(f, breaks, quad_cfg.tol, xi, budget)
-    return SegmentIntegralResult(value, err, budget.used)
+        prefetch = flow.at_many
+
+    value, err, used = _adaptive_simpson(
+        f, breaks, quad_cfg.tol, xi, quad_cfg.max_evals, prefetch
+    )
+    return SegmentIntegralResult(value, err, used)
 

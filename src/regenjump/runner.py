@@ -327,12 +327,20 @@ def run_semigroup_check(setup: ExperimentSetup, n_samples: int = 50) -> dict:
     return {"summary": summary, "rows": rows}
 
 
-def run_kappa_fit(setup: ExperimentSetup, n_samples: int = 20, t_cap: float = 50.0) -> dict:
+def run_kappa_fit(
+    setup: ExperimentSetup, n_samples: int = 20, t_cap: float = 50.0, prior=None
+) -> dict:
+    """Fit kappa on the first n_samples corpus states.
+
+    ``prior`` is an earlier fit with the same t_cap on a prefix of the corpus
+    (the corpus is prefix-stable), whose traces are reused.
+    """
     sg = setup.sg
     if not isinstance(sg, PLaplaceSemigroup):
         raise ValueError("kappa fitting applies to the grid backend only")
     samples = [project_zero_mean(s) for s in setup.corpus(n_samples)]
-    fit = estimate_kappa(samples, sg.cfg, sg.grid, sg.weights, t_cap=t_cap)
+    known = prior.traces if prior is not None else ()
+    fit = estimate_kappa(samples, sg.cfg, sg.grid, sg.weights, t_cap=t_cap, known_traces=known)
     return {"fit": fit, "summary": fit.as_dict()}
 
 

@@ -4,6 +4,9 @@ These deliberately re-derive their formulas instead of importing package
 internals: the projected-gradient minimizer checks the damped-Newton step,
 finite differences of the edge energy check the discrete operator, and
 scipy.integrate.quad checks the closed-form / Simpson segment integrals.
+The depth-first adaptive Simpson is the recursion that the package's
+level-by-level quadrature must reproduce bit for bit, evaluating one node
+at a time through the segment flow's ``at``.
 The per-step chain loops take the flow and the segment integrals from the
 public ``sg.evolve`` and ``integrate_segment`` and re-derive the rest: the
 chain's steps, its cycles, regeneration counts and checkpoint integrals.
@@ -111,6 +114,60 @@ def quad_segment_integral(x, kappa, rho, delta, weight=1.0, shift=0.0, signed=Fa
     points = [t for t in (t_star,) if 0.0 < t < delta]
     val, _ = quad(f, 0.0, delta, points=points or None, limit=200)
     return val
+
+
+def grid_simpson_reference(xi, state, delta, sg, tol=1e-9):
+    """Depth-first adaptive Simpson of Xi along a grid segment flow.
+
+    Pieces run between the dt grid times and the extinction time; each piece
+    gets tolerance ``tol * max(width / delta, 1e-3)``, halved per bisection,
+    and is accepted with its Richardson correction once the error estimate
+    is within it or at depth 48.  Nodes are evaluated one at a time, in
+    recursion order, through ``flow.at``.  Returns (value, error estimate,
+    evaluations).
+    """
+    flow = sg.segment_flow(state)
+    used = 0
+
+    def f(tau):
+        nonlocal used
+        used += 1
+        return xi.apply_values(flow.at(tau))
+
+    def simpson(fa, fm, fb, width):
+        return (width / 6.0) * (fa + 4.0 * fm + fb)
+
+    def refine(a, fa, b, fb, fm, whole, tol, depth):
+        m = 0.5 * (a + b)
+        flm = f(0.5 * (a + m))
+        frm = f(0.5 * (m + b))
+        left = simpson(fa, flm, fm, m - a)
+        right = simpson(fm, frm, fb, b - m)
+        refined = left + right
+        err = xi.w_norm(refined - whole) / 15.0
+        if err <= tol or depth >= 48:
+            return refined + (refined - whole) / 15.0, err
+        lv, le = refine(a, fa, m, fm, flm, left, 0.5 * tol, depth + 1)
+        rv, re = refine(m, fm, b, fb, frm, right, 0.5 * tol, depth + 1)
+        return lv + rv, le + re
+
+    dt = sg.cfg.dt
+    breaks = [0.0] + [k * dt for k in range(1, int(delta / dt) + 1) if k * dt < delta] + [delta]
+    t_ext = flow.extinction_breakpoint(delta)
+    if t_ext is not None and t_ext not in breaks:
+        breaks = sorted(set(breaks + [t_ext]))
+    total, err_total = None, 0.0
+    for a, b in zip(breaks[:-1], breaks[1:]):
+        if b <= a:
+            continue
+        fa = f(a)
+        fb = f(b)
+        fm = f(0.5 * (a + b))
+        piece_tol = tol * max((b - a) / (breaks[-1] - breaks[0]), 1e-3)
+        value, err = refine(a, fa, b, fb, fm, simpson(fa, fm, fb, b - a), piece_tol, 0)
+        total = value if total is None else total + value
+        err_total += err
+    return (xi.zero_value() if total is None else total), err_total, used
 
 
 def chain_by_steps(x0, driver, sg, eps_ext, functionals, replicate_index=0):

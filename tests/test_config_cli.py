@@ -230,6 +230,28 @@ def test_cli_plaplace_outputs_match_committed(tmp_path, command, output):
     assert (out / committed.name).read_bytes() == committed.read_bytes()
 
 
+def test_cli_kappa_fit_steps_each_sample_once(tmp_path, monkeypatch):
+    # build_setup fits the first kappa_samples corpus states; kappa-fit reuses
+    # their traces and steps only the remaining states
+    from regenjump.plaplace import PLaplaceSemigroup
+
+    steps = []
+    advance = PLaplaceSemigroup._advance
+
+    def counted(self, vals, dt):
+        steps.append(dt)
+        return advance(self, vals, dt)
+
+    monkeypatch.setattr(PLaplaceSemigroup, "_advance", counted)
+    out = tmp_path / "out"
+    assert run_cli(["kappa-fit", "--config", REPO / "configs" / "plaplace.ini", "--out", out]) == 0
+    with open(out / "kappa_fit.csv", newline="") as fh:
+        rows = list(csv.DictReader(fh))
+    n_samples = len({row["sample"] for row in rows})
+    assert n_samples == 20
+    assert len(steps) == len(rows) - n_samples  # one step per trace time after 0
+
+
 def test_semigroup_check_evaluates_each_flow_once():
     # per sample: T(t+s)v, T(s)v, T(t)T(s)v, T(t)u, T(t)v and T(0)v, once each
     setup = parse_config_text(SCALAR_CFG).build_setup()

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from _oracles import quad_segment_integral
+from _oracles import grid_simpson_reference, quad_segment_integral
 from regenjump.errors import QuadratureBudgetExceeded
 from regenjump.functionals import (
     AffineShift,
@@ -181,11 +181,11 @@ def test_budget_exceeded():
         integrate_segment(xi, SCALAR.state([1.3]), 1.0, sg, tiny, method="simpson")
 
 
-def grid_problem(n_cells=8, q=2.0, seed=0):
+def grid_problem(n_cells=8, q=2.0, seed=0, eps_reg=1e-8):
     grid = Grid1D(n_cells, 1.0)
     rng = np.random.default_rng(seed)
     weights = WeightField.uniform(grid, 0.5, 2.0, rng)
-    cfg = PLaplaceConfig(p=1.5, dt=1e-2)
+    cfg = PLaplaceConfig(p=1.5, dt=1e-2, eps_reg=eps_reg)
     return PLaplaceSemigroup(grid, weights, cfg, q=q)
 
 
@@ -235,3 +235,55 @@ def test_extinction_breakpoint_on_grid_flow():
     val = integrate_segment(xi, state, delta, sg).value
     base = integrate_segment(NormV2(sg.space), state, delta, sg).value
     assert val == pytest.approx(base + delta, rel=1e-10)
+
+
+def grid_functionals(space):
+    return [
+        NormV2(space),
+        IdentityV2(space),
+        Linear.mass(space),
+        AffineShift(NormV2(space), -0.2),
+        AffineShift(IdentityV2(space), np.linspace(-1.0, 1.0, space.dim)),
+    ]
+
+
+# (start state, segment length): off the dt grid, on it, and past extinction
+GRID_SEGMENTS = {
+    "off_grid": (lambda x: np.sin(2 * np.pi * x) + 0.3 * np.cos(6 * np.pi * x), 0.047),
+    "on_grid": (lambda x: np.where(x < 0.5, 1.0, -0.5) + 0.2, 0.05),
+    "extinct_tail": (lambda x: 0.01 * np.sin(2 * np.pi * x), 0.134),
+}
+
+
+@pytest.mark.parametrize("eps_reg", [1e-8, 0.0])
+@pytest.mark.parametrize("where", sorted(GRID_SEGMENTS))
+def test_grid_quadrature_matches_depth_first_oracle(where, eps_reg):
+    # level-by-level nodes solved in batches give the recursion's value,
+    # error and evaluation count bit for bit, also when a checkpoint
+    # sub-segment and the whole step share one flow
+    sg = grid_problem(eps_reg=eps_reg)
+    profile, delta = GRID_SEGMENTS[where]
+    state = sg.space.state(profile(sg.grid.centers()))
+    if where == "extinct_tail":
+        state = project_zero_mean(state)
+        assert sg.segment_flow(state).extinction_breakpoint(delta) is not None
+    flow = sg.segment_flow(state)
+    for xi in grid_functionals(sg.space):
+        for length in (0.6 * delta, delta):
+            got = integrate_segment(xi, state, length, sg, flow=flow)
+            value, err, n_evals = grid_simpson_reference(xi, state, length, sg)
+            assert np.asarray(got.value).tobytes() == np.asarray(value).tobytes()
+            assert got.abs_error_estimate == err
+            assert got.n_evals == n_evals
+
+
+def test_grid_budget_exceeded_exactly_where_the_recursion_exceeds():
+    sg = grid_problem()
+    state = sg.space.state(np.sin(2 * np.pi * sg.grid.centers()))
+    xi = NormV2(sg.space)
+    _, _, n_evals = grid_simpson_reference(xi, state, 0.047, sg)
+    for cap in (4, n_evals // 2, n_evals - 1):
+        with pytest.raises(QuadratureBudgetExceeded):
+            integrate_segment(xi, state, 0.047, sg, QuadratureConfig(max_evals=cap))
+    res = integrate_segment(xi, state, 0.047, sg, QuadratureConfig(max_evals=n_evals))
+    assert res.n_evals == n_evals

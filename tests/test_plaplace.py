@@ -1,16 +1,25 @@
+import inspect
 import math
+import sys
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
+from scipy.linalg import solveh_banded
 
 from _oracles import fd_operator, projected_gradient_minimize
+from regenjump import plaplace
 from regenjump.errors import NoExtinction, NonConvergence
 from regenjump.plaplace import (
     Grid1D,
     PLaplaceConfig,
     PLaplaceSemigroup,
     WeightField,
+    _banded_system,
+    _merits,
+    _newton_rows,
+    _newton_step,
+    _solve_rows,
     apply_discrete_operator,
     estimate_kappa,
     implicit_euler_step,
@@ -312,3 +321,164 @@ def test_extinction_threshold_default_scales_with_length():
     assert PLaplaceConfig(p=1.5, eps_ext=1e-10).extinction_threshold(
         Grid1D(8, 4.0)
     ) == 1e-10
+
+
+# --- the row-batched Newton kernel against the single-state reference -------
+
+
+def newton_batch(p, eps_reg, gamma_ratio, n, max_iter, seed, n_rows):
+    """Rows of random states, some with flat or zero runs, and their own steps."""
+    rng = np.random.default_rng(seed)
+    cfg = PLaplaceConfig(p=p, eps_reg=eps_reg, newton_max_iter=max_iter)
+    gamma = rng.uniform(1.0, gamma_ratio, size=n - 1)
+    u = rng.normal(size=(n_rows, n)) * 10.0 ** rng.uniform(-6.0, 1.0, size=(n_rows, 1))
+    for row in u:
+        if rng.random() < 0.5:
+            a = int(rng.integers(0, n))
+            b = int(rng.integers(a, n + 1))
+            row[a:b] = row[a] if rng.random() < 0.5 else 0.0
+    dts = 10.0 ** rng.uniform(-6.0, 0.0, size=n_rows)
+    return u, dts, cfg, 1.0 / n, gamma
+
+
+# source lines of _newton_step / _settle whose execution marks a branch
+BRANCH_LINES = {
+    "picard_on_merit": ("_newton_step", "w, g, merit, e_w = w_picard, g_picard, m_picard, None"),
+    "picard_on_energy": ("_newton_step", "w, g, merit, e_w = w_picard, g_picard, m_picard, e_picard"),
+    "gradient_fallback": ("_newton_step", "grad_step = _merit_backtrack("),
+    "stall_break": ("_newton_step", "if stall >= 10:"),
+    "rounding_floor": ("_settle", "if float(np.max(np.abs(delta))) <= 1e-12 * w_scale:"),
+}
+
+
+def _branch_lines():
+    out = {}
+    for name, (fn, text) in BRANCH_LINES.items():
+        code = getattr(plaplace, fn).__code__
+        src, start = inspect.getsourcelines(code)
+        hits = [start + i for i, line in enumerate(src) if text in line]
+        assert len(hits) == 1, (name, hits)
+        # the taken branch is the line after a test, the line itself otherwise
+        out[name] = (code, hits[0] + 1 if text.startswith("if ") else hits[0])
+    return out
+
+
+def reference_rows(u, dts, cfg, h, gamma, counts):
+    """``_newton_step`` per row (None where it raises), tallying its branches."""
+    marks = _branch_lines()
+    codes = {code for code, _ in marks.values()}
+
+    def local(frame, event, arg):
+        if event == "line":
+            for name, (code, line) in marks.items():
+                if frame.f_code is code and frame.f_lineno == line:
+                    counts[name] = counts.get(name, 0) + 1
+        return local
+
+    def tracer(frame, event, arg):
+        return local if frame.f_code in codes else None
+
+    out = []
+    previous = sys.gettrace()
+    sys.settrace(tracer)
+    try:
+        for row, dt in zip(u, dts):
+            try:
+                with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+                    out.append(_newton_step(row, float(dt), cfg, h, gamma))
+            except NonConvergence:
+                counts["nonconvergence"] = counts.get("nonconvergence", 0) + 1
+                out.append(None)
+    finally:
+        sys.settrace(previous)
+    return out
+
+
+def rows_or_none(u, dts, cfg, h, gamma):
+    try:
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            return _newton_rows(u.copy(), dts, cfg, h, gamma)
+    except NonConvergence:
+        return None
+
+
+def check_rows_match_reference(case, counts):
+    u, dts, cfg, h, gamma = newton_batch(*case)
+    # row merits must be np.dot's: a last-bit change can flip an acceptance test
+    assert _merits(u).tobytes() == np.array([np.dot(row, row) for row in u]).tobytes()
+    ref = reference_rows(u, dts, cfg, h, gamma, counts)
+    for i, expected in enumerate(ref):  # alone
+        got = rows_or_none(u[i : i + 1], dts[i : i + 1], cfg, h, gamma)
+        if expected is None:
+            assert got is None
+        else:
+            assert got is not None and got[0].tobytes() == expected.tobytes()
+    live = [i for i, expected in enumerate(ref) if expected is not None]
+    if len(live) < len(ref):
+        assert rows_or_none(u, dts, cfg, h, gamma) is None
+    for order in (live, live[::-1]):  # together, in either order
+        if order:
+            got = rows_or_none(u[order], dts[order], cfg, h, gamma)
+            assert got is not None
+            for row, i in zip(got, order):
+                assert row.tobytes() == ref[i].tobytes()
+
+
+BATCH_CASES = st.tuples(
+    st.floats(min_value=1.05, max_value=1.95),  # p
+    st.sampled_from([0.0, 1e-8]),  # eps_reg
+    st.floats(min_value=1.0, max_value=1e4),  # gamma ratio
+    st.integers(min_value=2, max_value=20),  # cells
+    st.sampled_from([3, 20, 200]),  # newton_max_iter
+    st.integers(min_value=0, max_value=2**32 - 1),  # seed
+    st.integers(min_value=1, max_value=5),  # rows
+)
+
+
+def test_newton_rows_match_newton_step_bit_for_bit():
+    # a row's result equals the single-state step alone, in a batch and in
+    # the reversed batch; the examples make every branch of the step fire
+    counts = {}
+
+    @settings(max_examples=60, deadline=None, database=None)
+    @given(BATCH_CASES)
+    @example((1.61, 0.0, 1000.0, 19, 20, 775, 3))  # Picard on merit, gradient fallback
+    @example((1.28, 0.0, 10000.0, 10, 20, 504, 3))  # Picard on energy
+    @example((1.08, 0.0, 1.0, 11, 200, 466, 3))  # stall break
+    @example((1.47, 1e-8, 10000.0, 7, 20, 278, 3))  # rounding-floor acceptance
+    @example((1.25, 1e-8, 1.0, 7, 3, 873, 3))  # NonConvergence
+    def check(case):
+        check_rows_match_reference(case, counts)
+
+    check()
+    assert set(counts) == set(BRANCH_LINES) | {"nonconvergence"}, counts
+
+
+def test_stacked_solve_failure_falls_back_to_row_solves(monkeypatch):
+    u, dts, cfg, h, gamma = newton_batch(1.5, 1e-8, 100.0, 16, 200, 11, 5)
+    ref = reference_rows(u, dts, cfg, h, gamma, {})
+    failed = []
+
+    def fail_stacks(ab, b, **kw):
+        if ab.shape[1] > u.shape[1]:
+            failed.append(ab.shape[1])
+            raise np.linalg.LinAlgError("stack refused")
+        return solveh_banded(ab, b, **kw)
+
+    monkeypatch.setattr(plaplace, "solveh_banded", fail_stacks)
+    got = rows_or_none(u, dts, cfg, h, gamma)
+    assert failed
+    for row, expected in zip(got, ref):
+        assert row.tobytes() == expected.tobytes()
+
+
+def test_solve_rows_keeps_finite_rows_beside_an_overflowing_one():
+    rng = np.random.default_rng(3)
+    coeff = rng.uniform(0.1, 2.0, size=(4, 7))
+    rhs = rng.normal(size=(4, 8))
+    rhs[1, 3] = np.inf
+    got = _solve_rows(coeff, rhs.copy(), 0.125)
+    assert not np.isfinite(got[1]).all()
+    for r in (0, 2, 3):
+        alone = solveh_banded(_banded_system(coeff[r], 0.125, 8), rhs[r])
+        assert got[r].tobytes() == alone.tobytes()
