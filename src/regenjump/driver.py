@@ -228,16 +228,6 @@ class EtaLaw:
     def sample(self, rng: np.random.Generator, space: Space) -> StateVector:
         return StateVector(space, self.sample_values(rng, space))
 
-    def abs_moment(self, power: float) -> float:
-        """E |eta|^power where a closed form exists (scalar laws)."""
-        if self.kind == "scalar_constant":
-            return abs(self.value) ** power
-        if self.kind == "scalar_uniform":
-            if self.amp == 0.0:
-                return 0.0
-            return self.amp**power / (power + 1.0)
-        raise ConfigError("no analytic moment for this law")
-
 
 @dataclass(frozen=True)
 class DriverConfig:

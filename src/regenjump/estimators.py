@@ -33,7 +33,6 @@ __all__ = [
     "estimate_nu",
     "estimate_sigma2",
     "estimate_Q",
-    "stats_from_arrays",
     "stats_from_moments",
     "clt_statistic",
     "ks_test_normal",
@@ -141,24 +140,6 @@ def estimate_Q(s: np.ndarray, tau: np.ndarray, nu: np.ndarray, h: float) -> np.n
     mean_tau = float(np.mean(tau))
     z = h * (s2d - nu[None, :] * tau[:, None]) / math.sqrt(mean_tau)
     return (z.T @ z) / tau.shape[0]
-
-
-def stats_from_arrays(s: np.ndarray, tau: np.ndarray, h: float = 1.0) -> CycleStats:
-    """Full per-functional statistics from explicit cycle arrays."""
-    nu, se = estimate_nu(s, tau)
-    s_arr = np.asarray(s, dtype=float)
-    out = CycleStats(
-        n_cycles=tau.shape[0],
-        mean_s=(float(np.mean(s_arr)) if s_arr.ndim == 1 else np.mean(s_arr, axis=0)),
-        mean_tau=float(np.mean(tau)),
-        nu_hat=nu,
-        se_nu=se,
-    )
-    if s_arr.ndim == 1:
-        out.sigma2_hat = estimate_sigma2(s_arr, tau, nu)
-    else:
-        out.q_hat = estimate_Q(s_arr, tau, nu, h)
-    return out
 
 
 def stats_from_moments(moments, label: str) -> CycleStats:
@@ -269,10 +250,6 @@ class CycleDiagnostics:
     halves_tau: TestReport | None
     degenerate: bool
     n_cycles: int
-
-    def autocorr_band(self) -> float:
-        """The +-3/sqrt(n) acceptance band for the lag correlations."""
-        return 3.0 / math.sqrt(self.n_cycles)
 
 
 def _lag_pvalues(r: np.ndarray, n: int) -> np.ndarray:

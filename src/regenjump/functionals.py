@@ -4,16 +4,16 @@ Every functional carries explicit constants (c1, c2) certifying
 ``||Xi(v)||_W <= c1 ||v||_V2 + c2``; only this built-in family is exposed, so
 the constants are always known and checkable on random states.
 
-``integrate_segment`` computes ``int_0^delta Xi(T(tau) v) dtau``.  On the
-exact scalar power-law semigroup the integrand is a piecewise power function
-and the integral is evaluated in closed form, split at the extinction time.
-Otherwise adaptive composite Simpson is used, with interval bisection until
-the local Richardson error estimate is below tolerance; breakpoints are
-placed at the extinction time when known and, for stepped flows, at the
-time-step grid where the trajectory has kinks.  The bisection tree is
-refined level by level; on a grid flow each level's nodes go to the segment
-flow's ``at_many`` first, which solves all of their partial implicit-Euler
-steps as one row-batched step.
+``integrate_segment`` computes ``int_0^delta Xi(T(tau) v) dtau`` by one rule
+per backend.  On the exact scalar power-law semigroup the integrand is a
+piecewise power function and the integral is evaluated in closed form, split
+at the extinction time.  On the grid, adaptive composite Simpson is used,
+with interval bisection until the local Richardson error estimate is below
+tolerance; breakpoints are placed at the time-step grid, where the
+trajectory has kinks, and at the extinction time when known.  The bisection
+tree is refined level by level; each level's nodes go to the segment flow's
+``at_many`` first, which solves all of their partial implicit-Euler steps as
+one row-batched step.
 """
 
 from __future__ import annotations
@@ -71,10 +71,6 @@ class Functional:
         if self.vector_valued:
             return np.zeros(self.space.dim)
         return 0.0
-
-    def sublinearity_violation(self, v: StateVector) -> float:
-        """||Xi(v)||_W - (c1 ||v||_V2 + c2); <= 0 when the certificate holds."""
-        return self.w_norm(self.apply(v)) - (self.c1 * v.norm_v2() + self.c2)
 
 
 class NormV2(Functional):
@@ -236,22 +232,21 @@ def _charge(used: int, n: int, cap: int) -> int:
     return used
 
 
-def _adaptive_simpson(f, breakpoints, tol, xi, max_evals, prefetch=None):
+def _adaptive_simpson(f, breakpoints, tol, xi, max_evals, prefetch):
     """Adaptive Simpson over each piece between breakpoints, a level at a time.
 
     An interval is accepted once its Richardson error estimate is within its
     tolerance (halved per bisection) or at depth 48, and values and errors
     add over the bisection tree (left + right, pieces in order), exactly as
     the depth-first recursion would.  Each level's nodes are known before any
-    is evaluated, so ``prefetch`` (if given) receives them all at once.  The
+    is evaluated, so ``prefetch`` receives them all at once.  The
     budget counts every evaluation and is charged a level ahead, so it is
     exceeded exactly when the full tree would exceed it.
     Returns (value, error estimate, evaluations).
     """
     pieces = [(a, b) for a, b in zip(breakpoints[:-1], breakpoints[1:]) if b > a]
     used = _charge(0, 3 * len(pieces), max_evals)
-    if prefetch is not None:
-        prefetch([t for a, b in pieces for t in (a, b, 0.5 * (a + b))])
+    prefetch([t for a, b in pieces for t in (a, b, 0.5 * (a + b))])
     span = breakpoints[-1] - breakpoints[0]
     level = []  # open intervals: (node, a, b, fa, fm, fb, whole, tol)
     for node, (a, b) in enumerate(pieces):
@@ -266,8 +261,7 @@ def _adaptive_simpson(f, breakpoints, tol, xi, max_evals, prefetch=None):
         used = _charge(used, 2 * len(level), max_evals)
         halves = [(0.5 * (a + b), a, b) for _, a, b, *_ in level]
         halves = [(m, 0.5 * (a + m), 0.5 * (m + b)) for m, a, b in halves]
-        if prefetch is not None:
-            prefetch([t for _, lm, rm in halves for t in (lm, rm)])
+        prefetch([t for _, lm, rm in halves for t in (lm, rm)])
         next_level = []
         for (node, a, b, fa, fm, fb, whole, piece_tol), (m, lm, rm) in zip(level, halves):
             flm, frm = f(lm), f(rm)
@@ -305,57 +299,39 @@ def integrate_segment(
     delta: float,
     sg,
     quad_cfg: QuadratureConfig = DEFAULT_QUADRATURE,
-    method: str = "auto",
     flow=None,
 ) -> SegmentIntegralResult:
     """Integrate Xi along the flow started at ``state`` for time ``delta``.
 
-    A precomputed segment flow (from ``sg.segment_flow``) may be passed in so
-    that several functionals integrated over the same segment share the cached
-    trajectory.
+    On the scalar power law this is the closed form, and a functional without
+    one is rejected; on the grid a precomputed segment flow (from
+    ``sg.segment_flow``) may be passed in so that several functionals
+    integrated over the same segment share the cached trajectory.
     """
     if delta < 0:
         raise ValueError("segment length must be nonnegative")
     if delta == 0.0:
         return SegmentIntegralResult(xi.zero_value(), 0.0, 0)
-    if method not in ("auto", "closed_form", "simpson"):
-        raise ValueError(f"unknown integration method {method!r}")
-    if method in ("auto", "closed_form") and isinstance(sg, ScalarPowerLaw):
-        if has_closed_form(xi):
-            x = state.values
-            i_abs = abs_flow_integral(np.float_power(np.abs(x), sg.rho), delta, sg.kappa, sg.rho)
-            return SegmentIntegralResult(float(closed_form_value(xi, x, i_abs, delta)[0]), 0.0, 0)
-        if method == "closed_form":
-            raise ValueError(f"no closed form for functional {xi.label!r}")
-
-    breaks = [0.0, delta]
-    prefetch = None
     if isinstance(sg, ScalarPowerLaw):
-        x = state.scalar
-        t_star = sg.extinction_time_scalar(x)
-        if 0.0 < t_star < delta:
-            breaks.insert(1, t_star)
+        if not has_closed_form(xi):
+            raise ValueError(f"no closed form for functional {xi.label!r}")
+        x = state.values
+        i_abs = abs_flow_integral(np.float_power(np.abs(x), sg.rho), delta, sg.kappa, sg.rho)
+        return SegmentIntegralResult(float(closed_form_value(xi, x, i_abs, delta)[0]), 0.0, 0)
 
-        def f(tau):
-            return xi.apply_values(np.array([sg.evolve_scalar(x, tau)]))
+    if flow is None:
+        flow = sg.segment_flow(state)
+    dt = sg.cfg.dt
+    grid_times = [k * dt for k in range(1, int(delta / dt) + 1) if k * dt < delta]
+    breaks = [0.0] + grid_times + [delta]
+    bp = flow.extinction_breakpoint(delta)
+    if bp is not None and bp not in breaks:
+        breaks = sorted(set(breaks + [bp]))
 
-    else:
-        if flow is None:
-            flow = sg.segment_flow(state)
-        dt = sg.cfg.dt
-        grid_times = [k * dt for k in range(1, int(delta / dt) + 1) if k * dt < delta]
-        breaks = [0.0] + grid_times + [delta]
-        bp = flow.extinction_breakpoint(delta)
-        if bp is not None and bp not in breaks:
-            breaks = sorted(set(breaks + [bp]))
-
-        def f(tau):
-            return xi.apply_values(flow.at(tau))
-
-        prefetch = flow.at_many
+    def f(tau):
+        return xi.apply_values(flow.at(tau))
 
     value, err, used = _adaptive_simpson(
-        f, breaks, quad_cfg.tol, xi, quad_cfg.max_evals, prefetch
+        f, breaks, quad_cfg.tol, xi, quad_cfg.max_evals, flow.at_many
     )
     return SegmentIntegralResult(value, err, used)
-

@@ -162,7 +162,7 @@ def apply_discrete_operator(
         raise DimensionMismatch("state does not match the grid")
     h = grid.h
     d = np.diff(vals) / h
-    with np.errstate(divide="ignore"):
+    with np.errstate(divide="ignore", invalid="ignore"):  # eps_reg = 0: 0 * inf, masked below
         flux = _flux(d, weights.gamma, p, eps_reg)
     flux = np.where(d == 0.0, 0.0, flux)  # phi(0) = 0 even for eps_reg = 0
     out = np.zeros_like(vals)
@@ -267,9 +267,10 @@ def _step_values(
     u: np.ndarray, dt: float, cfg: PLaplaceConfig, grid: Grid1D, weights: WeightField
 ) -> np.ndarray:
     # One error-state context per step: with eps_reg = 0 the flux and
-    # curvature powers divide by zero on flat edges; the gradient masks those
-    # entries and every solve is guarded by a finiteness check.
-    with np.errstate(divide="ignore"):
+    # curvature powers divide by zero on flat edges and multiply that inf by
+    # zero; the gradient masks those entries and every solve is guarded by a
+    # finiteness check.
+    with np.errstate(divide="ignore", invalid="ignore"):
         return _newton_step(u, dt, cfg, grid.h, weights.gamma)
 
 
@@ -596,7 +597,7 @@ class PLaplaceSemigroup:
     def _advance_rows(self, rows: np.ndarray, dts: np.ndarray) -> np.ndarray:
         """``_advance`` of each row, row i by ``dts[i]``, as one batched step."""
         h = self.grid.h
-        with np.errstate(divide="ignore"):
+        with np.errstate(divide="ignore", invalid="ignore"):  # as in _step_values
             out = _newton_rows(rows, dts, self.cfg, h, self.weights.gamma)
         out[np.sqrt(np.sum(out * out, axis=1) * h) < self.eps_ext] = 0.0
         return out

@@ -19,15 +19,16 @@ without records, and ``simulate_until_time`` makes a single pass to a fixed
 horizon, producing running integrals at checkpoints, regeneration counts,
 and the per-cycle data needed by the random-index checks.
 
-A chain has one interface and two implementations: ``advance`` returns the
-next window of the run's cycles (a ``_Window``) and ``partial`` integrates
-every functional over the start of one step of a window.  On the scalar
-power-law backend the chain is a regeneration table (``_ScalarChain``), a
-numpy kernel with the closed-form flow and integrals whose windows hold many
-cycles; elsewhere (grid semigroups, trajectory hooks) it is the generic
-stepper (``_StepChain``), whose windows hold one cycle.  ``_chain`` picks
-one, and each driver has one reader over its windows; both chains give the
-readers the same bits.
+Each backend has one chain, and every chain has one interface: ``advance``
+returns the next window of the run's cycles (a ``_Window``) and ``partial``
+integrates every functional over the start of one step of a window.  On the
+scalar power-law backend the chain is a regeneration table
+(``_ScalarChain``), a numpy kernel with the closed-form flow and integrals
+whose windows hold many cycles; on the grid it is a stepper
+(``_StepChain``) whose windows hold one cycle.  ``_chain`` picks one, and
+each driver has one reader over its windows.  Both chains give, bit for
+bit, what a plain loop over the chain's steps gives; the tests' per-step
+oracle is that loop and the reference for every driver.
 """
 
 from __future__ import annotations
@@ -148,12 +149,6 @@ class CycleMoments:
         return out
 
 
-def _fast_capable(sg, functionals) -> bool:
-    return isinstance(sg, ScalarPowerLaw) and all(
-        has_closed_form(xi) and not xi.vector_valued for xi in functionals
-    )
-
-
 _WINDOW = 1 << 16  # most lanes tabulated at once; bounds memory
 _LANE_STEPS = 8  # most steps a tabulated lane takes; bounds the work wasted on long cycles
 _CHUNK = 1024  # most inputs converted to Python floats at a time for a cycle stepped alone
@@ -209,11 +204,11 @@ class _ScalarChain:
     path's lanes are stepped again, with them, so memory stays linear in the
     window.
 
-    Every lane repeats the operations of the generic stepper
+    Every lane repeats the operations of a per-step loop over the flow
     (``ScalarPowerLaw.evolve_scalar``, which leaves the state unchanged on a
     zero beta; the closed-form segment integral of ``functionals`` is shared
     with ``integrate_segment``), and integrals accumulate step by step from
-    0.0, so every output equals the generic stepper's bit for bit.
+    0.0, so every output equals that loop's bit for bit.
     """
 
     def __init__(self, x0, driver, sg, policy, functionals, replicate_index):
@@ -471,30 +466,23 @@ def _one_at_a_time(sample_block):
 
 
 class _StepChain:
-    """The generic chain of one replicate stream, a cycle at a time.
+    """The grid chain of one replicate stream, a cycle at a time.
 
     Each step draws (beta, eta), makes one segment flow from the current
-    state where the semigroup has them (the integrals and the pre-kick state
-    then share its solves), integrates every functional over the step
-    through ``integrate_segment`` and snaps an extinct pre-kick state to
-    zero.  A window is one cycle, so a run takes no step past the cycle that
-    ends it; a recorded window keeps each step's (state, flow) for
-    ``partial``.  Betas and scalar kicks are drawn in blocks, grid kicks one
-    at a time; draws do not depend on the block size, so both chains see the
-    same inputs.  The hook receives (m, alpha_m, norm_v1, norm_v2, extinct)
-    after every step.
+    state (the integrals and the pre-kick state then share its solves),
+    integrates every functional over the step through ``integrate_segment``
+    and snaps an extinct pre-kick state to zero.  A window is one cycle, so
+    a run takes no step past the cycle that ends it; a recorded window keeps
+    each step's (state, flow) for ``partial``.  Betas are drawn in blocks and
+    kicks one at a time; draws do not depend on the block size.
     """
 
-    def __init__(self, x0, driver, sg, policy, functionals, replicate_index, hook=None):
+    def __init__(self, x0, driver, sg, policy, functionals, replicate_index):
         streams = driver.streams(replicate_index)
         betas = _one_at_a_time(partial(driver.beta.sample_block, streams.beta_rng))
         self._next_beta = betas.__next__
-        if driver.eta.kind == "grid_bumps":
-            self._next_eta = partial(driver.eta.sample_values, streams.eta_rng, sg.space)
-        else:
-            etas = _one_at_a_time(partial(driver.eta.sample_block, streams.eta_rng))
-            self._next_eta = lambda: np.array([next(etas)])
-        self._sg, self._policy, self._hook = sg, policy, hook
+        self._next_eta = partial(driver.eta.sample_values, streams.eta_rng, sg.space)
+        self._sg, self._policy = sg, policy
         self.functionals = list(functionals)
         self._x = x0
         self.m = 0
@@ -507,7 +495,6 @@ class _StepChain:
         The table's sizing arguments (cycles, time, last) do not apply.
         """
         sg, fns, policy, space = self._sg, self.functionals, self._policy, self._sg.space
-        has_flow = hasattr(sg, "segment_flow")
         state, m_start, alpha = self._x, self.m, [self.alpha]
         acc = [xi.zero_value() for xi in fns]
         steps, values = [], []
@@ -515,10 +502,10 @@ class _StepChain:
         while not extinct:
             beta = self._next_beta()
             eta_vals = self._next_eta()
-            flow = sg.segment_flow(state) if has_flow else None
+            flow = sg.segment_flow(state)
             vals = [integrate_segment(xi, state, beta, sg, flow=flow).value for xi in fns]
             acc = [a + v for a, v in zip(acc, vals)]
-            pre = StateVector(space, flow.at(beta)) if has_flow else sg.evolve(state, beta)
+            pre = StateVector(space, flow.at(beta))
             extinct = pre.norm_v() <= policy.eps_ext
             self.m += 1
             if self.m - m_start > policy.m_cap:
@@ -528,8 +515,6 @@ class _StepChain:
                 steps.append((state, flow))
                 values.append(vals)
             state = StateVector(space, eta_vals if extinct else pre.values + eta_vals)
-            if self._hook is not None:
-                self._hook(self.m, alpha[-1], state.norm_v1(), state.norm_v2(), extinct)
         t_start, t_end = self.alpha, alpha[-1]
         window = _Window(
             first=self.closed,
@@ -554,14 +539,17 @@ class _StepChain:
         return [integrate_segment(xi, state, dt, sg, flow=flow).value for xi in self.functionals]
 
 
-def _chain(x0, driver, sg, policy, functionals, replicate_index, hook=None):
-    """The chain of one replicate: the scalar table where it applies, else the stepper."""
+def _chain(x0, driver, sg, policy, functionals, replicate_index):
+    """The chain of one replicate: the scalar table on the power law, else the grid stepper."""
     labels = [xi.label for xi in functionals]
     if len(set(labels)) != len(labels):
         raise ValueError("functional labels must be unique")
-    if hook is None and _fast_capable(sg, functionals):
-        return _ScalarChain(x0, driver, sg, policy, functionals, replicate_index)
-    return _StepChain(x0, driver, sg, policy, functionals, replicate_index, hook)
+    if not isinstance(sg, ScalarPowerLaw):
+        return _StepChain(x0, driver, sg, policy, functionals, replicate_index)
+    for xi in functionals:
+        if not has_closed_form(xi):
+            raise ValueError(f"no closed form for functional {xi.label!r}")
+    return _ScalarChain(x0, driver, sg, policy, functionals, replicate_index)
 
 
 def _records(chain, n_cycles: int):
@@ -649,18 +637,16 @@ def simulate_cycles(
     n_cycles: int,
     functionals,
     replicate_index: int = 0,
-    trajectory_hook=None,
 ):
     """Stream the warm-up record and then n_cycles regeneration cycles.
 
     Yields CycleRecord with n = 0 for the warm-up segment (excluded from
     statistics downstream) followed by cycles n = 1 .. n_cycles.  Raises
-    CycleCapExceeded if any cycle exceeds the policy's step cap.  The optional
-    trajectory hook receives (m, alpha_m, norm_v1, norm_v2, extinct) per step.
+    CycleCapExceeded if any cycle exceeds the policy's step cap.
     """
     if n_cycles < 1:
         raise ValueError("need at least one cycle")
-    chain = _chain(x0, driver, sg, policy, functionals, replicate_index, trajectory_hook)
+    chain = _chain(x0, driver, sg, policy, functionals, replicate_index)
     yield from _records(chain, n_cycles)
 
 

@@ -24,7 +24,6 @@ __all__ = [
     "RunManifest",
     "line_plot_svg",
     "histogram_svg",
-    "trajectory_writer",
 ]
 
 ARTIFACT_VERSION = "0.1.0"
@@ -73,36 +72,6 @@ def write_csv(path, header, rows):
                 writer.writerow([_format_cell(row.get(k, "")) for k in header])
             else:
                 writer.writerow([_format_cell(v) for v in row])
-
-
-class trajectory_writer:
-    """Context manager producing a per-step chain dump hook.
-
-    Usage: ``with trajectory_writer(path) as hook: simulate_cycles(...,
-    trajectory_hook=hook)``.  Columns: m, alpha_m, norm_v1, norm_v2,
-    extinct_flag.
-    """
-
-    def __init__(self, path):
-        self._path = path
-        self._fh = None
-        self._writer = None
-
-    def __enter__(self):
-        self._fh = open(self._path, "w", encoding="utf-8", newline="")
-        self._writer = csv.writer(self._fh, lineterminator="\n")
-        self._writer.writerow(["m", "alpha_m", "norm_v1", "norm_v2", "extinct_flag"])
-        return self._hook
-
-    def _hook(self, m, alpha, norm_v1, norm_v2, extinct):
-        self._writer.writerow(
-            [m, repr(float(alpha)), repr(float(norm_v1)), repr(float(norm_v2)),
-             "true" if extinct else "false"]
-        )
-
-    def __exit__(self, exc_type, exc, tb):
-        self._fh.close()
-        return False
 
 
 @dataclass

@@ -85,13 +85,6 @@ class ScalarPowerLaw:
             return v
         return StateVector(v.space, [self.evolve_scalar(v.scalar, t)])
 
-    def extinction_time_scalar(self, x: float) -> float:
-        """Zero crossing of the decay bound: |x|**rho / kappa.
-
-        Evolving for any t at or beyond this value returns exactly zero.
-        """
-        return abs(x) ** self.rho / self.kappa
-
 
 @dataclass
 class AxiomReport:

@@ -2,8 +2,9 @@
 
 These deliberately re-derive their formulas instead of importing package
 internals: the projected-gradient minimizer checks the damped-Newton step,
-finite differences of the edge energy check the discrete operator, and
-scipy.integrate.quad checks the closed-form / Simpson segment integrals.
+finite differences of the edge energy check the discrete operator,
+scipy.integrate.quad checks the scalar closed-form segment integrals, and
+the array statistics check the moment route of the estimators.
 The depth-first adaptive Simpson is the recursion that the package's
 level-by-level quadrature must reproduce bit for bit, evaluating one node
 at a time through the segment flow's ``at``.
@@ -17,6 +18,7 @@ from types import SimpleNamespace
 import numpy as np
 from scipy.integrate import quad
 
+from regenjump.estimators import CycleStats, estimate_nu, estimate_Q, estimate_sigma2
 from regenjump.functionals import integrate_segment
 
 
@@ -114,6 +116,24 @@ def quad_segment_integral(x, kappa, rho, delta, weight=1.0, shift=0.0, signed=Fa
     points = [t for t in (t_star,) if 0.0 < t < delta]
     val, _ = quad(f, 0.0, delta, points=points or None, limit=200)
     return val
+
+
+def stats_from_arrays(s, tau, h=1.0):
+    """Full per-functional statistics from explicit cycle arrays."""
+    nu, se = estimate_nu(s, tau)
+    s_arr = np.asarray(s, dtype=float)
+    out = CycleStats(
+        n_cycles=tau.shape[0],
+        mean_s=(float(np.mean(s_arr)) if s_arr.ndim == 1 else np.mean(s_arr, axis=0)),
+        mean_tau=float(np.mean(tau)),
+        nu_hat=nu,
+        se_nu=se,
+    )
+    if s_arr.ndim == 1:
+        out.sigma2_hat = estimate_sigma2(s_arr, tau, nu)
+    else:
+        out.q_hat = estimate_Q(s_arr, tau, nu, h)
+    return out
 
 
 def grid_simpson_reference(xi, state, delta, sg, tol=1e-9):

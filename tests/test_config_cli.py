@@ -442,31 +442,3 @@ def test_cli_clt_vector_covariance_route(tmp_path):
     assert summary["q_min_eigenvalue"] >= -1e-10
     assert summary["projection_gap"] <= 1e-8
     assert summary["pass"] is True
-
-
-def test_trajectory_dump_schema(tmp_path):
-    from regenjump.driver import BetaLaw, DriverConfig, EtaLaw
-    from regenjump.functionals import NormV2
-    from regenjump.process import ExtinctionPolicy, simulate_cycles
-    from regenjump.report import trajectory_writer
-    from regenjump.semigroup import ExtinctionParams, ScalarPowerLaw
-    from regenjump.spaces import scalar_space
-
-    space = scalar_space()
-    sg = ScalarPowerLaw(ExtinctionParams(1.0, 0.5), space)
-    driver = DriverConfig(BetaLaw.exponential(1.0), EtaLaw.scalar_uniform(1.0), 13)
-    path = tmp_path / "trajectory.csv"
-    with trajectory_writer(path) as hook:
-        list(
-            simulate_cycles(
-                space.zero(), driver, sg, ExtinctionPolicy(), 10, [NormV2(space)],
-                trajectory_hook=hook,
-            )
-        )
-    with open(path, newline="") as fh:
-        rows = list(csv.DictReader(fh))
-    assert list(rows[0]) == ["m", "alpha_m", "norm_v1", "norm_v2", "extinct_flag"]
-    assert int(rows[0]["m"]) == 1
-    alphas = [float(r["alpha_m"]) for r in rows]
-    assert all(b > a for a, b in zip(alphas, alphas[1:]))
-    assert {r["extinct_flag"] for r in rows} <= {"true", "false"}

@@ -1,6 +1,7 @@
 import inspect
 import math
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -482,3 +483,17 @@ def test_solve_rows_keeps_finite_rows_beside_an_overflowing_one():
     for r in (0, 2, 3):
         alone = solveh_banded(_banded_system(coeff[r], 0.125, 8), rhs[r])
         assert got[r].tobytes() == alone.tobytes()
+
+
+def test_unregularised_kernels_do_not_warn_on_flat_edges():
+    # eps_reg = 0: flat edges raise 0 to a negative power and multiply the
+    # inf by 0; the kernels mask or reject those entries, so no warning
+    grid, weights, cfg = make_problem(n_cells=12, eps_reg=0.0)
+    u = project_zero_mean(grid.space().state(np.repeat([0.0, 1.0, 1.0, -0.5], 3)))
+    sg = PLaplaceSemigroup(grid, weights, cfg)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        implicit_euler_step(u, cfg, grid, weights)
+        sg._advance_rows(np.stack([u.values, 0.5 * u.values]), np.array([cfg.dt, 0.3 * cfg.dt]))
+        out = apply_discrete_operator(u, grid, weights, cfg.p, 0.0)
+    assert np.all(np.isfinite(out.values))

@@ -7,7 +7,14 @@ import pytest
 from regenjump.driver import BetaLaw, DriverConfig, EtaLaw
 from regenjump.errors import CycleCapExceeded
 from regenjump.estimators import CycleSet
-from regenjump.functionals import AffineShift, IdentityV2, Linear, NormV2
+from regenjump.functionals import (
+    AffineShift,
+    Functional,
+    IdentityV2,
+    Linear,
+    NormV2,
+    integrate_segment,
+)
 from regenjump.plaplace import Grid1D, PLaplaceConfig, PLaplaceSemigroup, WeightField
 from regenjump.process import (
     CycleMoments,
@@ -17,7 +24,6 @@ from regenjump.process import (
     simulate_until_time,
 )
 from regenjump import process
-from regenjump.process import _StepChain
 from regenjump.semigroup import ExtinctionParams, ScalarPowerLaw
 from regenjump.spaces import scalar_space
 
@@ -43,12 +49,12 @@ Step = namedtuple("Step", "state t t_end extinct after")
 
 
 def chain_prefix(x0, driver, sg, policy, n_steps, fns=()):
-    """The generic stepper's first n_steps steps of replicate 0, off its recorded windows."""
-    chain = _StepChain(x0, driver, sg, policy, list(fns), 0)
+    """The scalar table's first n_steps steps of replicate 0, off its recorded windows."""
+    chain = process._chain(x0, driver, sg, policy, list(fns), 0)
     states, alphas, extinct = [], [0.0], []
     while len(states) <= n_steps:  # one state past the last step: its post-kick state
-        w = chain.advance(record=True)
-        states += [state for state, _ in w.states]
+        w = chain.advance(1, record=True)
+        states += [x0.space.state([x]) for x in w.states.tolist()]
         alphas += w.alpha[1:].tolist()
         ends = np.zeros(len(w.states), dtype=bool)
         ends[w.ends - 1] = True
@@ -81,6 +87,9 @@ class FirstThen:
 
     def __init__(self, first, then):
         self.first, self.then = first, then
+
+    def mean(self):
+        return self.then
 
     def sample_block(self, rng, n):
         out = np.full(n, self.then)
@@ -242,13 +251,8 @@ def test_fast_loop_matches_generic_bit_exactly():
     driver = stochastic_driver(31)
     fns = [NormV2(SCALAR), IdentityV2(SCALAR), AffineShift(NormV2(SCALAR), -0.2)]
     fast = list(simulate_cycles(SCALAR.zero(), driver, sg, POLICY, 200, fns))
-    slow = generic_records(SCALAR.zero(), driver, sg, POLICY, 200, fns)
-    assert len(fast) == len(slow)
-    for a, b in zip(fast, slow):
-        assert a.m_start == b.m_start and a.m_end == b.m_end
-        assert a.t_end == b.t_end and a.tau == b.tau
-        for label in a.integrals:
-            assert a.integrals[label] == b.integrals[label]
+    slow = records_by_steps(SCALAR.zero(), driver, sg, POLICY.eps_ext, fns, 200)
+    assert record_tuples(fast) == slow
 
 
 def test_moments_match_records():
@@ -323,7 +327,7 @@ def test_horizon_fast_matches_generic():
     fns = [NormV2(SCALAR), Linear(SCALAR, [1.0], label="mass")]
     cps = [2.0, 7.5, 15.0]
     fast = simulate_until_time(SCALAR.zero(), driver, sg, POLICY, 15.0, fns, checkpoints=cps)
-    slow = generic_horizon(SCALAR.zero(), driver, sg, POLICY, cps, fns)
+    slow = horizon_by_steps(SCALAR.zero(), driver, sg, POLICY.eps_ext, fns, cps)
     assert np.all(fast.counts == slow.counts)
     assert np.all(fast.cycle_tau == slow.cycle_tau)
     for label in ("norm_v2", "mass"):
@@ -340,7 +344,7 @@ def test_horizon_cycle_arrays_cover_random_index():
     assert res.cycle_tau.shape[0] == int(res.counts[-1]) + 1
 
 
-# --- the scalar regeneration table against the generic stepper, bit for bit
+# --- the scalar regeneration table against the per-step oracle, bit for bit
 
 
 ALL_SCALAR_KINDS = [
@@ -357,17 +361,6 @@ def table_sizes(monkeypatch, window, lane_steps):
         monkeypatch.setattr(process, "_WINDOW", window)
     if lane_steps is not None:
         monkeypatch.setattr(process, "_LANE_STEPS", lane_steps)
-
-
-def generic_records(x0, driver, sg, policy, n_cycles, fns, replicate=0):
-    """The records reader over the generic stepper."""
-    chain = _StepChain(x0, driver, sg, policy, fns, replicate)
-    return list(process._records(chain, n_cycles))
-
-
-def generic_horizon(x0, driver, sg, policy, cps, fns, replicate=0):
-    """The horizon reader over the generic stepper."""
-    return process._horizon(_StepChain(x0, driver, sg, policy, fns, replicate), cps)
 
 
 def record_tuples(records):
@@ -393,21 +386,25 @@ def horizon_tuple(res):
     )
 
 
-def assert_all_drivers_match_generic(x0, driver, sg, policy, fns, n_cycles, cps):
-    slow = generic_records(x0, driver, sg, policy, n_cycles, fns, replicate=3)
-    fast = simulate_cycles(x0, driver, sg, policy, n_cycles, fns, replicate_index=3)
-    assert record_tuples(fast) == record_tuples(slow)
-
+def oracle_moments(records, fns):
     ref = CycleMoments(labels=[xi.label for xi in fns])
-    for rec in slow[1:]:  # the loop's order of additions
-        ref.add(rec.tau, rec.integrals)
+    for rec in records[1:]:  # the warm-up is not a cycle; the loop's order of additions
+        ref.add(rec[5], {label: np.frombuffer(s)[0] for label, s in rec[7].items()})
+    return ref
+
+
+def assert_all_drivers_match_oracle(x0, driver, sg, policy, fns, n_cycles, cps):
+    slow = records_by_steps(x0, driver, sg, policy.eps_ext, fns, n_cycles, replicate_index=3)
+    fast = simulate_cycles(x0, driver, sg, policy, n_cycles, fns, replicate_index=3)
+    assert record_tuples(fast) == slow
+
     got = cycle_moments(x0, driver, sg, policy, n_cycles, fns, replicate_index=3)
-    assert moments_tuple(got) == moments_tuple(ref)
+    assert moments_tuple(got) == moments_tuple(oracle_moments(slow, fns))
 
     fast_h = simulate_until_time(
         x0, driver, sg, policy, cps[-1], fns, checkpoints=cps, replicate_index=5
     )
-    slow_h = generic_horizon(x0, driver, sg, policy, cps, fns, 5)
+    slow_h = horizon_by_steps(x0, driver, sg, policy.eps_ext, fns, cps, replicate_index=5)
     assert horizon_tuple(fast_h) == horizon_tuple(slow_h)
 
 
@@ -416,7 +413,7 @@ def assert_all_drivers_match_generic(x0, driver, sg, policy, fns, n_cycles, cps)
 def test_table_matches_generic_across_rho_and_start(rho, x0):
     sg = ScalarPowerLaw(ExtinctionParams(1.0, rho), SCALAR)
     driver = DriverConfig(BetaLaw.exponential(1.5), EtaLaw.scalar_uniform(1.2), 71)
-    assert_all_drivers_match_generic(
+    assert_all_drivers_match_oracle(
         SCALAR.state([x0]), driver, sg, POLICY, ALL_SCALAR_KINDS, 300, [0.7, 13.0, 60.0]
     )
 
@@ -439,7 +436,7 @@ def test_table_matches_generic_across_rho_and_start(rho, x0):
 def test_table_matches_generic_across_laws(beta_law, eta_law):
     sg = scalar_sg(kappa=1.3, rho=0.5)
     driver = DriverConfig(beta_law, eta_law, 73)
-    assert_all_drivers_match_generic(
+    assert_all_drivers_match_oracle(
         SCALAR.zero(), driver, sg, POLICY, ALL_SCALAR_KINDS[:3], 200, [5.0, 40.0]
     )
 
@@ -449,11 +446,11 @@ def test_table_matches_generic_across_laws(beta_law, eta_law):
 )
 def test_table_windows_match_generic(monkeypatch, window, lane_steps):
     # small windows and lane bounds carry open cycles and unused inputs
-    # across many windows; every size must give the generic loop's bits
+    # across many windows; every size must give the per-step loop's bits
     table_sizes(monkeypatch, window, lane_steps)
     sg = scalar_sg(rho=0.45)
     driver = stochastic_driver(79)
-    assert_all_drivers_match_generic(
+    assert_all_drivers_match_oracle(
         SCALAR.state([3.0]), driver, sg, POLICY, ALL_SCALAR_KINDS, 400, [1.5, 50.0, 333.3]
     )
 
@@ -466,9 +463,9 @@ def test_table_long_warmup_matches_generic(monkeypatch, window, lane_steps):
     sg = scalar_sg()
     driver = stochastic_driver(83)
     policy = ExtinctionPolicy(eps_ext=1e-12, m_cap=5_000)
-    slow = generic_records(SCALAR.state([160_000.0]), driver, sg, policy, 50, ALL_SCALAR_KINDS)
-    assert slow[0].steps > 300
-    assert_all_drivers_match_generic(
+    slow = records_by_steps(SCALAR.state([160_000.0]), driver, sg, policy.eps_ext, [], 0)
+    assert slow[0][6] > 300  # the warm-up's steps
+    assert_all_drivers_match_oracle(
         SCALAR.state([160_000.0]), driver, sg, policy, ALL_SCALAR_KINDS, 50, [100.0, 500.0]
     )
 
@@ -485,7 +482,7 @@ def test_table_checkpoints_on_jump_times(monkeypatch, window):
     # a jump time that ends a cycle, one inside a cycle, one between jumps
     cps = sorted([regen_times[10], plain_times[20], 0.5 * (plain_times[40] + plain_times[41])])
     cps.append(regen_times[60])
-    slow_h = generic_horizon(SCALAR.zero(), driver, sg, POLICY, cps, fns)
+    slow_h = horizon_by_steps(SCALAR.zero(), driver, sg, POLICY.eps_ext, fns, cps)
     fast_h = simulate_until_time(SCALAR.zero(), driver, sg, POLICY, cps[-1], fns, checkpoints=cps)
     assert horizon_tuple(fast_h) == horizon_tuple(slow_h)
     assert fast_h.counts[0] == 11 and fast_h.counts[-1] == 61
@@ -514,9 +511,9 @@ def test_table_long_cycles_match_generic(monkeypatch, window, lane_steps, x0):
     table_sizes(monkeypatch, window, lane_steps)
     sg = scalar_sg()
     driver = DriverConfig(BetaLaw.gamma(0.02, 50.0), EtaLaw.scalar_uniform(1.0), 107)
-    slow = generic_records(SCALAR.state([x0]), driver, sg, POLICY, 60, [NormV2(SCALAR)])
-    assert max(r.steps for r in slow) > 8 * process._LANE_STEPS
-    assert_all_drivers_match_generic(
+    slow = records_by_steps(SCALAR.state([x0]), driver, sg, POLICY.eps_ext, [], 60)
+    assert max(r[6] for r in slow) > 8 * process._LANE_STEPS
+    assert_all_drivers_match_oracle(
         SCALAR.state([x0]), driver, sg, POLICY, ALL_SCALAR_KINDS[:4], 60, [3.0, 250.0, 900.0]
     )
 
@@ -551,7 +548,7 @@ def test_cycle_moments_of_no_cycles_simulate_nothing():
         assert moments_tuple(got) == moments_tuple(CycleMoments(labels=["norm_v2"]))
 
 
-# --- the step cap on the table
+# --- the step cap
 
 
 def transient_setup():
@@ -561,29 +558,32 @@ def transient_setup():
     return sg, driver
 
 
+def every_driver(x0, driver, sg, policy, fns):
+    """Runs of the three drivers: one cycle's records, one cycle's moments, a horizon of 1."""
+    return [
+        lambda: list(simulate_cycles(x0, driver, sg, policy, 1, fns)),
+        lambda: cycle_moments(x0, driver, sg, policy, 1, fns),
+        lambda: simulate_until_time(x0, driver, sg, policy, 1.0, fns),
+    ]
+
+
+def cap_messages(x0, driver, sg, policy, fns):
+    """The CycleCapExceeded message each driver raises."""
+    messages = []
+    for run in every_driver(x0, driver, sg, policy, fns):
+        with pytest.raises(CycleCapExceeded) as info:
+            run()
+        messages.append(str(info.value))
+    return messages
+
+
 @pytest.mark.parametrize("window, m_cap", [(None, 50), (64, 50), (64, 300), (None, 300)])
 def test_table_cap_raises_on_every_driver(monkeypatch, window, m_cap):
     table_sizes(monkeypatch, window, None)
     sg, driver = transient_setup()
     policy = ExtinctionPolicy(eps_ext=1e-12, m_cap=m_cap)
-    x0 = SCALAR.state([1.0])
-    fns = [NormV2(SCALAR)]
-    runs = [
-        lambda: list(simulate_cycles(x0, driver, sg, policy, 1, fns)),
-        lambda: cycle_moments(x0, driver, sg, policy, 1, fns),
-        lambda: simulate_until_time(x0, driver, sg, policy, 1.0, fns),
-    ]
-    messages = []
-    for run in runs:
-        with pytest.raises(CycleCapExceeded) as table:
-            run()
-        messages.append(str(table.value))
-    # the generic stepper stops the same cycle with the same message
-    monkeypatch.setattr(process, "_fast_capable", lambda sg, functionals: False)
-    for run, message in zip(runs, messages):
-        with pytest.raises(CycleCapExceeded) as generic:
-            run()
-        assert str(generic.value) == message == f"cycle 0 exceeded {m_cap} chain steps"
+    messages = cap_messages(SCALAR.state([1.0]), driver, sg, policy, [NormV2(SCALAR)])
+    assert messages == [f"cycle 0 exceeded {m_cap} chain steps"] * 3
 
 
 @pytest.mark.parametrize("window", [None, 64])
@@ -592,19 +592,19 @@ def test_table_cap_stops_at_the_generic_loops_cycle(monkeypatch, window):
     sg = scalar_sg()
     driver = stochastic_driver(101)
     fns = [NormV2(SCALAR)]
-    recs = generic_records(SCALAR.zero(), driver, sg, POLICY, 300, fns)
-    longest = max(recs[1:], key=lambda r: r.steps)
-    policy = ExtinctionPolicy(eps_ext=1e-12, m_cap=longest.steps - 1)
+    recs = records_by_steps(SCALAR.zero(), driver, sg, POLICY.eps_ext, fns, 300)
+    n, steps = max(((r[0], r[6]) for r in recs[1:]), key=lambda r: r[1])
+    policy = ExtinctionPolicy(eps_ext=1e-12, m_cap=steps - 1)
     # the cycles before the long one complete; asking for it raises
-    before = cycle_moments(SCALAR.zero(), driver, sg, policy, longest.n - 1, fns)
-    assert before.n == longest.n - 1
+    before = cycle_moments(SCALAR.zero(), driver, sg, policy, n - 1, fns)
+    assert before.n == n - 1
     with pytest.raises(CycleCapExceeded):
-        cycle_moments(SCALAR.zero(), driver, sg, policy, longest.n, fns)
+        cycle_moments(SCALAR.zero(), driver, sg, policy, n, fns)
     got = []
     with pytest.raises(CycleCapExceeded):
         for rec in simulate_cycles(SCALAR.zero(), driver, sg, policy, 300, fns):
             got.append(rec)
-    assert record_tuples(got) == record_tuples(recs[: longest.n])
+    assert record_tuples(got) == recs[:n]
 
 
 def test_table_cycle_longer_than_window_under_cap(monkeypatch):
@@ -614,11 +614,11 @@ def test_table_cycle_longer_than_window_under_cap(monkeypatch):
     policy = ExtinctionPolicy(eps_ext=1e-12, m_cap=1_000)
     x0 = SCALAR.state([40_000.0])  # a warm-up of about 200 steps
     fns = [NormV2(SCALAR), IdentityV2(SCALAR)]
-    slow = generic_records(x0, driver, sg, policy, 20, fns)
-    assert 64 < slow[0].steps < 1_000
-    assert_all_drivers_match_generic(x0, driver, sg, policy, fns, 20, [30.0, 300.0])
+    warmup_steps = records_by_steps(x0, driver, sg, policy.eps_ext, [], 0)[0][6]
+    assert 64 < warmup_steps < 1_000
+    assert_all_drivers_match_oracle(x0, driver, sg, policy, fns, 20, [30.0, 300.0])
     with pytest.raises(CycleCapExceeded):
-        list(simulate_cycles(x0, driver, sg, ExtinctionPolicy(1e-12, slow[0].steps - 1), 20, fns))
+        list(simulate_cycles(x0, driver, sg, ExtinctionPolicy(1e-12, warmup_steps - 1), 20, fns))
 
 
 def test_float_power_equals_python_pow():
@@ -641,29 +641,6 @@ def test_float_power_equals_python_pow():
             # a lane's power does not depend on the lanes beside it
             singles = [np.float_power(x[i : i + 1], exponent)[0] for i in range(0, 200_000, 997)]
             assert singles == got[::997].tolist()
-
-
-def test_trajectory_hook_rows():
-    sg = scalar_sg()
-    driver = stochastic_driver(51)
-    rows = []
-    list(
-        simulate_cycles(
-            SCALAR.zero(),
-            driver,
-            sg,
-            POLICY,
-            20,
-            [NormV2(SCALAR)],
-            trajectory_hook=lambda *row: rows.append(row),
-        )
-    )
-    assert rows[0][0] == 1  # first chain index
-    ms = [r[0] for r in rows]
-    assert ms == list(range(1, len(rows) + 1))
-    alphas = [r[1] for r in rows]
-    assert all(b > a for a, b in zip(alphas, alphas[1:]))
-    assert any(r[4] for r in rows)  # some extinctions seen
 
 
 def grid_setup(seed=0):
@@ -702,34 +679,49 @@ def test_grid_horizon_vector_functional():
     assert res.cycle_integrals["identity_v2"].shape[1] == 12
 
 
+def test_grid_cap_raises_on_every_driver():
+    # betas of two time steps: the warm-up from zero ends at once, and the
+    # first kick takes more than three steps to die out
+    sg, _ = grid_setup()
+    driver = DriverConfig(BetaLaw.deterministic(0.02), EtaLaw.grid_bumps(2, 0.6, (0.05, 0.2)), 61)
+    policy = ExtinctionPolicy(eps_ext=1e-10, m_cap=3)
+    messages = cap_messages(sg.space.zero(), driver, sg, policy, [NormV2(sg.space)])
+    assert messages == ["cycle 1 exceeded 3 chain steps"] * 3
+
+
 def test_duplicate_labels_raise_on_every_driver():
     sg = scalar_sg()
     driver = stochastic_driver(5)
     fns = [NormV2(SCALAR), NormV2(SCALAR)]
-    runs = [
-        lambda: list(simulate_cycles(SCALAR.zero(), driver, sg, POLICY, 5, fns)),
-        lambda: cycle_moments(SCALAR.zero(), driver, sg, POLICY, 5, fns),
-        lambda: simulate_until_time(SCALAR.zero(), driver, sg, POLICY, 5.0, fns),
-    ]
-    for run in runs:
+    for run in every_driver(SCALAR.zero(), driver, sg, POLICY, fns):
         with pytest.raises(ValueError, match="functional labels must be unique"):
             run()
+
+
+class Clipped(Functional):
+    """min(|v|, 1): sub-linear, but without a closed form on the power-law flow."""
+
+    label, c1, c2, vector_valued = "clipped", 1.0, 0.0, False
+
+    def apply_values(self, values):
+        return min(abs(float(values[0])), 1.0)
+
+
+def test_scalar_functional_without_closed_form_is_rejected():
+    sg = scalar_sg()
+    driver = stochastic_driver(5)
+    message = "no closed form for functional 'clipped'"
+    for run in every_driver(SCALAR.zero(), driver, sg, POLICY, [NormV2(SCALAR), Clipped(SCALAR)]):
+        with pytest.raises(ValueError, match=message):
+            run()
+    with pytest.raises(ValueError, match=message):
+        integrate_segment(Clipped(SCALAR), SCALAR.state([1.0]), 1.0, sg)
 
 
 # --- every driver against the per-step oracle, bit for bit
 
 
-def oracle_moments(records, fns):
-    ref = CycleMoments(labels=[xi.label for xi in fns])
-    for rec in records[1:]:  # the warm-up is not a cycle
-        ref.add(rec[5], {label: np.frombuffer(s)[0] for label, s in rec[7].items()})
-    return ref
-
-
-@pytest.mark.parametrize("chain", ["table", "stepper"])
-def test_scalar_drivers_match_the_per_step_oracle(monkeypatch, chain):
-    if chain == "stepper":
-        monkeypatch.setattr(process, "_fast_capable", lambda sg, functionals: False)
+def test_scalar_drivers_match_the_per_step_oracle():
     sg = scalar_sg(rho=0.45)
     driver = stochastic_driver(113)
     fns = ALL_SCALAR_KINDS

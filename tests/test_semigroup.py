@@ -29,9 +29,11 @@ def test_evolve_examples():
 
 
 def test_extinction_time_examples():
-    assert make(1.0, 0.5).extinction_time_scalar(1.0) == 1.0
-    assert make(2.0, 0.5).extinction_time_scalar(4.0) == 1.0
-    assert make(1.0, 0.5).extinction_time_scalar(0.0) == 0.0
+    # |x|**rho / kappa = 1 for both: alive just before, exactly zero at it
+    for kappa, x in ((1.0, 1.0), (2.0, 4.0)):
+        assert make(kappa, 0.5).evolve_scalar(x, 1.0 - 1e-9) > 0.0
+        assert make(kappa, 0.5).evolve_scalar(x, 1.0) == 0.0
+    assert make(1.0, 0.5).evolve_scalar(0.0, 1e-9) == 0.0
 
 
 @given(values, times, kappas, rhos)
@@ -45,7 +47,7 @@ def test_extinction_bound_is_equality(x, t, kappa, rho):
 @given(values, times, kappas, rhos)
 def test_zero_at_extinction_time(x, t, kappa, rho):
     sg = make(kappa, rho)
-    t_star = sg.extinction_time_scalar(x)
+    t_star = abs(x) ** rho / kappa
     assert sg.evolve_scalar(x, t_star + t) == 0.0
 
 
