@@ -181,6 +181,15 @@ def _parse_floats_csv(raw: str) -> list:
     return [float(tok) for tok in raw.split(",") if tok.strip()]
 
 
+def _parse_thetas(raw: str) -> list:
+    thetas = _parse_floats_csv(raw)
+    if not all(t > 0 for t in thetas):
+        raise ValueError("thetas must be positive")
+    if len(set(thetas)) != len(thetas):
+        raise ValueError("thetas must not repeat")
+    return thetas
+
+
 def _parse_gamma(raw: str):
     kind, _, rest = raw.partition(":")
     kind = kind.strip()
@@ -320,9 +329,10 @@ def parse_config_text(text: str) -> ExperimentConfig:
         )
         if plan.clt_t <= 0:
             plan.clt_t = plan.t_end
-    theta_schedule = []
-    if parser.has_option("run", "theta_schedule"):
-        theta_schedule = _parse_floats_csv(parser.get("run", "theta_schedule"))
+        cps = [0.0] + plan.checkpoints
+        if not all(b > a for a, b in zip(cps, cps[1:])) or cps[-1] > plan.t_end:
+            raise ConfigError("[run] checkpoints must be strictly increasing within (0, t_end]")
+    theta_schedule = _get(parser, "run", "theta_schedule", _parse_thetas, default=[])
 
     policy = ExtinctionPolicy(
         eps_ext=_get(parser, "policy", "eps_ext", float, default=1e-12)

@@ -213,7 +213,7 @@ class EtaLaw:
         """
         if self.kind != "grid_bumps" or space.kind != "grid":
             raise ConfigError("grid_bumps eta needs a grid space")
-        x = (np.arange(space.n_cells) + 0.5) * space.h
+        x = space.centers()
         low = np.array([0.0, self.width_low, -self.amp_max])
         high = np.array([space.length, self.width_high, self.amp_max])
         for first in range(0, n, KICK_BLOCK_ROWS):

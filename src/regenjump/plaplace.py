@@ -76,9 +76,6 @@ class Grid1D:
     def h(self) -> float:
         return self.length / self.n_cells
 
-    def centers(self) -> np.ndarray:
-        return (np.arange(self.n_cells) + 0.5) * self.h
-
     def space(self, q: float = 2.0) -> Space:
         return grid_space(self.n_cells, self.length, q=q)
 

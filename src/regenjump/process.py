@@ -23,12 +23,13 @@ Each backend has one chain, and every chain has one interface: ``advance``
 returns the next window of the run's cycles (a ``_Window``) and ``partial``
 integrates every functional over the start of one step of a window.  On the
 scalar power-law backend the chain is a regeneration table
-(``_ScalarChain``), a numpy kernel with the closed-form flow and integrals
-whose windows hold many cycles; on the grid it is a stepper
-(``_StepChain``) whose windows hold one cycle.  ``_chain`` picks one, and
-each driver has one reader over its windows.  Both chains give, bit for
-bit, what a plain loop over the chain's steps gives; the tests' per-step
-oracle is that loop and the reference for every driver.
+(``_ScalarChain``), a numpy kernel with the closed-form flow whose windows
+hold many cycles: lanes step states, and the path's states give each step's
+segment values and each cycle's sums in one place.  On the grid it is a
+stepper (``_StepChain``) whose windows hold one cycle.  ``_chain`` picks
+one, and each driver has one reader over its windows.  Both chains give,
+bit for bit, what a plain loop over the chain's steps gives; the tests'
+per-step oracle is that loop and the reference for every driver.
 """
 
 from __future__ import annotations
@@ -165,11 +166,11 @@ class _Window:
 
     The first of them is cycle number ``first`` of the run (0 is the
     warm-up); ``ends`` are their end positions in the window and
-    ``alpha[i]`` is the jump time after i steps of it.  ``integrals`` and
-    ``values`` hold one array per functional, with one row per cycle or
-    step.  A recorded window also holds the chain's state before each step
-    (what its chain's ``partial`` reads) and each functional's segment value
-    over that step.
+    ``alpha[i]`` is the jump time after i steps of it.  ``states`` holds the
+    chain's state before each step (what its chain's ``partial`` reads);
+    ``values`` (each functional's segment value over each step) and
+    ``integrals`` (its integral over each cycle) hold one array per
+    functional.
     """
 
     first: int
@@ -181,8 +182,8 @@ class _Window:
     tau: np.ndarray
     integrals: list
     alpha: np.ndarray
-    states: object = None
-    values: list | None = None
+    states: object
+    values: list
 
 
 class _ScalarChain:
@@ -199,16 +200,16 @@ class _ScalarChain:
     steps is stepped on alone in Python floats, so no lane runs far inside a
     long cycle.  Lanes pay only while cycles are short, so once the measured
     mean cycle outlasts a lane's steps, lanes take no steps and every cycle is
-    stepped alone.  A recorded window (a horizon run) needs the path's states
-    and segment values: its lanes step without integrals, and then only the
-    path's lanes are stepped again, with them, so memory stays linear in the
-    window.
+    stepped alone.
 
-    Every lane repeats the operations of a per-step loop over the flow
+    Lanes only step states.  Once the path is known, its lanes are stepped
+    again to log its states (cycles stepped alone log theirs as they go), so
+    memory stays linear in the window.  Then, in one place, the states give
+    every step's closed-form segment value (shared with ``integrate_segment``)
+    and each cycle adds its values in order from its start.  As every lane
+    repeats the operations of a per-step loop over the flow
     (``ScalarPowerLaw.evolve_scalar``, which leaves the state unchanged on a
-    zero beta; the closed-form segment integral of ``functionals`` is shared
-    with ``integrate_segment``), and integrals accumulate step by step from
-    0.0, so every output equals that loop's bit for bit.
+    zero beta), every output equals that loop's bit for bit.
     """
 
     def __init__(self, x0, driver, sg, policy, functionals, replicate_index):
@@ -244,42 +245,33 @@ class _ScalarChain:
         return abs_flow_integral(c, delta, self._kappa, self._rho)
 
     def partial(self, window: _Window, i: int, dt: float) -> list:
-        """Each functional's integral over the first dt of step i of a recorded window."""
+        """Each functional's integral over the first dt of step i of a window."""
         x = window.states[i : i + 1]
         i_abs = self.abs_integral(x, dt)
         return [closed_form_value(xi, x, i_abs, dt)[0] for xi in self.functionals]
 
-    def _lanes(self, starts, k_cap, acc=None, log=None):
+    def _lanes(self, starts, k_cap, states=None):
         """Step lanes that start cycles at window positions ``starts``.
 
         Each lane steps until it goes extinct or has taken k_cap steps.
         Returns each lane's end position (after its extinction step, or -1
-        while open) and the state of each open lane.  Given ``acc`` (initial
-        integrals per functional), also accumulates the lanes' integrals and
-        returns them; ``log`` = (states, values) records the state before and
-        each value over every step taken, by position.
+        while open) and the state of each open lane.  Given ``states``, also
+        writes there the state before every step taken, by position.
         """
-        b, e, fns = self._b, self._e, self.functionals
+        b, e = self._b, self._e
         kappa, rho, inv_rho, eps_ext = self._kappa, self._rho, self._inv_rho, self._eps_ext
         x = e[starts - 1]
         x[0] = self._x  # lane 0 (at position 0) continues the open cycle
         end = np.full(starts.size, -1)
         x_open = np.zeros(starts.size)
-        out = None if acc is None else [a.copy() for a in acc]
         lanes = np.arange(starts.size)
         at = starts
         for _ in range(k_cap):
+            if states is not None:
+                states[at] = x
             beta = b[at]
             ax = np.abs(x)
             c = np.float_power(ax, rho)
-            if acc is not None:
-                i_abs = abs_flow_integral(c, beta, kappa, rho)
-                vals = [closed_form_value(xi, x, i_abs, beta) for xi in fns]
-                acc = [a + v for a, v in zip(acc, vals)]
-                if log is not None:
-                    log[0][at] = x
-                    for logged, v in zip(log[1], vals):
-                        logged[at] = v
             pre = np.minimum(np.float_power(np.maximum(c - kappa * beta, 0.0), inv_rho), ax)
             if self._zero_beta:  # T(0) = I, not the power round trip
                 pre = np.where(beta == 0.0, ax, pre)
@@ -288,22 +280,13 @@ class _ScalarChain:
             at = at + 1
             ext = pre <= eps_ext
             if ext.any():
-                done = lanes[ext]
-                end[done] = at[ext]
-                if acc is not None:
-                    for o, a in zip(out, acc):
-                        o[done] = a[ext]
+                end[lanes[ext]] = at[ext]
                 keep = ~ext
                 lanes, x, at = lanes[keep], x[keep], at[keep]
-                if acc is not None:
-                    acc = [a[keep] for a in acc]
                 if not lanes.size:
                     break
         x_open[lanes] = x
-        if acc is not None:
-            for o, a in zip(out, acc):
-                o[lanes] = a
-        return end, x_open, out
+        return end, x_open
 
     def _alone(self, x: float, pos: int, limit: int):
         """Step one cycle alone from state x before window position pos.
@@ -335,8 +318,7 @@ class _ScalarChain:
                 x = (pre if x >= 0 else -pre) + eta
         return -1, states, x
 
-    def advance(self, cycles: float, time: float = 0.0, last: int | None = None,
-                record: bool = False) -> _Window:
+    def advance(self, cycles: float, time: float = 0.0, last: int | None = None) -> _Window:
         """Tabulate lanes for about ``cycles`` more cycles and ``time`` more time.
 
         Reads the true chain's cycles off the table.  The window stops after
@@ -358,17 +340,14 @@ class _ScalarChain:
             self._e = np.concatenate((self._e, self._draw_etas(more)))
         b, e = self._b, self._e
         self._zero_beta = not b.all()  # rare (gamma draws can underflow): masked only then
-        acc = [np.zeros(n) for _ in fns]  # lane 0 carries the open cycle's integrals
-        for a, carried in zip(acc, self._acc):
-            a[0] = carried
-        # a recorded window steps the path's lanes again instead (below)
-        end, x_open, sums = self._lanes(np.arange(n), k_cap, None if record else acc)
+        end, x_open = self._lanes(np.arange(n), k_cap)
         end = end.tolist()
 
         # follow cycle ends from lane 0; a cycle still open after its table
-        # steps is stepped on alone
+        # steps is stepped on alone, and logs its states
+        states = np.zeros(n + k_cap)
         want = n if last is None else last + 1 - self.closed
-        starts, tails = [], []  # tails: (path index, first position, states)
+        starts = []
         append = starts.append
         p, is_open = 0, False
         while True:
@@ -378,7 +357,7 @@ class _ScalarChain:
             if p >= n or len(starts) >= want:
                 break
             q, xs, x_last = self._alone(float(x_open[p]), p + k_cap, n + k_cap)
-            tails.append((len(starts), p + k_cap, xs))
+            states[p + k_cap : p + k_cap + len(xs)] = xs
             append(p)
             if q < 0:
                 is_open = True
@@ -399,35 +378,32 @@ class _ScalarChain:
             reach = stops[keep - 1]
         n_path = keep + (not fresh)
 
-        # the path's integrals: off the table, or from its lanes stepped again
-        # with a log of their steps, which keeps memory linear in the window
-        states = np.zeros(reach) if record else None
-        values = [np.zeros(reach) for _ in fns] if record else None
+        # the path's lanes log the rest of its states; each step's values
+        # follow, and each cycle adds them in order from its start, as a loop
         path = np.array(starts[:n_path], dtype=np.int64)
-        sums = [a[path] for a in (acc if record else sums)]
-        if record and n_path:
-            sums = self._lanes(path, k_cap, sums, (states, values))[2]
-        tails = [t for t in tails if t[0] < n_path and t[2]]
-        if tails:  # and the rest of the cycles stepped alone
-            xs = np.concatenate([t[2] for t in tails])
-            at = np.concatenate([np.arange(lo, lo + len(t)) for _, lo, t in tails])
-            beta = b[at]
-            i_abs = self.abs_integral(xs, beta)
-            for j, xi in enumerate(fns):
-                v = closed_form_value(xi, xs, i_abs, beta)
-                flat = iter(v.tolist())
-                for i, _, t in tails:  # as the loop adds: in order, one float at a time
-                    total = float(sums[j][i])
-                    for _, value in zip(t, flat):
-                        total += value
-                    sums[j][i] = total
-                if record:
-                    values[j][at] = v
-            if record:
-                states[at] = xs
+        if n_path:
+            self._lanes(path, k_cap, states)
+        states, beta = states[:reach], b[:reach]
+        i_abs = self.abs_integral(states, beta)
+        values = [closed_form_value(xi, states, i_abs, beta) for xi in fns]
+        bounds = np.array(stops[:keep] + [reach] * (not fresh), dtype=np.int64)
+        lens = bounds - path
+        sums = [np.zeros(n_path) for _ in fns]
+        for s, carried in zip(sums, self._acc):
+            s[:1] = carried  # the open cycle's integrals so far
+        live = np.arange(n_path)
+        for j in range(k_cap):  # each cycle's lane steps, one offset at a time
+            live = live[lens[live] > j]
+            at = path[live] + j
+            for s, v in zip(sums, values):
+                s[live] += v[at]
+        for i in np.flatnonzero(lens > k_cap).tolist():  # then the steps taken alone
+            lo, hi = starts[i] + k_cap, int(bounds[i])
+            for s, v in zip(sums, values):
+                s[i] = _seq_sum(s[i], v[lo:hi])
 
         ends = np.array(stops[:keep], dtype=np.int64)
-        alpha = np.cumsum(np.concatenate(([self.alpha], b[:reach])))  # as alpha += beta
+        alpha = np.cumsum(np.concatenate(([self.alpha], beta)))  # as alpha += beta
         t_end = alpha[ends]
         t_start = np.concatenate(([self._t_start], t_end))[:-1]
         window = _Window(
@@ -472,9 +448,9 @@ class _StepChain:
     state (the integrals and the pre-kick state then share its solves),
     integrates every functional over the step through ``integrate_segment``
     and snaps an extinct pre-kick state to zero.  A window is one cycle, so
-    a run takes no step past the cycle that ends it; a recorded window keeps
-    each step's (state, flow) for ``partial``.  Betas are drawn in blocks and
-    kicks one at a time; draws do not depend on the block size.
+    a run takes no step past the cycle that ends it; it keeps each step's
+    (state, flow) for ``partial`` and each step's values.  Betas are drawn
+    in blocks and kicks one at a time; draws do not depend on the block size.
     """
 
     def __init__(self, x0, driver, sg, policy, functionals, replicate_index):
@@ -489,7 +465,7 @@ class _StepChain:
         self.alpha = 0.0
         self.closed = 0
 
-    def advance(self, cycles=1, time=0.0, last=None, record=False) -> _Window:
+    def advance(self, cycles=1, time=0.0, last=None) -> _Window:
         """Step to the end of the open cycle: here a window is one cycle.
 
         The table's sizing arguments (cycles, time, last) do not apply.
@@ -511,9 +487,8 @@ class _StepChain:
             if self.m - m_start > policy.m_cap:
                 raise CycleCapExceeded(f"cycle {self.closed} exceeded {policy.m_cap} chain steps")
             alpha.append(alpha[-1] + beta)
-            if record:
-                steps.append((state, flow))
-                values.append(vals)
+            steps.append((state, flow))
+            values.append(vals)
             state = StateVector(space, eta_vals if extinct else pre.values + eta_vals)
         t_start, t_end = self.alpha, alpha[-1]
         window = _Window(
@@ -526,14 +501,14 @@ class _StepChain:
             tau=np.array([t_end - t_start]),
             integrals=[np.array([a]) for a in acc],
             alpha=np.array(alpha),
-            states=steps if record else None,
-            values=[np.array(v) for v in zip(*values)] if record else None,
+            states=steps,
+            values=[np.array(v) for v in zip(*values)],
         )
         self._x, self.alpha, self.closed = state, t_end, self.closed + 1
         return window
 
     def partial(self, window: _Window, i: int, dt: float) -> list:
-        """Each functional's integral over the first dt of step i of a recorded window."""
+        """Each functional's integral over the first dt of step i of a window."""
         state, flow = window.states[i]
         sg = self._sg
         return [integrate_segment(xi, state, dt, sg, flow=flow).value for xi in self.functionals]
@@ -593,9 +568,9 @@ def _horizon(chain, cps: list) -> HorizonResult:
     last = None  # the cycle whose close ends the run, once every checkpoint is past
     while last is None or chain.closed <= last:
         if last is None:
-            w = chain.advance(2, cps[-1] - chain.alpha, record=True)
+            w = chain.advance(2, cps[-1] - chain.alpha)
         else:
-            w = chain.advance(last + 1 - chain.closed, last=last, record=True)
+            w = chain.advance(last + 1 - chain.closed, last=last)
         alpha = w.alpha
         # running integrals after each step, added in order as a loop adds
         runs = [np.cumsum(np.concatenate(([r], v)), axis=0) for r, v in zip(run, w.values)]

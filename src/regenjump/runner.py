@@ -90,7 +90,7 @@ class ExperimentSetup:
             return space.state([self.initial_spec[1]])
         if kind == "sine":
             amp, mode = self.initial_spec[1], self.initial_spec[2]
-            x = (np.arange(space.n_cells) + 0.5) * space.h
+            x = space.centers()
             vals = amp * np.sin(2.0 * math.pi * mode * x / space.length)
             return project_zero_mean(space.state(vals))
         if kind == "random":
@@ -544,7 +544,7 @@ def run_anscombe(
     reps = run_horizon_replicates(setup, t_end, sorted(horizons), plan.n_replicates, threads)
     reports = []
     overall = True
-    for theta, t_cp in zip(theta_schedule, sorted(horizons)):
+    for theta, t_cp in zip(theta_schedule, horizons):
         samples = []
         for rep in reps:
             j = int(np.searchsorted(rep["checkpoints"], t_cp))

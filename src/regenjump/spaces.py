@@ -60,6 +60,10 @@ class Space:
     def dim(self) -> int:
         return 1 if self.kind == "scalar" else self.n_cells
 
+    def centers(self) -> np.ndarray:
+        """Cell centres, (i + 1/2) h."""
+        return (np.arange(self.dim) + 0.5) * self.h
+
     def zero(self) -> "StateVector":
         return StateVector(self, np.zeros(self.dim))
 

@@ -1,6 +1,7 @@
 import csv
 import json
 import os
+import re
 from pathlib import Path
 
 import numpy as np
@@ -9,7 +10,7 @@ import pytest
 from regenjump.cli import main
 from regenjump.config import build_functional, config_hash, parse_config_text
 from regenjump.errors import ConfigError
-from regenjump.runner import run_semigroup_check
+from regenjump.runner import run_anscombe, run_semigroup_check
 from regenjump.spaces import scalar_space
 
 SCALAR_CFG = """
@@ -213,21 +214,31 @@ REPO = Path(__file__).resolve().parents[1]
 
 
 @pytest.mark.parametrize(
-    "command, output",
+    "backend, command, threads",
     [
-        ("kappa-fit", "kappa_fit/kappa_fit.csv"),
-        ("semigroup-check", "semigroup_check/semigroup_residuals.csv"),
-        ("validate", "validate/summary.json"),
-        ("semigroup-check", "semigroup_check/summary.json"),
-        ("kappa-fit", "kappa_fit/summary.json"),
+        ("plaplace", "kappa-fit", 1),
+        ("plaplace", "semigroup-check", 1),
+        ("plaplace", "validate", 1),
+        ("scalar", "validate", 1),
+        ("scalar", "semigroup-check", 1),
+        ("scalar", "slln", 1),
+        ("scalar", "slln", 2),
+        ("scalar", "clt", 1),
+        ("scalar", "anscombe", 1),
     ],
 )
-def test_cli_plaplace_outputs_match_committed(tmp_path, command, output):
+def test_cli_outputs_match_committed(tmp_path, backend, command, threads):
+    # every file the committed manifest lists, byte for byte, and every
+    # manifest field but the wall time
+    committed = REPO / "out" / backend / command.replace("-", "_")
     out = tmp_path / "out"
-    config = REPO / "configs" / "plaplace.ini"
-    assert run_cli([command, "--config", config, "--out", out]) == 0
-    committed = REPO / "out" / "plaplace" / output
-    assert (out / committed.name).read_bytes() == committed.read_bytes()
+    config = REPO / "configs" / f"{backend}.ini"
+    assert run_cli([command, "--config", config, "--out", out, "--threads", threads]) == 0
+    want, got = read_json(committed / "manifest.json"), read_json(out / "manifest.json")
+    del want["wall_time_seconds"], got["wall_time_seconds"]
+    assert got == dict(want, threads=threads)
+    for name in want["outputs"]:
+        assert (out / name).read_bytes() == (committed / name).read_bytes(), name
 
 
 def test_cli_kappa_fit_steps_each_sample_once(tmp_path, monkeypatch):
@@ -381,6 +392,32 @@ def test_cli_anscombe(tmp_path):
     assert summary["pass"] is True
     assert len(summary["table"]) == 2
     assert (out / "anscombe_table.csv").exists()
+
+
+def test_anscombe_pairs_each_theta_with_its_own_horizon():
+    cfg = parse_config_text(SCALAR_CFG)
+    result = run_anscombe(cfg.build_setup(), cfg.plan, [20.0, 10.0])
+    assert [entry["theta"] for entry in result["reports"]] == [20.0, 10.0]
+    for entry in result["reports"]:
+        assert entry["t"] == entry["theta"] * result["mean_tau"]
+
+
+@pytest.mark.parametrize(
+    "line",
+    [
+        "theta_schedule = 10, abc",
+        "theta_schedule = 10, 10",
+        "theta_schedule = 0, 20",
+        "checkpoints = 20, 5000",
+        "checkpoints = 60, 20",
+        "checkpoints = 0, 20",
+    ],
+)
+def test_cli_malformed_run_schedule_is_a_config_error(tmp_path, capsys, line):
+    key = line.split(" = ")[0]
+    cfg = write(tmp_path, re.sub(rf"^{key} = .*$", line, SCALAR_CFG, flags=re.M))
+    assert run_cli(["slln", "--config", cfg, "--out", tmp_path / "o"]) == 1
+    assert "config error" in capsys.readouterr().err
 
 
 def test_cli_drift_gate_and_force(tmp_path):

@@ -200,7 +200,7 @@ def test_mass_functional_exact_on_grid_flow():
 
 def test_grid_norm_segment_vs_refined():
     sg = grid_problem()
-    state = project_zero_mean(sg.space.state(np.sin(2 * np.pi * sg.grid.centers())))
+    state = project_zero_mean(sg.space.state(np.sin(2 * np.pi * sg.space.centers())))
     xi = NormV2(sg.space)
     coarse = integrate_segment(xi, state, 0.05, sg).value
     fine = integrate_segment(
@@ -225,7 +225,7 @@ def test_extinction_breakpoint_on_grid_flow():
     # after the flow hits zero the tail contributes exactly the shift
     sg = grid_problem()
     state = project_zero_mean(
-        sg.space.state(0.05 * np.sin(2 * np.pi * sg.grid.centers()))
+        sg.space.state(0.05 * np.sin(2 * np.pi * sg.space.centers()))
     )
     _, _, extinct = sg.decay_trace(state, 10.0)
     assert extinct
@@ -262,7 +262,7 @@ def test_grid_quadrature_matches_depth_first_oracle(where, eps_reg):
     # sub-segment and the whole step share one flow
     sg = grid_problem(eps_reg=eps_reg)
     profile, delta = GRID_SEGMENTS[where]
-    state = sg.space.state(profile(sg.grid.centers()))
+    state = sg.space.state(profile(sg.space.centers()))
     if where == "extinct_tail":
         state = project_zero_mean(state)
         assert sg.segment_flow(state).extinction_breakpoint(delta) is not None
@@ -278,7 +278,7 @@ def test_grid_quadrature_matches_depth_first_oracle(where, eps_reg):
 
 def test_grid_budget_exceeded_exactly_where_the_recursion_exceeds():
     sg = grid_problem()
-    state = sg.space.state(np.sin(2 * np.pi * sg.grid.centers()))
+    state = sg.space.state(np.sin(2 * np.pi * sg.space.centers()))
     xi = NormV2(sg.space)
     _, _, n_evals = grid_simpson_reference(xi, state, 0.047, sg)
     for cap in (4, n_evals // 2, n_evals - 1):

@@ -40,8 +40,8 @@ def make_problem(n_cells=16, length=1.0, p=1.5, dt=1e-2, seed=0, gamma=None, **c
 
 
 def sine_state(grid, amp=1.0, mode=1, offset=0.0):
-    x = grid.centers()
     space = grid.space()
+    x = space.centers()
     return space.state(amp * np.sin(2.0 * np.pi * mode * x / grid.length) + offset)
 
 

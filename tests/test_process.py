@@ -53,7 +53,7 @@ def chain_prefix(x0, driver, sg, policy, n_steps, fns=()):
     chain = process._chain(x0, driver, sg, policy, list(fns), 0)
     states, alphas, extinct = [], [0.0], []
     while len(states) <= n_steps:  # one state past the last step: its post-kick state
-        w = chain.advance(1, record=True)
+        w = chain.advance(1)
         states += [x0.space.state([x]) for x in w.states.tolist()]
         alphas += w.alpha[1:].tolist()
         ends = np.zeros(len(w.states), dtype=bool)
@@ -519,24 +519,31 @@ def test_table_long_cycles_match_generic(monkeypatch, window, lane_steps, x0):
 
 
 def test_table_horizon_memory_is_linear_in_the_window(monkeypatch):
-    # cycles of about 94 steps, a horizon of about 20 windows: the memory a
-    # window holds must not grow with the cycle length
+    # cycles of about 94 steps, a horizon (or an estimation run) of about 20
+    # windows: the memory a window holds must not grow with the cycle length
     import tracemalloc
 
     monkeypatch.setattr(process, "_WINDOW", 2048)
     sg = scalar_sg()
     driver = DriverConfig(BetaLaw.gamma(0.002, 500.0), EtaLaw.scalar_uniform(1.0), 109)
     fns = ALL_SCALAR_KINDS[:4]
-    tracemalloc.start()
-    try:
-        res = simulate_until_time(SCALAR.zero(), driver, sg, POLICY, 40_000.0, fns)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert res.counts[-1] > 200
-    # the kernel peaks at about 0.6 MB here; logging every live lane at every
-    # step of lanes up to 256 steps long takes about 13 MB
-    assert peak < 2_000_000, f"peak {peak} bytes"
+    runs = {  # each driver, and the cycles it closed
+        "horizon": lambda: simulate_until_time(
+            SCALAR.zero(), driver, sg, POLICY, 40_000.0, fns
+        ).counts[-1],
+        "moments": lambda: cycle_moments(SCALAR.zero(), driver, sg, POLICY, 250, fns).n,
+    }
+    for name, run in runs.items():
+        tracemalloc.start()
+        try:
+            closed = run()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert closed > 200, name
+        # the kernel peaks at about 0.4 MB here; logging every live lane at
+        # every step of lanes up to 256 steps long takes about 13 MB
+        assert peak < 2_000_000, f"{name}: peak {peak} bytes"
 
 
 def test_cycle_moments_of_no_cycles_simulate_nothing():
