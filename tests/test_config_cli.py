@@ -213,23 +213,9 @@ def read_json(path):
 REPO = Path(__file__).resolve().parents[1]
 
 
-@pytest.mark.parametrize(
-    "backend, command, threads",
-    [
-        ("plaplace", "kappa-fit", 1),
-        ("plaplace", "semigroup-check", 1),
-        ("plaplace", "validate", 1),
-        ("scalar", "validate", 1),
-        ("scalar", "semigroup-check", 1),
-        ("scalar", "slln", 1),
-        ("scalar", "slln", 2),
-        ("scalar", "clt", 1),
-        ("scalar", "anscombe", 1),
-    ],
-)
-def test_cli_outputs_match_committed(tmp_path, backend, command, threads):
+def assert_outputs_match_committed(tmp_path, backend, command, threads=1):
     # every file the committed manifest lists, byte for byte, and every
-    # manifest field but the wall time
+    # manifest field but the wall time; returns the listed file names
     committed = REPO / "out" / backend / command.replace("-", "_")
     out = tmp_path / "out"
     config = REPO / "configs" / f"{backend}.ini"
@@ -239,6 +225,36 @@ def test_cli_outputs_match_committed(tmp_path, backend, command, threads):
     assert got == dict(want, threads=threads)
     for name in want["outputs"]:
         assert (out / name).read_bytes() == (committed / name).read_bytes(), name
+    return want["outputs"]
+
+
+@pytest.mark.parametrize(
+    "command, output",
+    [
+        ("kappa-fit", "kappa_fit/kappa_fit.csv"),
+        ("semigroup-check", "semigroup_check/semigroup_residuals.csv"),
+        ("validate", "validate/summary.json"),
+        ("semigroup-check", "semigroup_check/summary.json"),
+        ("kappa-fit", "kappa_fit/summary.json"),
+    ],
+)
+def test_cli_plaplace_outputs_match_committed(tmp_path, command, output):
+    assert Path(output).name in assert_outputs_match_committed(tmp_path, "plaplace", command)
+
+
+@pytest.mark.parametrize(
+    "command, threads",
+    [
+        ("validate", 1),
+        ("semigroup-check", 1),
+        ("slln", 1),
+        ("slln", 2),
+        ("clt", 1),
+        ("anscombe", 1),
+    ],
+)
+def test_cli_scalar_outputs_match_committed(tmp_path, command, threads):
+    assert_outputs_match_committed(tmp_path, "scalar", command, threads)
 
 
 def test_cli_kappa_fit_steps_each_sample_once(tmp_path, monkeypatch):
