@@ -15,7 +15,6 @@ import os
 import sys
 
 import numpy as np
-from scipy import stats as sps
 
 from . import report
 from .config import load_config
@@ -23,6 +22,7 @@ from .errors import (
     ConfigError,
     CycleCapExceeded,
     DriftViolated,
+    InsufficientCycles,
     NoExtinction,
     NonConvergence,
     QuadratureBudgetExceeded,
@@ -406,7 +406,7 @@ def main(argv=None) -> int:
             "anscombe": _cmd_anscombe,
         }[args.command]
         code = handler(cfg, setup, args, manifest)
-    except ConfigError as exc:
+    except (ConfigError, InsufficientCycles) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except DriftViolated as exc:

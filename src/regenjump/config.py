@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .driver import BetaLaw, DriverConfig, EtaLaw, derive_replicate_rng
+from .driver import MIN_DRIFT_DRAWS, BetaLaw, DriverConfig, EtaLaw, derive_replicate_rng
 from .errors import ConfigError
 from .functionals import AffineShift, IdentityV2, Linear, NormV2
 from .plaplace import Grid1D, PLaplaceConfig, PLaplaceSemigroup, WeightField
@@ -327,6 +327,11 @@ def parse_config_text(text: str) -> ExperimentConfig:
             clt_t=_get(parser, "run", "clt_t", float, default=0.0) or 0.0,
             n_mc=100_000,
         )
+        for key in ("n_cycles", "est_shards", "n_replicates"):
+            if getattr(plan, key) < 1:
+                raise ConfigError(f"[run] {key} must be at least 1")
+        if plan.t_end <= 0:
+            raise ConfigError("[run] t_end must be positive")
         if plan.clt_t <= 0:
             plan.clt_t = plan.t_end
         cps = [0.0] + plan.checkpoints
@@ -344,6 +349,8 @@ def parse_config_text(text: str) -> ExperimentConfig:
     )
     if parser.has_section("validate"):
         plan.n_mc = _get(parser, "validate", "n_mc", int, default=100_000)
+        if plan.n_mc < MIN_DRIFT_DRAWS:
+            raise ConfigError(f"[validate] n_mc must be at least {MIN_DRIFT_DRAWS}")
 
     items = [
         (section, key, parser.get(section, key))

@@ -295,6 +295,7 @@ def grid_kick_norms(
 
 
 _Z99 = 2.5758293035489004  # two-sided 99% normal quantile
+MIN_DRIFT_DRAWS = 10_000
 
 
 def check_drift_condition(
@@ -310,8 +311,8 @@ def check_drift_condition(
     everything else is estimated from n_mc draws of -kappa*beta + ||eta||^rho
     with a 99% normal confidence interval.
     """
-    if n_mc < 10_000:
-        raise ConfigError("drift check needs n_mc >= 10**4")
+    if n_mc < MIN_DRIFT_DRAWS:
+        raise ConfigError(f"drift check needs n_mc >= {MIN_DRIFT_DRAWS}")
     rng_beta = derive_replicate_rng(cfg.master_seed, 0, 100)
     rng_eta = derive_replicate_rng(cfg.master_seed, 0, 101)
     exact = cfg.beta.is_deterministic and (cfg.eta.is_zero or cfg.eta.is_deterministic)

@@ -12,16 +12,17 @@ cell-weighted pairing.
 
 Distribution checks are one-sample Kolmogorov-Smirnov tests at a configured
 significance level; zero-variance configurations are first-class and raise
-DegenerateSigma (the limit is a point mass, not a failure).
+DegenerateSigma (the limit is a point mass, not a failure).  ``scipy.stats``
+is imported only inside the functions that call it, so importing the
+package does not load it.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
-from scipy import stats as sps
 
 from .errors import DegenerateSigma, InsufficientCycles
 
@@ -209,9 +210,13 @@ class TestReport:
 
 def ks_test_normal(samples, sigma: float, alpha: float = 0.01) -> TestReport:
     """One-sample Kolmogorov-Smirnov test against N(0, sigma^2)."""
+    from scipy import stats as sps
+
     samples = np.asarray(samples, dtype=float)
     if samples.shape[0] < 100:
-        raise InsufficientCycles("KS test needs at least 100 samples")
+        raise InsufficientCycles(
+            f"the KS tests need at least 100 replicates, got {samples.shape[0]}"
+        )
     if sigma <= 0:
         raise DegenerateSigma(
             "sigma <= 0: the limit is a point mass at 0, no distribution to test"
@@ -254,6 +259,8 @@ class CycleDiagnostics:
 
 def _lag_pvalues(r: np.ndarray, n: int) -> np.ndarray:
     # under independence r_l ~ N(0, 1/n); two-sided normal p-value
+    from scipy import stats as sps
+
     z = np.abs(r) * math.sqrt(n)
     return 2.0 * sps.norm.sf(z)
 
@@ -286,6 +293,8 @@ def cycle_diagnostics(
     half = n // 2
 
     def halves_report(series: np.ndarray) -> TestReport:
+        from scipy import stats as sps
+
         res = sps.ks_2samp(series[:half], series[half:])
         return TestReport(
             statistic=float(res.statistic),

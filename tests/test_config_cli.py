@@ -436,6 +436,38 @@ def test_cli_malformed_run_schedule_is_a_config_error(tmp_path, capsys, line):
     assert "config error" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "command, line",
+    [
+        ("slln", "n_cycles = 0"),
+        ("slln", "est_shards = 0"),
+        ("slln", "n_replicates = 0"),
+        ("slln", "t_end = 0"),
+        ("validate", "n_mc = 0"),
+    ],
+)
+def test_cli_run_size_out_of_range_is_a_config_error(tmp_path, capsys, command, line):
+    key = line.split(" = ")[0]
+    cfg = write(tmp_path, re.sub(rf"^{key} = .*$", line, SCALAR_CFG, flags=re.M))
+    assert run_cli([command, "--config", cfg, "--out", tmp_path / "o"]) == 1
+    err = capsys.readouterr().err
+    assert "config error" in err and f"{key} must be" in err
+
+
+@pytest.mark.parametrize("command", ["clt", "anscombe"])
+def test_cli_ks_with_too_few_replicates_is_a_config_error(tmp_path, capsys, command):
+    cfg = write(tmp_path, SCALAR_CFG.replace("n_replicates = 120", "n_replicates = 50"))
+    assert run_cli([command, "--config", cfg, "--out", tmp_path / "o"]) == 1
+    err = capsys.readouterr().err
+    assert "config error" in err and "at least 100 replicates" in err
+
+
+def test_cli_clt_point_mass_needs_no_ks_replicate_count(tmp_path):
+    cfg = write(tmp_path, DETERMINISTIC_CFG.replace("n_replicates = 120", "n_replicates = 5"))
+    assert run_cli(["clt", "--config", cfg, "--out", tmp_path / "o"]) == 0
+    assert read_json(tmp_path / "o" / "summary.json")["degenerate"] is True
+
+
 def test_cli_drift_gate_and_force(tmp_path):
     cfg = write(
         tmp_path,

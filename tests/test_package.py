@@ -1,9 +1,15 @@
+import ast
 import importlib
+import os
 import pkgutil
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
 import regenjump
+from test_config_cli import PLAPLACE_CFG, SCALAR_CFG
 
 MODULES = [regenjump] + [
     importlib.import_module(f"regenjump.{info.name}")
@@ -16,3 +22,64 @@ def test_exports_exist(module):
     # a deleted name must leave its module's export list too
     missing = [name for name in getattr(module, "__all__", ()) if not hasattr(module, name)]
     assert not missing, f"{module.__name__}.__all__ lists missing names {missing}"
+
+
+@pytest.mark.parametrize("module", MODULES[1:], ids=lambda m: m.__name__)
+def test_no_unused_imports(module):
+    tree = ast.parse(Path(module.__file__).read_text(encoding="utf-8"))
+    imported = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                imported[alias.asname or alias.name.partition(".")[0]] = node.lineno
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            for alias in node.names:
+                imported[alias.asname or alias.name] = node.lineno
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    used |= set(getattr(module, "__all__", ()))
+    unused = sorted((line, name) for name, line in imported.items() if name not in used)
+    assert not unused, f"{module.__name__} imports unused names (line, name): {unused}"
+
+
+SRC = Path(regenjump.__file__).resolve().parents[1]
+_PROBE = """
+import sys
+import regenjump, regenjump.cli
+if len(sys.argv) > 1:
+    assert regenjump.cli.main(sys.argv[1:]) == 0
+print("scipy.stats" in sys.modules)
+"""
+_SMALL_GRID = (
+    PLAPLACE_CFG.replace("n_cycles = 40", "n_cycles = 4")
+    .replace("t_end = 10.0", "t_end = 1.0")
+    .replace("clt_t = 10.0", "clt_t = 1.0")
+)
+
+
+@pytest.mark.parametrize(
+    "command, config, loads_stats",
+    [
+        (None, None, False),
+        ("slln", SCALAR_CFG, False),
+        ("slln", _SMALL_GRID, False),
+        ("clt", SCALAR_CFG, True),
+    ],
+    ids=["import", "slln-scalar", "slln-grid", "clt-scalar"],
+)
+def test_scipy_stats_loads_only_for_ks_studies(tmp_path, command, config, loads_stats):
+    # importing scipy.stats costs about 0.9 s of a fresh process; only the
+    # KS tests and the cycle diagnostics need it
+    args = []
+    if command:
+        cfg = tmp_path / "exp.ini"
+        cfg.write_text(config)
+        args = [command, "--config", str(cfg), "--out", str(tmp_path / "out")]
+    path = os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-c", _PROBE, *args],
+        env=dict(os.environ, PYTHONPATH=path),
+        capture_output=True,
+        text=True,
+        check=True,
+    )
+    assert proc.stdout.splitlines()[-1] == str(loads_stats)
