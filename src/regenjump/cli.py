@@ -71,7 +71,7 @@ def _build_parser() -> argparse.ArgumentParser:
         cmd = sub.add_parser(name, help=descr)
         cmd.add_argument("--config", required=True, help="experiment config file")
         cmd.add_argument("--out", required=True, help="output directory")
-        cmd.add_argument("--threads", type=int, default=1, help="worker processes")
+        cmd.add_argument("--threads", type=int, default=1, help="worker processes (at least 1)")
         cmd.add_argument(
             "--force", action="store_true", help="run even if the drift check fails"
         )
@@ -376,6 +376,9 @@ _NEEDS_DRIFT = {"slln", "clt", "anscombe"}
 
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
+    if args.threads < 1:
+        print(f"config error: --threads must be at least 1, not {args.threads}", file=sys.stderr)
+        return EXIT_CONFIG
     try:
         cfg = load_config(args.config)
     except ConfigError as exc:

@@ -24,12 +24,13 @@ returns the next window of the run's cycles (a ``_Window``) and ``partial``
 integrates every functional over the start of one step of a window.  On the
 scalar power-law backend the chain is a regeneration table
 (``_ScalarChain``), a numpy kernel with the closed-form flow whose windows
-hold many cycles: lanes step states, and the path's states give each step's
-segment values and each cycle's sums in one place.  On the grid it is a
-stepper (``_StepChain``) whose windows hold one cycle.  ``_chain`` picks
-one, and each driver has one reader over its windows.  Both chains give,
-bit for bit, what a plain loop over the chain's steps gives; the tests'
-per-step oracle is that loop and the reference for every driver.
+hold many cycles: each lane is stepped once, logging its states, and the
+path's states, read off that log, give each step's segment values and each
+cycle's sums in one place.  On the grid it is a stepper (``_StepChain``)
+whose windows hold one cycle.  ``_chain`` picks one, and each driver has one
+reader over its windows.  Both chains give, bit for bit, what a plain loop
+over the chain's steps gives; the tests' per-step oracle is that loop and
+the reference for every driver.
 """
 
 from __future__ import annotations
@@ -202,14 +203,15 @@ class _ScalarChain:
     mean cycle outlasts a lane's steps, lanes take no steps and every cycle is
     stepped alone.
 
-    Lanes only step states.  Once the path is known, its lanes are stepped
-    again to log its states (cycles stepped alone log theirs as they go), so
-    memory stays linear in the window.  Then, in one place, the states give
-    every step's closed-form segment value (shared with ``integrate_segment``)
-    and each cycle adds its values in order from its start.  As every lane
-    repeats the operations of a per-step loop over the flow
-    (``ScalarPowerLaw.evolve_scalar``, which leaves the state unchanged on a
-    zero beta), every output equals that loop's bit for bit.
+    Lanes only step states, and each step logs the live lanes' positions and
+    states (at most ``_LANE_STEPS`` arrays of the window's size), so the
+    path's states are read off that log once the path is known; cycles
+    stepped alone log theirs as they go.  Then, in one place, the states
+    give every step's closed-form segment value (shared with
+    ``integrate_segment``) and each cycle adds its values in order from its
+    start.  As every lane repeats the operations of a per-step loop over the
+    flow (``ScalarPowerLaw.evolve_scalar``, which leaves the state unchanged
+    on a zero beta), every output equals that loop's bit for bit.
     """
 
     def __init__(self, x0, driver, sg, policy, functionals, replicate_index):
@@ -250,25 +252,24 @@ class _ScalarChain:
         i_abs = self.abs_integral(x, dt)
         return [closed_form_value(xi, x, i_abs, dt)[0] for xi in self.functionals]
 
-    def _lanes(self, starts, k_cap, states=None):
-        """Step lanes that start cycles at window positions ``starts``.
+    def _lanes(self, n, k_cap):
+        """Step one lane per window position p < n, which starts a cycle at p.
 
         Each lane steps until it goes extinct or has taken k_cap steps.
-        Returns each lane's end position (after its extinction step, or -1
-        while open) and the state of each open lane.  Given ``states``, also
-        writes there the state before every step taken, by position.
+        Returns the list of each lane's end position (after its extinction
+        step, or -1 while open), each open lane's state, and each step's log:
+        the live lanes' positions, ascending, and their states before it.
         """
         b, e = self._b, self._e
         kappa, rho, inv_rho, eps_ext = self._kappa, self._rho, self._inv_rho, self._eps_ext
-        x = e[starts - 1]
-        x[0] = self._x  # lane 0 (at position 0) continues the open cycle
-        end = np.full(starts.size, -1)
-        x_open = np.zeros(starts.size)
-        lanes = np.arange(starts.size)
-        at = starts
-        for _ in range(k_cap):
-            if states is not None:
-                states[at] = x
+        at = np.arange(n)  # lane p is at position p + j before its step j
+        x = e[at - 1]
+        x[0] = self._x  # lane 0 continues the open cycle
+        end = np.full(n, -1)
+        x_open = np.zeros(n)
+        log = []
+        for j in range(k_cap):
+            log.append((at, x))
             beta = b[at]
             ax = np.abs(x)
             c = np.float_power(ax, rho)
@@ -280,13 +281,13 @@ class _ScalarChain:
             at = at + 1
             ext = pre <= eps_ext
             if ext.any():
-                end[lanes[ext]] = at[ext]
+                end[at[ext] - (j + 1)] = at[ext]
                 keep = ~ext
-                lanes, x, at = lanes[keep], x[keep], at[keep]
-                if not lanes.size:
+                x, at = x[keep], at[keep]
+                if not at.size:
                     break
-        x_open[lanes] = x
-        return end, x_open
+        x_open[at - k_cap] = x
+        return end.tolist(), x_open, log
 
     def _alone(self, x: float, pos: int, limit: int):
         """Step one cycle alone from state x before window position pos.
@@ -340,8 +341,7 @@ class _ScalarChain:
             self._e = np.concatenate((self._e, self._draw_etas(more)))
         b, e = self._b, self._e
         self._zero_beta = not b.all()  # rare (gamma draws can underflow): masked only then
-        end, x_open = self._lanes(np.arange(n), k_cap)
-        end = end.tolist()
+        end, x_open, log = self._lanes(n, k_cap)
 
         # follow cycle ends from lane 0; a cycle still open after its table
         # steps is stepped on alone, and logs its states
@@ -378,25 +378,28 @@ class _ScalarChain:
             reach = stops[keep - 1]
         n_path = keep + (not fresh)
 
-        # the path's lanes log the rest of its states; each step's values
-        # follow, and each cycle adds them in order from its start, as a loop
+        # the rest of the path's states come from its lanes' log; each step's
+        # values follow, and each cycle adds them in order from its start, as a loop
         path = np.array(starts[:n_path], dtype=np.int64)
-        if n_path:
-            self._lanes(path, k_cap, states)
+        bounds = np.array(stops[:keep] + [reach] * (not fresh), dtype=np.int64)
+        lens = bounds - path
+        walk = []  # each cycle's lane steps, one offset at a time: (cycles, positions)
+        live = np.arange(n_path)
+        for j, (at, x) in enumerate(log):
+            live = live[lens[live] > j]
+            pos = path[live] + j
+            states[pos] = x[np.searchsorted(at, pos)]
+            walk.append((live, pos))
+        del log  # freed before the values are made, to keep the window's peak memory
         states, beta = states[:reach], b[:reach]
         i_abs = self.abs_integral(states, beta)
         values = [closed_form_value(xi, states, i_abs, beta) for xi in fns]
-        bounds = np.array(stops[:keep] + [reach] * (not fresh), dtype=np.int64)
-        lens = bounds - path
         sums = [np.zeros(n_path) for _ in fns]
         for s, carried in zip(sums, self._acc):
             s[:1] = carried  # the open cycle's integrals so far
-        live = np.arange(n_path)
-        for j in range(k_cap):  # each cycle's lane steps, one offset at a time
-            live = live[lens[live] > j]
-            at = path[live] + j
+        for live, pos in walk:
             for s, v in zip(sums, values):
-                s[live] += v[at]
+                s[live] += v[pos]
         for i in np.flatnonzero(lens > k_cap).tolist():  # then the steps taken alone
             lo, hi = starts[i] + k_cap, int(bounds[i])
             for s, v in zip(sums, values):
@@ -650,16 +653,13 @@ def cycle_moments(
 def _check_checkpoints(t_end, checkpoints):
     if t_end <= 0:
         raise ValueError("t_end must be positive")
-    if checkpoints is None:
-        cps = [float(t_end)]
-    else:
-        cps = [float(t) for t in checkpoints]
-        if any(b <= a for a, b in zip(cps, cps[1:])):
-            raise ValueError("checkpoints must be strictly increasing")
-        if cps and (cps[0] <= 0 or cps[-1] > t_end):
-            raise ValueError("checkpoints must lie in (0, t_end]")
-        if not cps or cps[-1] < t_end:
-            cps.append(float(t_end))
+    cps = [] if checkpoints is None else [float(t) for t in checkpoints]
+    if any(b <= a for a, b in zip(cps, cps[1:])):
+        raise ValueError("checkpoints must be strictly increasing")
+    if cps and (cps[0] <= 0 or cps[-1] > t_end):
+        raise ValueError("checkpoints must lie in (0, t_end]")
+    if not cps or cps[-1] < t_end:
+        cps.append(float(t_end))
     return cps
 
 

@@ -7,13 +7,22 @@ outputs are byte-identical for 1 or N workers.  Large cycle-estimation runs
 are split into a fixed number of shards with their own stream indices; the
 shard count is part of the experiment definition, not of the execution
 environment.
+
+Each study forks one pool of workers, once, no more of them than it has
+tasks.  ``slln`` and ``clt`` queue the estimation shards and the horizon
+replicates together; ``anscombe`` sizes its horizons from the estimate, so
+it queues them after it.  Before they collect any result, the KS studies
+import ``scipy.stats`` in the main process, which then loads while the
+workers compute; with no workers, it loads at its first use.
 """
 
 from __future__ import annotations
 
+import importlib
 import math
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
+from functools import partial, reduce
 
 import numpy as np
 
@@ -127,12 +136,39 @@ class RunPlan:
     alpha: float = 0.01
 
 
-def _map_ordered(fn, args_list, threads: int):
-    if threads <= 1:
-        return [fn(a) for a in args_list]
-    chunk = max(1, len(args_list) // (threads * 4))
-    with ProcessPoolExecutor(max_workers=threads) as pool:
-        return list(pool.map(fn, args_list, chunksize=chunk))
+class _Pool:
+    """The workers of one study: min(threads, n_tasks) processes, forked once.
+
+    ``map`` queues tasks and returns a function that collects their results
+    in order.  At one worker each task runs as it is queued.
+    """
+
+    def __init__(self, threads: int, n_tasks: int):
+        self.workers = min(threads, n_tasks)
+        self._executor = None
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, exc_type, exc, tb):
+        if self._executor is not None:  # on an error, queued tasks do not start
+            self._executor.shutdown(cancel_futures=exc_type is not None)
+
+    def meanwhile_import(self, module: str):
+        """Import a module while the workers run; without workers, leave it to its first use."""
+        if self._executor is not None:
+            importlib.import_module(module)
+
+    def map(self, fn, args_list, combine=list):
+        """Queue ``fn`` over ``args_list``; returns a function giving ``combine(results)``."""
+        if self.workers <= 1:
+            results = combine([fn(a) for a in args_list])
+            return lambda: results
+        if self._executor is None:  # forks every worker at the first submit
+            self._executor = ProcessPoolExecutor(max_workers=self.workers)
+        chunk = max(1, len(args_list) // (self.workers * 4))
+        results = self._executor.map(fn, args_list, chunksize=chunk)
+        return lambda: combine(list(results))
 
 
 def _scalar_functionals(setup: ExperimentSetup) -> list:
@@ -153,25 +189,36 @@ def _moments_task(args) -> CycleMoments:
     )
 
 
+def _shard_sizes(n_cycles: int, n_shards: int) -> list:
+    """The cycle count of each estimation shard."""
+    n_shards = max(1, min(n_shards, n_cycles))
+    per = n_cycles // n_shards
+    return [per + (1 if i < n_cycles - per * n_shards else 0) for i in range(n_shards)]
+
+
+def _study_pool(plan: RunPlan, threads: int) -> _Pool:
+    """The pool of a study that runs the plan's estimation and horizon replicates."""
+    return _Pool(threads, len(_shard_sizes(plan.n_cycles, plan.est_shards)) + plan.n_replicates)
+
+
 def run_cycle_estimation(
-    setup: ExperimentSetup, n_cycles: int, n_shards: int = 16, threads: int = 1
-) -> CycleMoments:
+    setup: ExperimentSetup, n_cycles: int, n_shards: int = 16, threads: int = 1, pool=None
+):
     """Merged cycle moments from a fixed number of independent shards.
 
     Moment accumulation covers the scalar-valued functionals; vector-valued
-    ones go through the record-based covariance route instead.
+    ones go through the record-based covariance route instead.  Given a
+    study's ``pool``, the shards are queued on it, and what is returned is a
+    function giving the merged moments.
     """
     if not _scalar_functionals(setup):
         raise ValueError("cycle estimation needs at least one scalar functional")
-    n_shards = max(1, min(n_shards, n_cycles))
-    per = n_cycles // n_shards
-    sizes = [per + (1 if i < n_cycles - per * n_shards else 0) for i in range(n_shards)]
-    tasks = [(setup, sizes[i], i) for i in range(n_shards) if sizes[i] > 0]
-    parts = _map_ordered(_moments_task, tasks, threads)
-    merged = parts[0]
-    for part in parts[1:]:
-        merged = merged.merge(part)
-    return merged
+    tasks = [(setup, size, i) for i, size in enumerate(_shard_sizes(n_cycles, n_shards))]
+    merged = partial(reduce, CycleMoments.merge)
+    if pool is not None:
+        return pool.map(_moments_task, tasks, merged)
+    with _Pool(threads, len(tasks)) as pool:
+        return pool.map(_moments_task, tasks, merged)()
 
 
 def _horizon_task(args) -> dict:
@@ -215,9 +262,18 @@ def run_horizon_replicates(
     checkpoints,
     n_replicates: int,
     threads: int = 1,
-) -> list:
+    pool=None,
+):
+    """Each replicate's run to the horizon, in index order.
+
+    Given a study's ``pool``, the replicates are queued on it, and what is
+    returned is a function giving their list.
+    """
     tasks = [(setup, t_end, checkpoints, i) for i in range(n_replicates)]
-    return _map_ordered(_horizon_task, tasks, threads)
+    if pool is not None:
+        return pool.map(_horizon_task, tasks)
+    with _Pool(threads, len(tasks)) as pool:
+        return pool.map(_horizon_task, tasks)()
 
 
 def validate_moment_sanity(setup: ExperimentSetup, n_draws: int = 100_000) -> dict:
@@ -350,12 +406,14 @@ def run_slln(setup: ExperimentSetup, plan: RunPlan, threads: int = 1) -> dict:
     Scalar-valued functionals carry the estimates and the two-route gate;
     vector-valued ones are reported through the covariance route of run_clt.
     """
-    moments = run_cycle_estimation(setup, plan.n_cycles, plan.est_shards, threads)
-    stats = {label: stats_from_moments(moments, label) for label in moments.labels}
     checkpoints = plan.checkpoints or None
-    reps = run_horizon_replicates(
-        setup, plan.t_end, checkpoints, plan.n_replicates, threads
-    )
+    with _study_pool(plan, threads) as pool:
+        estimate = run_cycle_estimation(setup, plan.n_cycles, plan.est_shards, pool=pool)
+        replicates = run_horizon_replicates(
+            setup, plan.t_end, checkpoints, plan.n_replicates, pool=pool
+        )
+        moments, reps = estimate(), replicates()
+    stats = {label: stats_from_moments(moments, label) for label in moments.labels}
     labels = moments.labels
     skipped = [xi.label for xi in setup.functionals if xi.vector_valued]
     curves = []
@@ -469,10 +527,13 @@ def run_clt(setup: ExperimentSetup, plan: RunPlan, threads: int = 1, label: str 
     xi = setup.functionals[labels.index(label)]
     if xi.vector_valued:
         return run_clt_vector(setup, plan, xi)
-    moments = run_cycle_estimation(setup, plan.n_cycles, plan.est_shards, threads)
-    st = stats_from_moments(moments, label)
     t = plan.clt_t
-    reps = run_horizon_replicates(setup, t, None, plan.n_replicates, threads)
+    with _study_pool(plan, threads) as pool:
+        estimate = run_cycle_estimation(setup, plan.n_cycles, plan.est_shards, pool=pool)
+        replicates = run_horizon_replicates(setup, t, None, plan.n_replicates, pool=pool)
+        pool.meanwhile_import("scipy.stats")  # the KS tests' module
+        moments, reps = estimate(), replicates()
+    st = stats_from_moments(moments, label)
     raw = np.array(
         [clt_statistic(rep["integrals"][label][-1], t, st.nu_hat) for rep in reps]
     )
@@ -529,19 +590,22 @@ def run_anscombe(
     label = label or scalars[0]
     if label not in scalars:
         raise ConfigError(f"functional {label!r} is not scalar-valued")
-    moments = run_cycle_estimation(setup, plan.n_cycles, plan.est_shards, threads)
-    st = stats_from_moments(moments, label)
-    if st.sigma2_hat <= 0.0:
-        return {
-            "label": label,
-            "degenerate": True,
-            "note": "zero fluctuation variance: random-index limit is a point mass",
-            "reports": [],
-            "pass": True,
-        }
-    horizons = [theta * st.mean_tau for theta in theta_schedule]
-    t_end = max(horizons)
-    reps = run_horizon_replicates(setup, t_end, sorted(horizons), plan.n_replicates, threads)
+    with _study_pool(plan, threads) as pool:
+        estimate = run_cycle_estimation(setup, plan.n_cycles, plan.est_shards, pool=pool)
+        pool.meanwhile_import("scipy.stats")  # the KS tests' module
+        st = stats_from_moments(estimate(), label)
+        if st.sigma2_hat <= 0.0:
+            return {
+                "label": label,
+                "degenerate": True,
+                "note": "zero fluctuation variance: random-index limit is a point mass",
+                "reports": [],
+                "pass": True,
+            }
+        horizons = [theta * st.mean_tau for theta in theta_schedule]
+        reps = run_horizon_replicates(
+            setup, max(horizons), sorted(horizons), plan.n_replicates, pool=pool
+        )()
     reports = []
     overall = True
     for theta, t_cp in zip(theta_schedule, horizons):

@@ -2,11 +2,13 @@ import csv
 import json
 import os
 import re
+from functools import partial
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+from regenjump import runner
 from regenjump.cli import main
 from regenjump.config import build_functional, config_hash, parse_config_text
 from regenjump.errors import ConfigError
@@ -250,7 +252,9 @@ def test_cli_plaplace_outputs_match_committed(tmp_path, command, output):
         ("slln", 1),
         ("slln", 2),
         ("clt", 1),
+        ("clt", 2),
         ("anscombe", 1),
+        ("anscombe", 2),
     ],
 )
 def test_cli_scalar_outputs_match_committed(tmp_path, command, threads):
@@ -460,6 +464,44 @@ def test_cli_ks_with_too_few_replicates_is_a_config_error(tmp_path, capsys, comm
     assert run_cli([command, "--config", cfg, "--out", tmp_path / "o"]) == 1
     err = capsys.readouterr().err
     assert "config error" in err and "at least 100 replicates" in err
+
+
+class InlineExecutor:
+    """Stands in for ``ProcessPoolExecutor``: records each pool's worker count
+    and runs the tasks in this process when their results are collected."""
+
+    def __init__(self, made, max_workers):
+        made.append(max_workers)
+
+    def map(self, fn, tasks, chunksize=1):
+        return map(fn, tasks)
+
+    def shutdown(self, wait=True, cancel_futures=False):
+        pass
+
+
+@pytest.mark.parametrize(
+    "threads, workers", [(1, []), (2, [2]), (8, [3])], ids=["threads-1", "threads-2", "threads-8"]
+)
+def test_cli_forks_at_most_one_worker_per_task(tmp_path, monkeypatch, threads, workers):
+    # one estimation shard and two replicates: three tasks
+    made = []
+    monkeypatch.setattr(runner, "ProcessPoolExecutor", partial(InlineExecutor, made))
+    text = SCALAR_CFG.replace("est_shards = 4", "est_shards = 1")
+    cfg = write(tmp_path, text.replace("n_replicates = 120", "n_replicates = 2"))
+    assert run_cli(["slln", "--config", cfg, "--out", tmp_path / "o", "--threads", threads]) == 0
+    assert made == workers
+
+
+@pytest.mark.parametrize("threads", [0, -2])
+def test_cli_threads_below_one_is_a_config_error(tmp_path, monkeypatch, capsys, threads):
+    made = []
+    monkeypatch.setattr(runner, "ProcessPoolExecutor", partial(InlineExecutor, made))
+    cfg = write(tmp_path, SCALAR_CFG)
+    assert run_cli(["slln", "--config", cfg, "--out", tmp_path / "o", "--threads", threads]) == 1
+    err = capsys.readouterr().err
+    assert "config error" in err and "--threads" in err
+    assert made == []
 
 
 def test_cli_clt_point_mass_needs_no_ks_replicate_count(tmp_path):

@@ -1,5 +1,6 @@
 import ast
 import importlib
+import json
 import os
 import pkgutil
 import subprocess
@@ -83,3 +84,50 @@ def test_scipy_stats_loads_only_for_ks_studies(tmp_path, command, config, loads_
         check=True,
     )
     assert proc.stdout.splitlines()[-1] == str(loads_stats)
+
+
+_POOL_PROBE = """
+import json, sys
+from regenjump import cli, runner
+events = []
+
+class InlineExecutor:  # records each pool; runs the tasks here when collected
+    def __init__(self, max_workers):
+        events.append("pool")
+
+    def map(self, fn, tasks, chunksize=1):
+        def collect():
+            events.append("scipy.stats" in sys.modules)
+            yield from map(fn, tasks)
+        return collect()
+
+    def shutdown(self, wait=True, cancel_futures=False):
+        pass
+
+runner.ProcessPoolExecutor = InlineExecutor
+assert cli.main(sys.argv[1:]) == 0
+print(json.dumps(events))
+"""
+
+
+@pytest.mark.parametrize(
+    "command, loads_stats", [("slln", False), ("clt", True), ("anscombe", True)]
+)
+def test_study_forks_one_pool_and_loads_scipy_stats_before_collecting(
+    tmp_path, command, loads_stats
+):
+    # a study forks its workers once; a KS study imports scipy.stats while
+    # they run, so it is loaded before the first result is collected
+    cfg = tmp_path / "exp.ini"
+    cfg.write_text(SCALAR_CFG)
+    args = [command, "--config", str(cfg), "--out", str(tmp_path / "out"), "--threads", "2"]
+    path = os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-c", _POOL_PROBE, *args],
+        env=dict(os.environ, PYTHONPATH=path),
+        capture_output=True,
+        text=True,
+        check=True,
+    )
+    # the pool, then one collection each of the estimation and the replicates
+    assert json.loads(proc.stdout.splitlines()[-1]) == ["pool", loads_stats, loads_stats]

@@ -1,4 +1,5 @@
 from collections import namedtuple
+from functools import lru_cache
 from itertools import islice
 
 import numpy as np
@@ -544,6 +545,90 @@ def test_table_horizon_memory_is_linear_in_the_window(monkeypatch):
         # the kernel peaks at about 0.4 MB here; logging every live lane at
         # every step of lanes up to 256 steps long takes about 13 MB
         assert peak < 2_000_000, f"{name}: peak {peak} bytes"
+
+
+@pytest.mark.parametrize("window", [None, 64])
+def test_table_steps_each_lane_once(monkeypatch, window):
+    table_sizes(monkeypatch, window, None)
+    calls = {"advance": 0, "_lanes": 0}
+
+    def count(name):
+        method = getattr(process._ScalarChain, name)
+
+        def counted(*args, **kwargs):
+            calls[name] += 1
+            return method(*args, **kwargs)
+
+        monkeypatch.setattr(process._ScalarChain, name, counted)
+
+    count("advance")
+    count("_lanes")
+    sg = scalar_sg()
+    driver = stochastic_driver(131)
+    cycle_moments(SCALAR.zero(), driver, sg, POLICY, 2000, [NormV2(SCALAR)])
+    simulate_until_time(SCALAR.zero(), driver, sg, POLICY, 300.0, [NormV2(SCALAR)])
+    assert calls["advance"] >= 2 and calls["_lanes"] == calls["advance"]
+
+
+WINDOW_LAWS = {
+    "exponential": BetaLaw.exponential(1.0),
+    # cycles of about 16 steps: most outlast a lane's steps and are stepped alone
+    "gamma-16": BetaLaw.gamma(0.02, 50.0),
+}
+WINDOW_FNS = [NormV2(SCALAR), IdentityV2(SCALAR)]
+
+
+@lru_cache(maxsize=None)
+def oracle_window_steps(law):
+    """(states, values per functional) of the per-step oracle's first 70000 steps."""
+    driver = DriverConfig(WINDOW_LAWS[law], EtaLaw.scalar_uniform(1.0), 127)
+    steps = list(islice(chain_by_steps(SCALAR.zero(), driver, scalar_sg(), POLICY.eps_ext,
+                                       WINDOW_FNS), 70_000))
+    cycles = sum(s[4] for s in steps)
+    states = [s[0].scalar for s in steps]
+    return states, [[s[3][k] for s in steps] for k in range(len(WINDOW_FNS))], cycles
+
+
+@pytest.mark.parametrize("law", list(WINDOW_LAWS))
+@pytest.mark.parametrize("window", [64, 1 << 16])
+@pytest.mark.parametrize("lane_steps", [8, 3, 1])
+def test_table_window_states_and_values_match_the_oracle(monkeypatch, law, window, lane_steps):
+    # the path's states come off the lanes' log: every window's states, and
+    # each step's values made from them, are the per-step loop's bit for bit
+    table_sizes(monkeypatch, window, lane_steps)
+    ref_states, ref_values, cycles = oracle_window_steps(law)
+    driver = DriverConfig(WINDOW_LAWS[law], EtaLaw.scalar_uniform(1.0), 127)
+    chain = process._chain(SCALAR.zero(), driver, scalar_sg(), POLICY, WINDOW_FNS, 0)
+    states, values = [], [[] for _ in WINDOW_FNS]
+    while len(states) < (2000 if window == 64 else 60_000):  # one window of 2^16
+        w = chain.advance(100 if window == 64 else 40_000)
+        states += w.states.tolist()
+        for acc, v in zip(values, w.values):
+            acc += v.tolist()
+    assert len(states) <= len(ref_states)
+    assert states == ref_states[: len(states)]
+    assert values == [v[: len(states)] for v in ref_values]
+    if law == "gamma-16":
+        assert 10 < len(ref_states) / cycles < 25
+
+
+def test_table_estimation_window_log_adds_at_most_2_mb():
+    # the scalar config's laws and a full window of 2^16 positions: stepping
+    # the path's lanes a second time peaked at about 9.0 MB here; the log of
+    # every lane step may add at most 2 MB to that
+    import tracemalloc
+
+    driver = DriverConfig(BetaLaw.exponential(1.0), EtaLaw.scalar_uniform(1.0), 20250810)
+    policy = ExtinctionPolicy(eps_ext=1e-10)
+    chain = process._chain(SCALAR.zero(), driver, scalar_sg(), policy, [NormV2(SCALAR)], 0)
+    tracemalloc.start()
+    try:
+        w = chain.advance(40_000)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(w.states) >= 1 << 16
+    assert peak < 11_000_000, f"peak {peak} bytes"
 
 
 def test_cycle_moments_of_no_cycles_simulate_nothing():
