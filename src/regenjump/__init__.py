@@ -56,11 +56,7 @@ from .process import (
     simulate_cycles,
     simulate_until_time,
 )
-from .semigroup import (
-    ExtinctionParams,
-    ScalarPowerLaw,
-    check_semigroup_axioms,
-)
+from .semigroup import ExtinctionParams, ScalarPowerLaw
 from .spaces import Space, StateVector, grid_space, project_zero_mean, scalar_space
 
 __version__ = "0.1.0"

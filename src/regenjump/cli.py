@@ -188,8 +188,8 @@ def _cmd_slln(cfg, setup, args, manifest) -> int:
     label = next(iter(summary["functionals"]))
     info = summary["functionals"][label]
     rep0 = result["replicates"][0]
-    xs = rep0["checkpoints"]
-    ys = [rep0["integrals"][label][j] / xs[j] for j in range(len(xs))]
+    xs = rep0.checkpoints
+    ys = [rep0.integrals[label][j] / xs[j] for j in range(len(xs))]
     svg_path = os.path.join(args.out, "slln.svg")
     nu = info["nu_hat"]
     half = 3.0 * info["combined_se"]

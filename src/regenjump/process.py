@@ -17,7 +17,8 @@ Three drivers are provided: ``simulate_cycles`` streams cycle records with
 O(1) memory in the cycle count, ``cycle_moments`` accumulates cycle moments
 without records, and ``simulate_until_time`` makes a single pass to a fixed
 horizon, producing running integrals at checkpoints, regeneration counts,
-and the per-cycle data needed by the random-index checks.
+and at each checkpoint the random-index sums of S and tau over the cycles up
+to the one reaching past it.
 
 Each backend has one chain, and every chain has one interface: ``advance``
 returns the next window of the run's cycles (a ``_Window``) and ``partial``
@@ -97,17 +98,20 @@ class HorizonResult:
 
     ``integrals[label][j]`` is the path integral of that functional over
     [0, checkpoints[j]]; ``counts[j]`` is the number of regenerations up to
-    and including checkpoints[j].  Cycle arrays cover the post-warm-up cycles
-    1 .. counts[-1] + 1; the random-index checks need one cycle reaching past
-    the horizon, so the run extends until that cycle closes.
+    and including checkpoints[j].  ``index_s[label][j]`` and ``index_tau[j]``
+    are the random-index sums of the cycle integrals and lengths over the
+    post-warm-up cycles 1 .. counts[j] + 1, added in cycle order; the last
+    of those cycles reaches past checkpoints[j], so the run extends until
+    cycle counts[-1] + 1 closes.  ``cycle_tau`` holds the lengths of cycles
+    1 .. counts[-1] + 1.
     """
 
     checkpoints: np.ndarray
     integrals: dict
     counts: np.ndarray
+    index_s: dict
+    index_tau: np.ndarray
     cycle_tau: np.ndarray
-    cycle_integrals: dict
-    t_end: float
 
 
 @dataclass
@@ -597,13 +601,17 @@ def _horizon(chain, cps: list) -> HorizonResult:
         for acc, s in zip(cycle_s, w.integrals):
             acc.append(s[lo:hi])
         run = [r[-1] for r in runs]
+    cycle_tau = np.concatenate(cycle_tau)
+    # cumsum adds in cycle order; row counts[j] sums cycles 1 .. counts[j] + 1
     return HorizonResult(
         checkpoints=np.asarray(cps),
         integrals={xi.label: np.stack(o) for xi, o in zip(fns, out)},
         counts=counts,
-        cycle_tau=np.concatenate(cycle_tau),
-        cycle_integrals={xi.label: np.concatenate(s) for xi, s in zip(fns, cycle_s)},
-        t_end=cps[-1],
+        index_s={
+            xi.label: np.cumsum(np.concatenate(s), axis=0)[counts] for xi, s in zip(fns, cycle_s)
+        },
+        index_tau=np.cumsum(cycle_tau)[counts],
+        cycle_tau=cycle_tau,
     )
 
 
@@ -674,6 +682,6 @@ def simulate_until_time(
     replicate_index: int = 0,
 ) -> HorizonResult:
     """One pass to the horizon: checkpoint integrals, regeneration counts,
-    and the cycles needed one past the horizon."""
+    and the random-index sums at each checkpoint."""
     cps = _check_checkpoints(t_end, checkpoints)
     return _horizon(_chain(x0, driver, sg, policy, functionals, replicate_index), cps)

@@ -43,6 +43,7 @@ from .plaplace import PLaplaceSemigroup, estimate_kappa
 from .process import (
     CycleMoments,
     ExtinctionPolicy,
+    HorizonResult,
     cycle_moments,
     simulate_until_time,
 )
@@ -221,11 +222,10 @@ def run_cycle_estimation(
         return pool.map(_moments_task, tasks, merged)()
 
 
-def _horizon_task(args) -> dict:
+def _horizon_task(args) -> HorizonResult:
     setup, t_end, checkpoints, replicate = args
-    x0 = setup.initial_state(replicate)
-    res = simulate_until_time(
-        x0,
+    return simulate_until_time(
+        setup.initial_state(replicate),
         setup.driver,
         setup.sg,
         setup.policy,
@@ -234,26 +234,6 @@ def _horizon_task(args) -> dict:
         checkpoints=checkpoints,
         replicate_index=replicate,
     )
-    out = {
-        "replicate": replicate,
-        "checkpoints": res.checkpoints,
-        "counts": res.counts,
-        "integrals": res.integrals,
-        "l_end": int(res.counts[-1]),
-        "n_cycles": int(res.cycle_tau.shape[0]),
-        "cycle_prefix": {},
-        "cycle_tau_prefix": None,
-    }
-    # prefix sums let callers form random-index sums at any checkpoint
-    tau_prefix = np.concatenate(([0.0], np.cumsum(res.cycle_tau)))
-    out["cycle_tau_prefix"] = tau_prefix
-    for label, s in res.cycle_integrals.items():
-        if s.ndim == 1:
-            out["cycle_prefix"][label] = np.concatenate(([0.0], np.cumsum(s)))
-        else:
-            zero = np.zeros((1, s.shape[1]))
-            out["cycle_prefix"][label] = np.concatenate((zero, np.cumsum(s, axis=0)))
-    return out
 
 
 def run_horizon_replicates(
@@ -406,6 +386,8 @@ def run_slln(setup: ExperimentSetup, plan: RunPlan, threads: int = 1) -> dict:
     Scalar-valued functionals carry the estimates and the two-route gate;
     vector-valued ones are reported through the covariance route of run_clt.
     """
+    if not _scalar_functionals(setup):
+        raise ConfigError("the strong-law check needs a scalar-valued functional")
     checkpoints = plan.checkpoints or None
     with _study_pool(plan, threads) as pool:
         estimate = run_cycle_estimation(setup, plan.n_cycles, plan.est_shards, pool=pool)
@@ -417,12 +399,11 @@ def run_slln(setup: ExperimentSetup, plan: RunPlan, threads: int = 1) -> dict:
     labels = moments.labels
     skipped = [xi.label for xi in setup.functionals if xi.vector_valued]
     curves = []
-    for rep in reps:
-        cps = rep["checkpoints"]
-        for j, t in enumerate(cps):
-            row = {"replicate": rep["replicate"], "t": float(t)}
+    for i, rep in enumerate(reps):
+        for j, t in enumerate(rep.checkpoints):
+            row = {"replicate": i, "t": float(t)}
             for label in labels:
-                row[f"avg_{label}"] = float(rep["integrals"][label][j]) / float(t)
+                row[f"avg_{label}"] = float(rep.integrals[label][j]) / float(t)
             curves.append(row)
     summary = {"n_replicates": plan.n_replicates, "t_end": plan.t_end, "functionals": {}}
     if skipped:
@@ -430,9 +411,7 @@ def run_slln(setup: ExperimentSetup, plan: RunPlan, threads: int = 1) -> dict:
     suite_pass = True
     for label in labels:
         st = stats[label]
-        finals = np.array(
-            [rep["integrals"][label][-1] / plan.t_end for rep in reps]
-        )
+        finals = np.array([rep.integrals[label][-1] / plan.t_end for rep in reps])
         se_time_avg = math.sqrt(max(st.sigma2_hat, 0.0) / plan.t_end)
         combined = math.sqrt(st.se_nu**2 + se_time_avg**2)
         gap = float(np.mean(np.abs(finals - st.nu_hat)))
@@ -534,9 +513,7 @@ def run_clt(setup: ExperimentSetup, plan: RunPlan, threads: int = 1, label: str 
         pool.meanwhile_import("scipy.stats")  # the KS tests' module
         moments, reps = estimate(), replicates()
     st = stats_from_moments(moments, label)
-    raw = np.array(
-        [clt_statistic(rep["integrals"][label][-1], t, st.nu_hat) for rep in reps]
-    )
+    raw = np.array([clt_statistic(rep.integrals[label][-1], t, st.nu_hat) for rep in reps])
     sigma = math.sqrt(max(st.sigma2_hat, 0.0))
     out = {
         "t": t,
@@ -560,14 +537,9 @@ def run_clt(setup: ExperimentSetup, plan: RunPlan, threads: int = 1, label: str 
     out["standardized_statistics"] = standardized
     out["ks_clt"] = ks_test_normal(standardized, 1.0, alpha=plan.alpha)
     out["var_ratio"] = float(np.var(raw) / st.sigma2_hat)
-    anscombe_samples = []
-    for rep in reps:
-        n_idx = rep["l_end"] + 1
-        n_avail = rep["n_cycles"]
-        n_use = min(n_idx, n_avail)
-        sum_s = float(rep["cycle_prefix"][label][n_use])
-        sum_tau = float(rep["cycle_tau_prefix"][n_use])
-        anscombe_samples.append((sum_s, sum_tau, t))
+    anscombe_samples = [
+        (float(rep.index_s[label][-1]), float(rep.index_tau[-1]), t) for rep in reps
+    ]
     out["anscombe_samples"] = anscombe_samples
     out["ks_anscombe"] = anscombe_check(
         anscombe_samples, st.nu_hat, st.sigma2_hat, st.mean_tau, alpha=plan.alpha
@@ -609,14 +581,8 @@ def run_anscombe(
     reports = []
     overall = True
     for theta, t_cp in zip(theta_schedule, horizons):
-        samples = []
-        for rep in reps:
-            j = int(np.searchsorted(rep["checkpoints"], t_cp))
-            n_idx = int(rep["counts"][j]) + 1
-            n_use = min(n_idx, rep["n_cycles"])
-            sum_s = float(rep["cycle_prefix"][label][n_use])
-            sum_tau = float(rep["cycle_tau_prefix"][n_use])
-            samples.append((sum_s, sum_tau, t_cp))
+        j = int(np.searchsorted(reps[0].checkpoints, t_cp))
+        samples = [(float(rep.index_s[label][j]), float(rep.index_tau[j]), t_cp) for rep in reps]
         report = anscombe_check(
             samples, st.nu_hat, st.sigma2_hat, st.mean_tau, alpha=plan.alpha
         )

@@ -11,7 +11,7 @@ closed forms.  The sign is preserved and the magnitude shrinks, so T(t) is a
 contraction on the real line.
 
 ``axiom_residuals`` measures the semigroup, contraction, and identity
-residuals of one sample and ``check_semigroup_axioms`` their maxima over a
+residuals of one sample and ``AxiomReport.from_rows`` their maxima over a
 corpus; violations are reported as data, not raised.
 """
 
@@ -22,9 +22,7 @@ from dataclasses import dataclass
 from .errors import DimensionMismatch
 from .spaces import Space, StateVector, scalar_space
 
-__all__ = [
-    "ExtinctionParams", "ScalarPowerLaw", "AxiomReport", "axiom_residuals", "check_semigroup_axioms"
-]
+__all__ = ["ExtinctionParams", "ScalarPowerLaw", "AxiomReport", "axiom_residuals"]
 
 
 @dataclass(frozen=True)
@@ -109,13 +107,6 @@ class AxiomReport:
             n_samples=len(rows),
         )
 
-    def within(self, tol: float) -> bool:
-        return (
-            self.max_semigroup_residual <= tol
-            and self.max_contraction_residual <= tol
-            and self.max_identity_residual <= tol
-        )
-
 
 def axiom_residuals(sg, u, v, t, s):
     """The three axiom residuals of one sample, with T(t)u and T(t)v.
@@ -131,15 +122,3 @@ def axiom_residuals(sg, u, v, t, s):
         "identity_residual": (sg.evolve(v, 0.0) - v).norm_v(),
     }
     return residuals, tu, tv
-
-
-def check_semigroup_axioms(sg, samples) -> AxiomReport:
-    """Measure axiom residuals on (v, t, s) triples or (u, v, t, s) quadruples.
-
-    Reports the worst ``axiom_residuals`` over the samples, with u = 0 when
-    only a triple is given.
-    """
-    if not samples:
-        raise ValueError("need at least one sample")
-    quads = [s if len(s) == 4 else (s[0].space.zero(), *s) for s in samples]
-    return AxiomReport.from_rows([axiom_residuals(sg, *q)[0] for q in quads])

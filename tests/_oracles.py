@@ -13,6 +13,7 @@ public ``sg.evolve`` and ``integrate_segment`` and re-derive the rest: the
 chain's steps, its cycles, regeneration counts and checkpoint integrals.
 """
 
+from itertools import accumulate
 from types import SimpleNamespace
 
 import numpy as np
@@ -236,7 +237,8 @@ def horizon_by_steps(x0, driver, sg, eps_ext, functionals, checkpoints, replicat
     A checkpoint inside a step adds that step's segment up to it; one on a
     jump time takes the integral through that step and counts a regeneration
     there.  The loop stops once the cycle after the one open at the last
-    checkpoint has closed.
+    checkpoint has closed.  The random-index sums add the per-cycle values
+    of cycles 1 .. counts[j] + 1 one at a time, in cycle order.
     """
     cps = [float(t) for t in checkpoints]
     out = [[None] * len(cps) for _ in functionals]
@@ -271,13 +273,18 @@ def horizon_by_steps(x0, driver, sg, eps_ext, functionals, checkpoints, replicat
             stop = int(counts[-1]) + 2 if stop is None else stop
             if regen >= stop:
                 break
+
+    def index_sums(per_cycle):  # cycles 1 .. counts[j] + 1, added in cycle order
+        running = list(accumulate(per_cycle))
+        return np.stack([running[n] for n in counts])
+
     return SimpleNamespace(
         checkpoints=np.asarray(cps),
         integrals={xi.label: np.stack(o) for xi, o in zip(functionals, out)},
         counts=counts,
-        cycle_tau=np.asarray(cycle_tau),
-        cycle_integrals={
-            xi.label: np.stack([s[j] for s in cycle_s]) for j, xi in enumerate(functionals)
+        index_s={
+            xi.label: index_sums([s[j] for s in cycle_s]) for j, xi in enumerate(functionals)
         },
-        t_end=cps[-1],
+        index_tau=index_sums(cycle_tau),
+        cycle_tau=np.asarray(cycle_tau),
     )

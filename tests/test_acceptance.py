@@ -231,7 +231,7 @@ def test_c04_two_route_nu_agreement():
     details = []
     for xi in functionals:
         st = stats_from_moments(moments, xi.label)
-        a_t = float(rep["integrals"][xi.label][-1]) / 10_000.0
+        a_t = float(rep.integrals[xi.label][-1]) / 10_000.0
         combined = math.sqrt(st.se_nu**2 + max(st.sigma2_hat, 0.0) / 10_000.0)
         gap = abs(a_t - st.nu_hat)
         all_ok = all_ok and gap <= 3.0 * combined
@@ -252,27 +252,20 @@ def clt_study():
     the KS resolution at 2000 samples.
     """
     est_setup = scalar_setup(ESTIMATION_SEED)
-    moments = run_cycle_estimation(est_setup, N_EST_CYCLES, n_shards=64)
+    moments = run_cycle_estimation(est_setup, N_EST_CYCLES, n_shards=64, threads=2)
     st = stats_from_moments(moments, "norm_v2")
     sigma = math.sqrt(st.sigma2_hat)
     per_seed = []
     for seed in CLT_SEEDS:
         setup = scalar_setup(seed)
-        reps = run_horizon_replicates(setup, CLT_T, None, N_REPLICATES)
+        reps = run_horizon_replicates(setup, CLT_T, None, N_REPLICATES, threads=2)
         raw = np.array(
-            [clt_statistic(r["integrals"]["norm_v2"][-1], CLT_T, st.nu_hat) for r in reps]
+            [clt_statistic(r.integrals["norm_v2"][-1], CLT_T, st.nu_hat) for r in reps]
         )
         ks = ks_test_normal(raw / sigma, 1.0)
-        anscombe_samples = []
-        for r in reps:
-            n_use = min(r["l_end"] + 1, r["n_cycles"])
-            anscombe_samples.append(
-                (
-                    float(r["cycle_prefix"]["norm_v2"][n_use]),
-                    float(r["cycle_tau_prefix"][n_use]),
-                    CLT_T,
-                )
-            )
+        anscombe_samples = [
+            (float(r.index_s["norm_v2"][-1]), float(r.index_tau[-1]), CLT_T) for r in reps
+        ]
         ks_anscombe = anscombe_check(
             anscombe_samples, st.nu_hat, st.sigma2_hat, st.mean_tau
         )

@@ -548,6 +548,17 @@ def _tree_bytes(root):
     return out
 
 
+@pytest.mark.parametrize("command", ["slln", "anscombe"])
+def test_cli_study_without_scalar_functional_is_a_config_error(tmp_path, capsys, command):
+    text = re.sub(r"^n_cycles = .*$", "n_cycles = 2", PLAPLACE_CFG, flags=re.M)
+    text = re.sub(r"^n_replicates = .*$", "n_replicates = 1", text, flags=re.M)
+    cfg = write(tmp_path, text + "\n[functionals]\nspecs = identity_v2\n")
+    assert run_cli([command, "--config", cfg, "--out", tmp_path / "o"]) == 1
+    err = capsys.readouterr().err
+    assert "config error" in err and "scalar-valued functional" in err
+    assert "Traceback" not in err
+
+
 def test_cli_outputs_thread_invariant(tmp_path):
     cfg = write(tmp_path, SCALAR_CFG)
     out1 = tmp_path / "t1"
