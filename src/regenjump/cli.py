@@ -145,8 +145,8 @@ def _cmd_semigroup_check(cfg, setup, args, manifest) -> int:
 def _cmd_kappa_fit(cfg, setup, args, manifest) -> int:
     result = run_kappa_fit(
         setup,
-        n_samples=max(cfg.plaplace["kappa_samples"], 20),
-        t_cap=cfg.plaplace["kappa_t_cap"],
+        n_samples=max(cfg.kappa_samples, 20),
+        t_cap=cfg.kappa_t_cap,
         prior=setup.kappa_fit,  # the first kappa_samples states, fitted by build_setup
     )
     fit = result["fit"]
@@ -254,19 +254,8 @@ def _cmd_clt(cfg, setup, args, manifest) -> int:
     result = run_clt(setup, cfg.plan, threads=args.threads)
     _write_cycles_csv(cfg, setup, args, manifest)
     if result.get("vector"):
-        summary = {
-            "label": result["label"],
-            "vector": True,
-            "n_cycles": result["n_cycles"],
-            "nu_hat": result["nu_hat"],
-            "se_nu": result["se_nu"],
-            "mean_tau": result["mean_tau"],
-            "q_eigenvalues": result["q_eigenvalues"],
-            "q_min_eigenvalue": result["q_min_eigenvalue"],
-            "projection_gap": result["projection_gap"],
-            "pass": result["pass"],
-            "note": "vector-valued functional: covariance route (no replicate KS)",
-        }
+        summary = {k: v for k, v in result.items() if k != "q_hat"}
+        summary["note"] = "vector-valued functional: covariance route (no replicate KS)"
         _write_summary(args.out, manifest, summary)
         print(
             f"covariance eigenvalues in [{result['q_min_eigenvalue']:.3e}, "

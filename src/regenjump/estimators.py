@@ -85,7 +85,6 @@ class CycleStats:
     nu_hat: object
     se_nu: object
     sigma2_hat: float | None = None
-    q_hat: np.ndarray | None = None
 
 
 def _as_2d(s: np.ndarray) -> np.ndarray:

@@ -568,9 +568,6 @@ class PLaplaceSemigroup:
     is replaced by the exact zero state and stays there.
     """
 
-    kind = "plaplace"
-    kappa_source = "empirical"
-
     def __init__(
         self,
         grid: Grid1D,
@@ -616,10 +613,6 @@ class PLaplaceSemigroup:
         if t == 0.0:
             return v
         return StateVector(self.space, self.evolve_values(v.values, t))
-
-    def step(self, v: StateVector) -> StateVector:
-        """One full implicit step without the extinction snap (for axiom tests)."""
-        return implicit_euler_step(v, self.cfg, self.grid, self.weights)
 
     def segment_flow(self, v: StateVector) -> "_SegmentFlow":
         return _SegmentFlow(self, v.values)

@@ -27,6 +27,7 @@ from functools import partial, reduce
 import numpy as np
 
 from .driver import (
+    MIN_DRIFT_DRAWS,
     DriverConfig,
     check_drift_condition,
     derive_replicate_rng,
@@ -125,16 +126,33 @@ class ExperimentSetup:
 
 @dataclass
 class RunPlan:
-    """Run sizes shared by the statistical subcommands."""
+    """Run sizes shared by the statistical subcommands.
+
+    ``clt_t`` at or below 0 means ``t_end``.
+    """
 
     n_cycles: int = 10_000
     est_shards: int = 16
     t_end: float = 1_000.0
     checkpoints: list = field(default_factory=list)
     n_replicates: int = 200
-    clt_t: float = 1_000.0
+    clt_t: float = 0.0
     n_mc: int = 100_000
     alpha: float = 0.01
+
+    def __post_init__(self):
+        for key in ("n_cycles", "est_shards", "n_replicates"):
+            if getattr(self, key) < 1:
+                raise ValueError(f"{key} must be at least 1")
+        if self.t_end <= 0:
+            raise ValueError("t_end must be positive")
+        if self.clt_t <= 0:
+            self.clt_t = self.t_end
+        cps = [0.0] + self.checkpoints
+        if not all(b > a for a, b in zip(cps, cps[1:])) or cps[-1] > self.t_end:
+            raise ValueError("checkpoints must be strictly increasing within (0, t_end]")
+        if self.n_mc < MIN_DRIFT_DRAWS:
+            raise ValueError(f"n_mc must be at least {MIN_DRIFT_DRAWS}")
 
 
 class _Pool:

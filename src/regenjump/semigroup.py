@@ -45,9 +45,6 @@ class ScalarPowerLaw:
     ``T(t) v = sign(v) * max(|v|**rho - kappa*t, 0) ** (1/rho)``.
     """
 
-    kind = "scalar_power_law"
-    kappa_source = "exact"
-
     def __init__(self, params: ExtinctionParams, space: Space | None = None):
         self.params = params
         self.space = space if space is not None else scalar_space()

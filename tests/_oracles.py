@@ -19,7 +19,7 @@ from types import SimpleNamespace
 import numpy as np
 from scipy.integrate import quad
 
-from regenjump.estimators import CycleStats, estimate_nu, estimate_Q, estimate_sigma2
+from regenjump.estimators import CycleStats, estimate_nu, estimate_sigma2
 from regenjump.functionals import integrate_segment
 
 
@@ -119,22 +119,18 @@ def quad_segment_integral(x, kappa, rho, delta, weight=1.0, shift=0.0, signed=Fa
     return val
 
 
-def stats_from_arrays(s, tau, h=1.0):
-    """Full per-functional statistics from explicit cycle arrays."""
+def stats_from_arrays(s, tau):
+    """Per-functional statistics from explicit scalar cycle arrays."""
     nu, se = estimate_nu(s, tau)
     s_arr = np.asarray(s, dtype=float)
-    out = CycleStats(
+    return CycleStats(
         n_cycles=tau.shape[0],
-        mean_s=(float(np.mean(s_arr)) if s_arr.ndim == 1 else np.mean(s_arr, axis=0)),
+        mean_s=float(np.mean(s_arr)),
         mean_tau=float(np.mean(tau)),
         nu_hat=nu,
         se_nu=se,
+        sigma2_hat=estimate_sigma2(s_arr, tau, nu),
     )
-    if s_arr.ndim == 1:
-        out.sigma2_hat = estimate_sigma2(s_arr, tau, nu)
-    else:
-        out.q_hat = estimate_Q(s_arr, tau, nu, h)
-    return out
 
 
 def grid_simpson_reference(xi, state, delta, sg, tol=1e-9):

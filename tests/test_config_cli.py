@@ -10,7 +10,7 @@ import pytest
 
 from regenjump import runner
 from regenjump.cli import main
-from regenjump.config import build_functional, config_hash, parse_config_text
+from regenjump.config import _KEYS, build_functional, config_hash, parse_config_text
 from regenjump.errors import ConfigError
 from regenjump.runner import run_anscombe, run_semigroup_check
 from regenjump.spaces import scalar_space
@@ -456,6 +456,114 @@ def test_cli_run_size_out_of_range_is_a_config_error(tmp_path, capsys, command, 
     assert run_cli([command, "--config", cfg, "--out", tmp_path / "o"]) == 1
     err = capsys.readouterr().err
     assert "config error" in err and f"{key} must be" in err
+
+
+def with_key(text, section, line):
+    """``text`` with ``line`` set in ``section``, replacing the key there if it is set."""
+    key = line.split(" = ")[0]
+    head, header, rest = text.partition(f"[{section}]\n")
+    body, nxt, tail = rest.partition("\n[")
+    body = re.sub(rf"^{key} = .*\n", "", body, flags=re.M)
+    return f"{head}{header}{line}\n{body}{nxt}{tail}"
+
+
+@pytest.mark.parametrize(
+    "section, line",
+    [
+        ("scalar", "kappa = -1"),
+        ("scalar", "rho = 1.5"),
+        ("policy", "eps_ext = 0"),
+        ("policy", "m_cap = 0"),
+        ("plaplace", "p = 2.5"),
+        ("plaplace", "n_cells = 1"),
+        ("plaplace", "length = 0"),
+        ("plaplace", "dt = 0"),
+        ("plaplace", "newton_max_iter = 0"),
+        ("plaplace", "q = 0.5"),
+        ("plaplace", "gamma = uniform:2.0,0.5"),
+        ("plaplace", "kappa_samples = 0"),
+    ],
+)
+def test_cli_model_parameter_out_of_range_is_a_config_error(tmp_path, capsys, section, line):
+    base = SCALAR_CFG if section == "scalar" else PLAPLACE_CFG
+    cfg = write(tmp_path, with_key(base, section, line))
+    assert run_cli(["validate", "--config", cfg, "--out", tmp_path / "o"]) == 1
+    err = capsys.readouterr().err
+    assert "config error" in err and f"[{section}]" in err
+    assert "Traceback" not in err
+
+
+# (section, key, raw value, parsed value, where the parsed config carries it);
+# every value differs from the key's default
+EVERY_KEY = [
+    ("experiment", "backend", "plaplace", "plaplace", lambda c: c.backend),
+    ("experiment", "master_seed", "123", 123, lambda c: c.master_seed),
+    ("scalar", "kappa", "1.5", 1.5, lambda c: c.scalar_params.kappa),
+    ("scalar", "rho", "0.3", 0.3, lambda c: c.scalar_params.rho),
+    ("plaplace", "p", "1.7", 1.7, lambda c: c.plaplace.p),
+    ("plaplace", "n_cells", "6", 6, lambda c: c.grid.n_cells),
+    ("plaplace", "length", "2.0", 2.0, lambda c: c.grid.length),
+    ("plaplace", "dt", "0.05", 0.05, lambda c: c.plaplace.dt),
+    ("plaplace", "eps_reg", "1e-6", 1e-6, lambda c: c.plaplace.eps_reg),
+    ("plaplace", "newton_tol", "1e-9", 1e-9, lambda c: c.plaplace.newton_tol),
+    ("plaplace", "newton_max_iter", "50", 50, lambda c: c.plaplace.newton_max_iter),
+    ("plaplace", "eps_ext", "1e-9", 1e-9, lambda c: c.plaplace.eps_ext),
+    ("plaplace", "q", "3.0", 3.0, lambda c: c.q),
+    ("plaplace", "gamma", "uniform:0.4,1.5", ("uniform", (0.4, 1.5)), lambda c: c.gamma),
+    ("plaplace", "kappa_samples", "3", 3, lambda c: c.kappa_samples),
+    ("plaplace", "kappa_t_cap", "20.0", 20.0, lambda c: c.kappa_t_cap),
+    ("beta", "kind", "gamma", "gamma", lambda c: c.beta.kind),
+    ("beta", "value", "0.5", 0.5, lambda c: c.beta.value),
+    ("beta", "low", "0.2", 0.2, lambda c: c.beta.low),
+    ("beta", "high", "0.9", 0.9, lambda c: c.beta.high),
+    ("beta", "rate", "2.0", 2.0, lambda c: c.beta.rate),
+    ("beta", "shape", "3.0", 3.0, lambda c: c.beta.shape),
+    ("beta", "scale", "0.25", 0.25, lambda c: c.beta.scale),
+    ("eta", "kind", "grid_bumps", "grid_bumps", lambda c: c.eta.kind),
+    ("eta", "value", "0.5", 0.5, lambda c: c.eta.value),
+    ("eta", "amp", "0.75", 0.75, lambda c: c.eta.amp),
+    ("eta", "n_bumps", "3", 3, lambda c: c.eta.n_bumps),
+    ("eta", "amp_max", "0.4", 0.4, lambda c: c.eta.amp_max),
+    ("eta", "width_low", "0.1", 0.1, lambda c: c.eta.width_low),
+    ("eta", "width_high", "0.3", 0.3, lambda c: c.eta.width_high),
+    ("initial", "kind", "value", "value", lambda c: c.initial[0]),
+    ("initial", "value", "0.25", 0.25, lambda c: c.initial[1]),
+    ("initial", "amplitude", "0.5", 0.5, None),  # read by kind = sine only
+    ("initial", "mode", "2", 2, None),
+    ("functionals", "specs", "mass, norm_v2", ["mass", "norm_v2"], lambda c: c.specs),
+    ("run", "n_cycles", "7", 7, lambda c: c.plan.n_cycles),
+    ("run", "est_shards", "3", 3, lambda c: c.plan.est_shards),
+    ("run", "t_end", "9.0", 9.0, lambda c: c.plan.t_end),
+    ("run", "checkpoints", "2, 4", [2.0, 4.0], lambda c: c.plan.checkpoints),
+    ("run", "n_replicates", "5", 5, lambda c: c.plan.n_replicates),
+    ("run", "clt_t", "8.0", 8.0, lambda c: c.plan.clt_t),
+    ("run", "theta_schedule", "3, 5", [3.0, 5.0], lambda c: c.theta_schedule),
+    ("policy", "eps_ext", "1e-9", 1e-9, lambda c: c.policy.eps_ext),
+    ("policy", "m_cap", "500", 500, lambda c: c.policy.m_cap),
+    ("validate", "n_mc", "20000", 20000, lambda c: c.plan.n_mc),
+]
+
+
+def test_every_config_key_reaches_its_object():
+    assert {(s, k) for s, k, *_ in EVERY_KEY} == {(s, k) for s in _KEYS for k in _KEYS[s]}
+    lines = {}
+    for section, key, raw, _, _ in EVERY_KEY:
+        lines.setdefault(section, []).append(f"{key} = {raw}")
+    text = "".join(f"[{s}]\n" + "\n".join(body) + "\n\n" for s, body in lines.items())
+    cfg = parse_config_text(text)
+    for section, key, _, want, got in EVERY_KEY:
+        if got is not None:
+            assert got(cfg) == want, (section, key)
+    sine = parse_config_text(text.replace("kind = value", "kind = sine"))
+    assert sine.initial == ("sine", 0.5, 2)
+    # a law kind's own keys are required, not taken as 0.0
+    for text, key in [
+        (SCALAR_CFG.replace("kind = scalar_uniform\namp = 1.0", "kind = scalar_constant"), "value"),
+        (SCALAR_CFG.replace("amp = 1.0\n", ""), "amp"),
+        (PLAPLACE_CFG.replace("amp_max = 0.6\n", ""), "amp_max"),
+    ]:
+        with pytest.raises(ConfigError, match=f"missing required key '{key}' in section \\[eta\\]"):
+            parse_config_text(text)
 
 
 @pytest.mark.parametrize("command", ["clt", "anscombe"])
