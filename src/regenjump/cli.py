@@ -187,9 +187,9 @@ def _cmd_slln(cfg, setup, args, manifest) -> int:
     summary = result["summary"]
     label = next(iter(summary["functionals"]))
     info = summary["functionals"][label]
-    rep0 = result["replicates"][0]
-    xs = rep0.checkpoints
-    ys = [rep0.integrals[label][j] / xs[j] for j in range(len(xs))]
+    reps = result["replicates"]
+    xs = reps.checkpoints
+    ys = reps.integrals[label][0] / xs
     svg_path = os.path.join(args.out, "slln.svg")
     nu = info["nu_hat"]
     half = 3.0 * info["combined_se"]
@@ -376,7 +376,6 @@ def main(argv=None) -> int:
     except OSError as exc:
         print(f"cannot read config: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    os.makedirs(args.out, exist_ok=True)
     manifest = report.RunManifest(
         command=args.command,
         config_hash=cfg.hash(),
@@ -387,6 +386,7 @@ def main(argv=None) -> int:
         if args.command == "kappa-fit" and cfg.backend != "plaplace":
             raise ConfigError("kappa-fit needs the plaplace backend")
         setup = cfg.build_setup()
+        os.makedirs(args.out, exist_ok=True)  # only once the config is known to build
         if args.command in _NEEDS_DRIFT:
             require_valid_drift(setup, cfg.plan, force=args.force)
         handler = {

@@ -99,6 +99,7 @@ class RunManifest:
             "outputs": sorted(self.outputs),
             "wall_time_seconds": time.time() - self.started_at,
         }
+        os.makedirs(out_dir, exist_ok=True)  # a run that failed early made no directory yet
         final = os.path.join(out_dir, "manifest.json")
         tmp = final + ".tmp"
         with open(tmp, "w", encoding="utf-8") as fh:

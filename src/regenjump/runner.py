@@ -1,19 +1,22 @@
 """Experiment orchestration: replicate pools, estimation runs, and studies.
 
-Replicate-level work is embarrassingly parallel; each task owns its RNG
+Replicate-level work is embarrassingly parallel; each replicate owns its RNG
 streams (derived from the master seed and the replicate index alone), results
 are merged in index order, and estimator reductions run in a fixed order, so
 outputs are byte-identical for 1 or N workers.  Large cycle-estimation runs
 are split into a fixed number of shards with their own stream indices; the
 shard count is part of the experiment definition, not of the execution
-environment.
+environment.  Horizon replicates run as contiguous, index-ordered chunks,
+about 4 per worker, each one block of ``simulate_until_time`` (whose rows do
+not depend on the block), and the chunks' results are concatenated into one
+``HorizonResult`` with a row per replicate, which the studies read by column.
 
 Each study forks one pool of workers, once, no more of them than it has
-tasks.  ``slln`` and ``clt`` queue the estimation shards and the horizon
-replicates together; ``anscombe`` sizes its horizons from the estimate, so
-it queues them after it.  Before they collect any result, the KS studies
-import ``scipy.stats`` in the main process, which then loads while the
-workers compute; with no workers, it loads at its first use.
+shards and replicates.  ``slln`` and ``clt`` queue the estimation shards
+and the horizon chunks together; ``anscombe`` sizes its horizons from the
+estimate, so it queues them after it.  Before they collect any result, the
+KS studies import ``scipy.stats`` in the main process, which then loads
+while the workers compute; with no workers, it loads at its first use.
 """
 
 from __future__ import annotations
@@ -178,6 +181,10 @@ class _Pool:
         if self._executor is not None:
             importlib.import_module(module)
 
+    def chunk(self, n_tasks: int) -> int:
+        """Tasks per chunk for about 4 chunks per worker."""
+        return max(1, n_tasks // (self.workers * 4))
+
     def map(self, fn, args_list, combine=list):
         """Queue ``fn`` over ``args_list``; returns a function giving ``combine(results)``."""
         if self.workers <= 1:
@@ -185,8 +192,7 @@ class _Pool:
             return lambda: results
         if self._executor is None:  # forks every worker at the first submit
             self._executor = ProcessPoolExecutor(max_workers=self.workers)
-        chunk = max(1, len(args_list) // (self.workers * 4))
-        results = self._executor.map(fn, args_list, chunksize=chunk)
+        results = self._executor.map(fn, args_list, chunksize=self.chunk(len(args_list)))
         return lambda: combine(list(results))
 
 
@@ -241,16 +247,16 @@ def run_cycle_estimation(
 
 
 def _horizon_task(args) -> HorizonResult:
-    setup, t_end, checkpoints, replicate = args
+    setup, t_end, checkpoints, replicates = args
     return simulate_until_time(
-        setup.initial_state(replicate),
+        [setup.initial_state(i) for i in replicates],
         setup.driver,
         setup.sg,
         setup.policy,
         t_end,
         setup.functionals,
         checkpoints=checkpoints,
-        replicate_index=replicate,
+        replicate_indices=replicates,
     )
 
 
@@ -262,16 +268,24 @@ def run_horizon_replicates(
     threads: int = 1,
     pool=None,
 ):
-    """Each replicate's run to the horizon, in index order.
+    """Every replicate's run to the horizon: one HorizonResult, a row per replicate in index order.
 
-    Given a study's ``pool``, the replicates are queued on it, and what is
-    returned is a function giving their list.
+    The replicates run as contiguous chunks in index order, about 4 per
+    worker; each chunk is one block of ``simulate_until_time``.  Given a
+    study's ``pool``, the chunks are queued on it, and what is returned is a
+    function giving the result.
     """
-    tasks = [(setup, t_end, checkpoints, i) for i in range(n_replicates)]
+
+    def queue(pool):
+        size = pool.chunk(n_replicates)
+        chunks = [range(lo, min(lo + size, n_replicates)) for lo in range(0, n_replicates, size)]
+        tasks = [(setup, t_end, checkpoints, chunk) for chunk in chunks]
+        return pool.map(_horizon_task, tasks, HorizonResult.concatenate)
+
     if pool is not None:
-        return pool.map(_horizon_task, tasks)
-    with _Pool(threads, len(tasks)) as pool:
-        return pool.map(_horizon_task, tasks)()
+        return queue(pool)
+    with _Pool(threads, n_replicates) as pool:
+        return queue(pool)()
 
 
 def validate_moment_sanity(setup: ExperimentSetup, n_draws: int = 100_000) -> dict:
@@ -416,20 +430,20 @@ def run_slln(setup: ExperimentSetup, plan: RunPlan, threads: int = 1) -> dict:
     stats = {label: stats_from_moments(moments, label) for label in moments.labels}
     labels = moments.labels
     skipped = [xi.label for xi in setup.functionals if xi.vector_valued]
-    curves = []
-    for i, rep in enumerate(reps):
-        for j, t in enumerate(rep.checkpoints):
-            row = {"replicate": i, "t": float(t)}
-            for label in labels:
-                row[f"avg_{label}"] = float(rep.integrals[label][j]) / float(t)
-            curves.append(row)
+    times = reps.checkpoints.tolist()
+    averages = {label: (reps.integrals[label] / reps.checkpoints).tolist() for label in labels}
+    curves = [
+        {"replicate": i, "t": t, **{f"avg_{label}": averages[label][i][j] for label in labels}}
+        for i in range(plan.n_replicates)
+        for j, t in enumerate(times)
+    ]
     summary = {"n_replicates": plan.n_replicates, "t_end": plan.t_end, "functionals": {}}
     if skipped:
         summary["skipped_vector_functionals"] = skipped
     suite_pass = True
     for label in labels:
         st = stats[label]
-        finals = np.array([rep.integrals[label][-1] / plan.t_end for rep in reps])
+        finals = reps.integrals[label][:, -1] / plan.t_end
         se_time_avg = math.sqrt(max(st.sigma2_hat, 0.0) / plan.t_end)
         combined = math.sqrt(st.se_nu**2 + se_time_avg**2)
         gap = float(np.mean(np.abs(finals - st.nu_hat)))
@@ -512,6 +526,12 @@ def run_clt_vector(
     }
 
 
+def _index_samples(reps: HorizonResult, label: str, j: int, t: float) -> list:
+    """Each replicate's (random-index sum of S, of tau, t) at checkpoint j."""
+    sums = zip(reps.index_s[label][:, j].tolist(), reps.index_tau[:, j].tolist())
+    return [(s, tau, t) for s, tau in sums]
+
+
 def run_clt(setup: ExperimentSetup, plan: RunPlan, threads: int = 1, label: str | None = None) -> dict:
     """CLT and random-index (Anscombe) samples at the plan's horizon.
 
@@ -531,7 +551,7 @@ def run_clt(setup: ExperimentSetup, plan: RunPlan, threads: int = 1, label: str 
         pool.meanwhile_import("scipy.stats")  # the KS tests' module
         moments, reps = estimate(), replicates()
     st = stats_from_moments(moments, label)
-    raw = np.array([clt_statistic(rep.integrals[label][-1], t, st.nu_hat) for rep in reps])
+    raw = clt_statistic(reps.integrals[label][:, -1], t, st.nu_hat)
     sigma = math.sqrt(max(st.sigma2_hat, 0.0))
     out = {
         "t": t,
@@ -555,9 +575,7 @@ def run_clt(setup: ExperimentSetup, plan: RunPlan, threads: int = 1, label: str 
     out["standardized_statistics"] = standardized
     out["ks_clt"] = ks_test_normal(standardized, 1.0, alpha=plan.alpha)
     out["var_ratio"] = float(np.var(raw) / st.sigma2_hat)
-    anscombe_samples = [
-        (float(rep.index_s[label][-1]), float(rep.index_tau[-1]), t) for rep in reps
-    ]
+    anscombe_samples = _index_samples(reps, label, -1, t)
     out["anscombe_samples"] = anscombe_samples
     out["ks_anscombe"] = anscombe_check(
         anscombe_samples, st.nu_hat, st.sigma2_hat, st.mean_tau, alpha=plan.alpha
@@ -599,8 +617,8 @@ def run_anscombe(
     reports = []
     overall = True
     for theta, t_cp in zip(theta_schedule, horizons):
-        j = int(np.searchsorted(reps[0].checkpoints, t_cp))
-        samples = [(float(rep.index_s[label][j]), float(rep.index_tau[j]), t_cp) for rep in reps]
+        j = int(np.searchsorted(reps.checkpoints, t_cp))
+        samples = _index_samples(reps, label, j, t_cp)
         report = anscombe_check(
             samples, st.nu_hat, st.sigma2_hat, st.mean_tau, alpha=plan.alpha
         )

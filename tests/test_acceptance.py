@@ -226,12 +226,11 @@ def test_c04_two_route_nu_agreement():
     setup = scalar_setup(8101, functionals=functionals)
     moments = run_cycle_estimation(setup, 100_000, n_shards=16)
     reps = run_horizon_replicates(setup, 10_000.0, None, 1)
-    rep = reps[0]
     all_ok = True
     details = []
     for xi in functionals:
         st = stats_from_moments(moments, xi.label)
-        a_t = float(rep.integrals[xi.label][-1]) / 10_000.0
+        a_t = float(reps.integrals[xi.label][0, -1]) / 10_000.0
         combined = math.sqrt(st.se_nu**2 + max(st.sigma2_hat, 0.0) / 10_000.0)
         gap = abs(a_t - st.nu_hat)
         all_ok = all_ok and gap <= 3.0 * combined
@@ -259,13 +258,10 @@ def clt_study():
     for seed in CLT_SEEDS:
         setup = scalar_setup(seed)
         reps = run_horizon_replicates(setup, CLT_T, None, N_REPLICATES, threads=2)
-        raw = np.array(
-            [clt_statistic(r.integrals["norm_v2"][-1], CLT_T, st.nu_hat) for r in reps]
-        )
+        raw = clt_statistic(reps.integrals["norm_v2"][:, -1], CLT_T, st.nu_hat)
         ks = ks_test_normal(raw / sigma, 1.0)
-        anscombe_samples = [
-            (float(r.index_s["norm_v2"][-1]), float(r.index_tau[-1]), CLT_T) for r in reps
-        ]
+        sums = zip(reps.index_s["norm_v2"][:, -1].tolist(), reps.index_tau[:, -1].tolist())
+        anscombe_samples = [(s, tau, CLT_T) for s, tau in sums]
         ks_anscombe = anscombe_check(
             anscombe_samples, st.nu_hat, st.sigma2_hat, st.mean_tau
         )

@@ -493,6 +493,28 @@ def test_cli_model_parameter_out_of_range_is_a_config_error(tmp_path, capsys, se
     assert "Traceback" not in err
 
 
+def test_cli_config_error_in_the_setup_leaves_no_output_directory(tmp_path, capsys):
+    # the model's parameters are checked as the set-up is built; a config
+    # that fails there writes nothing, not even an empty directory
+    cfg = write(tmp_path, with_key(PLAPLACE_CFG, "plaplace", "q = 0.5"))
+    out = tmp_path / "o"
+    assert run_cli(["validate", "--config", cfg, "--out", out]) == 1
+    assert "config error" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_cli_drift_and_runtime_errors_write_their_manifest(tmp_path):
+    drift = write(tmp_path, BAD_DRIFT_CFG)
+    assert run_cli(["slln", "--config", drift, "--out", tmp_path / "drift"]) == 2
+    assert read_json(tmp_path / "drift" / "manifest.json")["outputs"] == []
+    absurd = PLAPLACE_CFG.replace("dt = 0.01", "").replace(
+        "newton_max_iter = 80", "newton_max_iter = 2"
+    ).replace("p = 1.5", "p = 1.5\ndt = 10.0")
+    runtime = write(tmp_path, absurd)
+    assert run_cli(["semigroup-check", "--config", runtime, "--out", tmp_path / "rt"]) == 4
+    assert read_json(tmp_path / "rt" / "manifest.json")["command"] == "semigroup-check"
+
+
 # (section, key, raw value, parsed value, where the parsed config carries it);
 # every value differs from the key's default
 EVERY_KEY = [

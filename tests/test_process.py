@@ -1,6 +1,7 @@
 from collections import namedtuple
 from functools import lru_cache
 from itertools import islice
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -47,6 +48,27 @@ def deterministic_driver(seed=1):
 
 
 Step = namedtuple("Step", "state t t_end extinct after")
+
+
+def horizon_of_one(x0, driver, sg, policy, t_end, fns, checkpoints=None, replicate_index=0):
+    """simulate_until_time over a block of one replicate, as that replicate's row."""
+    res = simulate_until_time(
+        [x0], driver, sg, policy, t_end, fns, checkpoints, replicate_indices=[replicate_index]
+    )
+    return horizon_row(res, 0)
+
+
+def horizon_row(res, r):
+    """Row r of a block's horizon result, with its own span of the cycle lengths."""
+    spans = np.cumsum(np.concatenate(([0], res.counts[:, -1] + 1)))
+    return SimpleNamespace(
+        checkpoints=res.checkpoints,
+        integrals={k: v[r] for k, v in res.integrals.items()},
+        counts=res.counts[r],
+        index_s={k: v[r] for k, v in res.index_s.items()},
+        index_tau=res.index_tau[r],
+        cycle_tau=res.cycle_tau[spans[r] : spans[r + 1]],
+    )
 
 
 def chain_prefix(x0, driver, sg, policy, n_steps, fns=()):
@@ -284,7 +306,7 @@ def test_moments_merge():
 def test_horizon_deterministic_example():
     # integral over [0, 6] = warm-up 0 + one cycle 1/3; two regenerations by t = 6
     sg = scalar_sg()
-    res = simulate_until_time(
+    res = horizon_of_one(
         SCALAR.zero(),
         deterministic_driver(),
         sg,
@@ -302,7 +324,7 @@ def test_horizon_deterministic_example():
 def test_horizon_short_of_first_jump():
     sg = scalar_sg()
     driver = deterministic_driver()
-    res = simulate_until_time(
+    res = horizon_of_one(
         SCALAR.state([1.0]), driver, sg, POLICY, 0.5, [NormV2(SCALAR)]
     )
     # single segment: integral of (1 - tau)^2 on [0, 0.5]
@@ -314,7 +336,7 @@ def test_horizon_monotone_integrals_for_nonnegative():
     sg = scalar_sg()
     driver = stochastic_driver(41)
     cps = [5.0, 10.0, 20.0, 40.0]
-    res = simulate_until_time(
+    res = horizon_of_one(
         SCALAR.zero(), driver, sg, POLICY, 40.0, [NormV2(SCALAR)], checkpoints=cps
     )
     vals = res.integrals["norm_v2"]
@@ -327,7 +349,7 @@ def test_horizon_fast_matches_generic():
     driver = stochastic_driver(43)
     fns = [NormV2(SCALAR), Linear(SCALAR, [1.0], label="mass")]
     cps = [2.0, 7.5, 15.0]
-    fast = simulate_until_time(SCALAR.zero(), driver, sg, POLICY, 15.0, fns, checkpoints=cps)
+    fast = horizon_of_one(SCALAR.zero(), driver, sg, POLICY, 15.0, fns, checkpoints=cps)
     slow = horizon_by_steps(SCALAR.zero(), driver, sg, POLICY.eps_ext, fns, cps)
     assert np.all(fast.counts == slow.counts)
     assert np.all(fast.cycle_tau == slow.cycle_tau)
@@ -340,7 +362,7 @@ def test_horizon_fast_matches_generic():
 def test_horizon_cycle_arrays_cover_random_index():
     sg = scalar_sg()
     driver = stochastic_driver(47)
-    res = simulate_until_time(
+    res = horizon_of_one(
         SCALAR.zero(), driver, sg, POLICY, 50.0, [NormV2(SCALAR)]
     )
     assert res.cycle_tau.shape[0] == int(res.counts[-1]) + 1
@@ -407,7 +429,7 @@ def assert_all_drivers_match_oracle(x0, driver, sg, policy, fns, n_cycles, cps):
     got = cycle_moments(x0, driver, sg, policy, n_cycles, fns, replicate_index=3)
     assert moments_tuple(got) == moments_tuple(oracle_moments(slow, fns))
 
-    fast_h = simulate_until_time(
+    fast_h = horizon_of_one(
         x0, driver, sg, policy, cps[-1], fns, checkpoints=cps, replicate_index=5
     )
     slow_h = horizon_by_steps(x0, driver, sg, policy.eps_ext, fns, cps, replicate_index=5)
@@ -489,7 +511,7 @@ def test_table_checkpoints_on_jump_times(monkeypatch, window):
     cps = sorted([regen_times[10], plain_times[20], 0.5 * (plain_times[40] + plain_times[41])])
     cps.append(regen_times[60])
     slow_h = horizon_by_steps(SCALAR.zero(), driver, sg, POLICY.eps_ext, fns, cps)
-    fast_h = simulate_until_time(SCALAR.zero(), driver, sg, POLICY, cps[-1], fns, checkpoints=cps)
+    fast_h = horizon_of_one(SCALAR.zero(), driver, sg, POLICY, cps[-1], fns, checkpoints=cps)
     assert horizon_tuple(fast_h) == horizon_tuple(slow_h)
     assert fast_h.counts[0] == 11 and fast_h.counts[-1] == 61
 
@@ -503,7 +525,7 @@ def test_table_default_and_small_windows_agree(monkeypatch):
         monkeypatch.setattr(process, "_WINDOW", window)
         runs.append((
             moments_tuple(cycle_moments(SCALAR.zero(), driver, sg, POLICY, 5000, fns)),
-            horizon_tuple(simulate_until_time(SCALAR.zero(), driver, sg, POLICY, 2000.0, fns)),
+            horizon_tuple(horizon_of_one(SCALAR.zero(), driver, sg, POLICY, 2000.0, fns)),
         ))
     assert runs[0] == runs[1]
 
@@ -534,10 +556,15 @@ def test_table_horizon_memory_is_linear_in_the_window(monkeypatch):
     driver = DriverConfig(BetaLaw.gamma(0.002, 500.0), EtaLaw.scalar_uniform(1.0), 109)
     fns = ALL_SCALAR_KINDS[:4]
     runs = {  # each driver, and the cycles it closed
-        "horizon": lambda: simulate_until_time(
+        "horizon": lambda: horizon_of_one(
             SCALAR.zero(), driver, sg, POLICY, 40_000.0, fns
         ).counts[-1],
         "moments": lambda: cycle_moments(SCALAR.zero(), driver, sg, POLICY, 250, fns).n,
+        # 64 replicates of about 730 lanes each: one table of them all would
+        # peak at about 11 MB, but tables hold at most the window's lanes
+        "block": lambda: simulate_until_time(
+            [SCALAR.zero()] * 64, driver, sg, POLICY, 600.0, fns
+        ).counts[:, -1].sum(),
     }
     for name, run in runs.items():
         tracemalloc.start()
@@ -552,10 +579,138 @@ def test_table_horizon_memory_is_linear_in_the_window(monkeypatch):
         assert peak < 2_000_000, f"{name}: peak {peak} bytes"
 
 
+# --- blocks of horizon replicates: each row is its replicate's run alone, bit for bit
+
+
+def table_blocks(monkeypatch):
+    """Records the chains of every table made; returns that list."""
+    blocks = []
+    table = process._ScalarChain._table
+
+    def recorded(block):
+        if block:
+            blocks.append([chain for chain, *_ in block])
+        return table(block)
+
+    monkeypatch.setattr(process._ScalarChain, "_table", recorded)
+    return blocks
+
+
+def assert_block_rows_match_the_oracle(monkeypatch, x0s, driver, sg, policy, fns, cps, indices):
+    """Each replicate alone and as a row of the block, against the oracle; returns
+    the number of chains in each table the block made."""
+    refs = [
+        horizon_by_steps(x0, driver, sg, policy.eps_ext, fns, cps, replicate_index=i)
+        for x0, i in zip(x0s, indices)
+    ]
+    blocks = table_blocks(monkeypatch)
+    block = simulate_until_time(x0s, driver, sg, policy, cps[-1], fns, cps, indices)
+    sizes = [len(chains) for chains in blocks]
+    for r, (x0, i, ref) in enumerate(zip(x0s, indices, refs)):
+        alone = horizon_of_one(x0, driver, sg, policy, cps[-1], fns, cps, replicate_index=i)
+        assert horizon_tuple(alone) == horizon_tuple(ref), r
+        assert horizon_tuple(horizon_row(block, r)) == horizon_tuple(ref), r
+    return sizes
+
+
+@pytest.mark.parametrize("window, lane_steps", [(None, None), (450, None), (64, 3)])
+def test_horizon_block_rows_match_the_oracle(monkeypatch, window, lane_steps):
+    # the second replicate's warm-up spans hundreds of steps, so its first
+    # window closes no cycle and it goes round again among the stragglers; a
+    # window of 450 lanes holds at most two of these replicates' windows
+    table_sizes(monkeypatch, window, lane_steps)
+    sg = scalar_sg(rho=0.45)
+    driver = stochastic_driver(151)
+    x0s = [SCALAR.zero(), SCALAR.state([160_000.0]), SCALAR.state([-3.0])]
+    sizes = assert_block_rows_match_the_oracle(
+        monkeypatch, x0s, driver, sg, POLICY, ALL_SCALAR_KINDS, [1.5, 40.0, 120.0], [4, 9, 2]
+    )
+    if window is None:
+        assert sizes[0] == 3 and set(sizes[1:]) == {1}
+    else:
+        assert max(sizes) < 3
+
+
+class ZerosOnOddReplicates:
+    """Exponential(1) betas; on odd replicates' streams the draws below 0.3 (about a
+    quarter) are exactly 0.0, where T(0) = I, and on even ones none is."""
+
+    kind = "exponential"
+
+    def mean(self):
+        return 1.0
+
+    def sample(self, rng):
+        return float(self.sample_block(rng, 1)[0])
+
+    def sample_block(self, rng, n):
+        out = rng.exponential(1.0, size=n)
+        if rng.bit_generator.seed_seq.spawn_key[0] % 2:
+            out[out < 0.3] = 0.0
+        return out
+
+
+def test_horizon_block_with_zero_betas_beside_replicates_without(monkeypatch):
+    # a table takes T(0) = I for every lane when any of its chains drew a zero
+    # beta; the replicates that drew none must be unaffected
+    sg = scalar_sg(kappa=1.3, rho=0.45)
+    driver = DriverConfig(ZerosOnOddReplicates(), EtaLaw.scalar_uniform(1.0), 163)
+    sizes = assert_block_rows_match_the_oracle(
+        monkeypatch, [SCALAR.zero()] * 4, driver, sg, POLICY, ALL_SCALAR_KINDS[:3], [5.0, 80.0],
+        [2, 1, 4, 3],
+    )
+    assert sizes[0] == 4  # the replicates shared their first table
+
+
+def test_horizon_block_of_random_initial_states_matches_the_oracle():
+    # the runner's chunks of replicates, each from its own random initial state
+    from regenjump.runner import ExperimentSetup, run_horizon_replicates
+
+    sg = scalar_sg()
+    driver = stochastic_driver(167)
+    fns = [NormV2(SCALAR), IdentityV2(SCALAR)]
+    setup = ExperimentSetup(sg, driver, POLICY, fns, initial_spec=("random",))
+    cps = [10.0, 80.0]
+    res = run_horizon_replicates(setup, cps[-1], cps, 12)
+    x0s = [setup.initial_state(i) for i in range(12)]
+    assert len({x0.scalar for x0 in x0s}) == 12
+    for r, x0 in enumerate(x0s):
+        ref = horizon_by_steps(x0, driver, sg, POLICY.eps_ext, fns, cps, replicate_index=r)
+        assert horizon_tuple(horizon_row(res, r)) == horizon_tuple(ref), r
+
+
+@pytest.mark.parametrize("window", [None, 64])
+def test_horizon_block_raises_the_cap_error_of_its_first_failing_replicate(monkeypatch, window):
+    # replicates 12 and 8 each have one cycle of 13 steps, 12 at about
+    # t = 447 and 8 at t = 139 (with windows of 64 lanes, several rounds
+    # apart); the block raises what replicate 12, the first to fail in the
+    # block's order, raises alone, as running the replicates one after
+    # another would
+    table_sizes(monkeypatch, window, None)
+    sg = scalar_sg()
+    driver = stochastic_driver(173)
+    fns = [NormV2(SCALAR)]
+    policy = ExtinctionPolicy(eps_ext=1e-12, m_cap=12)
+    indices = [3, 12, 8, 10]
+    messages = []
+    for i in indices:
+        try:
+            horizon_of_one(SCALAR.zero(), driver, sg, policy, 460.0, fns, replicate_index=i)
+            messages.append(None)
+        except CycleCapExceeded as exc:
+            messages.append(str(exc))
+    assert messages == [
+        None, "cycle 227 exceeded 12 chain steps", "cycle 66 exceeded 12 chain steps", None
+    ]
+    with pytest.raises(CycleCapExceeded) as info:
+        simulate_until_time([SCALAR.zero()] * 4, driver, sg, policy, 460.0, fns, None, indices)
+    assert str(info.value) == messages[1]
+
+
 @pytest.mark.parametrize("window", [None, 64])
 def test_table_steps_each_lane_once(monkeypatch, window):
     table_sizes(monkeypatch, window, None)
-    calls = {"advance": 0, "_lanes": 0}
+    calls = {"_table": 0, "_lanes": 0}
 
     def count(name):
         method = getattr(process._ScalarChain, name)
@@ -566,13 +721,13 @@ def test_table_steps_each_lane_once(monkeypatch, window):
 
         monkeypatch.setattr(process._ScalarChain, name, counted)
 
-    count("advance")
+    count("_table")
     count("_lanes")
     sg = scalar_sg()
     driver = stochastic_driver(131)
     cycle_moments(SCALAR.zero(), driver, sg, POLICY, 2000, [NormV2(SCALAR)])
-    simulate_until_time(SCALAR.zero(), driver, sg, POLICY, 300.0, [NormV2(SCALAR)])
-    assert calls["advance"] >= 2 and calls["_lanes"] == calls["advance"]
+    simulate_until_time([SCALAR.zero()] * 3, driver, sg, POLICY, 300.0, [NormV2(SCALAR)])
+    assert calls["_table"] >= 2 and calls["_lanes"] == calls["_table"]
 
 
 WINDOW_LAWS = {
@@ -660,7 +815,7 @@ def every_driver(x0, driver, sg, policy, fns):
     return [
         lambda: list(simulate_cycles(x0, driver, sg, policy, 1, fns)),
         lambda: cycle_moments(x0, driver, sg, policy, 1, fns),
-        lambda: simulate_until_time(x0, driver, sg, policy, 1.0, fns),
+        lambda: horizon_of_one(x0, driver, sg, policy, 1.0, fns),
     ]
 
 
@@ -765,15 +920,16 @@ def test_grid_cycles_regenerate():
 
 
 def test_grid_horizon_vector_functional():
+    # a block of two replicates, run one after another, gives each one's run alone
     sg, driver = grid_setup(seed=2)
     policy = ExtinctionPolicy(eps_ext=1e-10, m_cap=10_000)
-    res = simulate_until_time(
-        sg.space.zero(), driver, sg, policy, 1.5, [IdentityV2(sg.space)],
-        checkpoints=[0.75, 1.5],
-    )
-    vals = res.integrals["identity_v2"]
-    assert vals.shape == (2, 12)
-    assert res.index_s["identity_v2"].shape == (2, 12)
+    fns, x0 = [IdentityV2(sg.space)], sg.space.zero()
+    block = simulate_until_time([x0, x0], driver, sg, policy, 1.5, fns, [0.75, 1.5], [0, 1])
+    assert block.integrals["identity_v2"].shape == (2, 2, 12)
+    assert block.index_s["identity_v2"].shape == (2, 2, 12)
+    for r in (0, 1):
+        res = horizon_of_one(x0, driver, sg, policy, 1.5, fns, [0.75, 1.5], replicate_index=r)
+        assert horizon_tuple(horizon_row(block, r)) == horizon_tuple(res)
 
 
 def test_grid_cap_raises_on_every_driver():
@@ -834,7 +990,7 @@ def test_scalar_drivers_match_the_per_step_oracle():
     got_m = cycle_moments(SCALAR.zero(), driver, sg, POLICY, 80, fns)
     assert moments_tuple(got_m) == moments_tuple(oracle_moments(records, fns))
     ref = horizon_by_steps(SCALAR.zero(), driver, sg, POLICY.eps_ext, fns, cps)
-    got_h = simulate_until_time(SCALAR.zero(), driver, sg, POLICY, cps[-1], fns, checkpoints=cps)
+    got_h = horizon_of_one(SCALAR.zero(), driver, sg, POLICY, cps[-1], fns, checkpoints=cps)
     assert horizon_tuple(got_h) == horizon_tuple(ref)
     assert got_h.counts[0] > 0 and got_h.counts[-1] == len(regen)
 
@@ -852,7 +1008,7 @@ def test_grid_drivers_match_the_per_step_oracle():
     # a plain jump time, a regeneration time, and a time between jumps
     cps = [steps[1][2], steps[2][2], 0.5 * (steps[3][1] + steps[3][2])]
     ref = horizon_by_steps(x0, driver, sg, policy.eps_ext, fns, cps)
-    got = simulate_until_time(x0, driver, sg, policy, cps[-1], fns, checkpoints=cps)
+    got = horizon_of_one(x0, driver, sg, policy, cps[-1], fns, checkpoints=cps)
     assert horizon_tuple(got) == horizon_tuple(ref)
     assert list(got.counts) == [1, 2, 2]
     assert got.integrals["identity_v2"].shape == (3, 12)
