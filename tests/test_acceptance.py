@@ -39,6 +39,7 @@ from regenjump.plaplace import (
 )
 from regenjump.process import ExtinctionPolicy, cycle_moments, simulate_cycles
 from regenjump.runner import (
+    _index_samples,
     ExperimentSetup,
     run_cycle_estimation,
     run_horizon_replicates,
@@ -260,8 +261,7 @@ def clt_study():
         reps = run_horizon_replicates(setup, CLT_T, None, N_REPLICATES, threads=2)
         raw = clt_statistic(reps.integrals["norm_v2"][:, -1], CLT_T, st.nu_hat)
         ks = ks_test_normal(raw / sigma, 1.0)
-        sums = zip(reps.index_s["norm_v2"][:, -1].tolist(), reps.index_tau[:, -1].tolist())
-        anscombe_samples = [(s, tau, CLT_T) for s, tau in sums]
+        anscombe_samples = _index_samples(reps, "norm_v2", -1, CLT_T)
         ks_anscombe = anscombe_check(
             anscombe_samples, st.nu_hat, st.sigma2_hat, st.mean_tau
         )

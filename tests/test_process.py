@@ -61,6 +61,8 @@ def horizon_of_one(x0, driver, sg, policy, t_end, fns, checkpoints=None, replica
 def horizon_row(res, r):
     """Row r of a block's horizon result, with its own span of the cycle lengths."""
     spans = np.cumsum(np.concatenate(([0], res.counts[:, -1] + 1)))
+    # The block's cycle lengths are exactly its rows' spans: no extra cycles, none missing.
+    assert spans[-1] == res.cycle_tau.shape[0]
     return SimpleNamespace(
         checkpoints=res.checkpoints,
         integrals={k: v[r] for k, v in res.integrals.items()},
