@@ -1,7 +1,8 @@
 """Command-line harness.
 
 Subcommands: validate | semigroup-check | kappa-fit | slln | clt | anscombe,
-each taking --config <path> --out <dir> [--threads N] [--force].
+each taking --config <path> --out <dir> [--threads N] [--force].  Each runs
+its study in ``runner``, writes what the study returns, and prints.
 
 Exit codes: 0 success, 1 config/parse error, 2 drift violation,
 3 statistical suite failure, 4 runtime (solver) error.
@@ -45,10 +46,7 @@ EXIT_DRIFT = 2
 EXIT_STATS = 3
 EXIT_RUNTIME = 4
 
-_SCALAR_TOL = 1e-12
-_MASS_TOL = 1e-10
-_LQ_TOL = 1e-9
-_FIT_TOL = 1e-9
+_CYCLES_CSV_MAX = 10_000  # records in clt's cycles.csv
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -78,9 +76,9 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _write_summary(out_dir, manifest, payload):
-    path = os.path.join(out_dir, "summary.json")
-    report.write_json(path, payload)
+def _output(args, manifest, name: str) -> str:
+    """The path of an output file in --out, listed in the manifest."""
+    path = os.path.join(args.out, name)
     manifest.add_output(path)
     return path
 
@@ -98,7 +96,7 @@ def _cmd_validate(cfg, setup, args, manifest) -> int:
         "moment sanity: beta^12 = {beta_moment_12:.6g}, "
         "||eta||_V2^4 = {eta_v2_moment_4:.6g}".format(**result["moment_sanity"])
     )
-    _write_summary(args.out, manifest, result)
+    report.write_json(_output(args, manifest, "summary.json"), result)
     if not result["ok"] and not args.force:
         print("drift condition VIOLATED")
         return EXIT_DRIFT
@@ -108,38 +106,14 @@ def _cmd_validate(cfg, setup, args, manifest) -> int:
 
 def _cmd_semigroup_check(cfg, setup, args, manifest) -> int:
     result = run_semigroup_check(setup)
-    summary = result["summary"]
-    if cfg.backend == "plaplace":
-        fit = summary["kappa_fit"] = setup.kappa_fit.as_dict()  # fitted by build_setup
-        tolerances = {
-            "max_semigroup_residual": 0.0,
-            "max_contraction_residual": _LQ_TOL,
-            "max_identity_residual": 0.0,
-            "max_mass_residual": _MASS_TOL,
-            "max_lq_contraction_residual": _LQ_TOL,
-        }
-        ok = all(summary[k] <= tol for k, tol in tolerances.items())
-        ok = ok and fit["fit_residual"] <= _FIT_TOL and fit["kappa_emp"] > 0.0
-    else:
-        tolerances = {
-            "max_semigroup_residual": _SCALAR_TOL,
-            "max_contraction_residual": _SCALAR_TOL,
-            "max_identity_residual": _SCALAR_TOL,
-            "max_extinction_equality_residual": _SCALAR_TOL,
-        }
-        ok = all(summary[k] <= tol for k, tol in tolerances.items())
-    summary["tolerances"] = tolerances
-    summary["pass"] = ok
-    rows = result["rows"]
+    summary, rows = result["summary"], result["rows"]
     header = sorted({k for row in rows for k in row})
-    csv_path = os.path.join(args.out, "semigroup_residuals.csv")
-    report.write_csv(csv_path, header, rows)
-    manifest.add_output(csv_path)
-    _write_summary(args.out, manifest, summary)
-    for key, tol in tolerances.items():
+    report.write_csv(_output(args, manifest, "semigroup_residuals.csv"), header, rows)
+    report.write_json(_output(args, manifest, "summary.json"), summary)
+    for key, tol in summary["tolerances"].items():
         print(f"{key}: {summary[key]:.3e} (tol {tol:.1e})")
-    print("semigroup check:", "PASS" if ok else "FAIL")
-    return EXIT_OK if ok else EXIT_STATS
+    print("semigroup check:", "PASS" if summary["pass"] else "FAIL")
+    return EXIT_OK if summary["pass"] else EXIT_STATS
 
 
 def _cmd_kappa_fit(cfg, setup, args, manifest) -> int:
@@ -156,45 +130,39 @@ def _cmd_kappa_fit(cfg, setup, args, manifest) -> int:
         for t, g in zip(times, gpow):
             rows.append({"sample": i, "t": float(t), "norm_pow_rho": float(g)})
         series.append((f"sample {i}", times, gpow))
-    csv_path = os.path.join(args.out, "kappa_fit.csv")
-    report.write_csv(csv_path, ["sample", "t", "norm_pow_rho"], rows)
-    manifest.add_output(csv_path)
-    svg_path = os.path.join(args.out, "kappa_fit.svg")
+    report.write_csv(
+        _output(args, manifest, "kappa_fit.csv"), ["sample", "t", "norm_pow_rho"], rows
+    )
     report.line_plot_svg(
-        svg_path,
+        _output(args, manifest, "kappa_fit.svg"),
         series[:8],
         title=f"decay of ||u||^rho (kappa_emp = {fit.kappa_emp:.4g})",
         xlabel="t",
         ylabel="||u(t)||_2^rho",
     )
-    manifest.add_output(svg_path)
-    _write_summary(args.out, manifest, result["summary"])
+    report.write_json(_output(args, manifest, "summary.json"), result["summary"])
     print(
         f"kappa_emp = {fit.kappa_emp:.6g} (rho = {fit.rho_used:.3g}), "
         f"fit residual = {fit.fit_residual:.3e}, samples = {fit.n_samples_used}"
     )
-    ok = fit.kappa_emp > 0 and fit.fit_residual <= _FIT_TOL
-    return EXIT_OK if ok else EXIT_STATS
+    return EXIT_OK if result["pass"] else EXIT_STATS
 
 
 def _cmd_slln(cfg, setup, args, manifest) -> int:
     result = run_slln(setup, cfg.plan, threads=args.threads)
     curves = result["curves"]
     header = sorted({k for row in curves for k in row})
-    csv_path = os.path.join(args.out, "slln_curve.csv")
-    report.write_csv(csv_path, header, curves)
-    manifest.add_output(csv_path)
+    report.write_csv(_output(args, manifest, "slln_curve.csv"), header, curves)
     summary = result["summary"]
     label = next(iter(summary["functionals"]))
     info = summary["functionals"][label]
     reps = result["replicates"]
     xs = reps.checkpoints
     ys = reps.integrals[label][0] / xs
-    svg_path = os.path.join(args.out, "slln.svg")
     nu = info["nu_hat"]
     half = 3.0 * info["combined_se"]
     report.line_plot_svg(
-        svg_path,
+        _output(args, manifest, "slln.svg"),
         [(f"time average of {label}", xs, ys)],
         title=f"running time average vs cycle estimate ({label})",
         xlabel="t",
@@ -203,8 +171,7 @@ def _cmd_slln(cfg, setup, args, manifest) -> int:
         hband=(nu - half, nu + half),
         logx=bool(len(xs) > 2 and xs[0] > 0),
     )
-    manifest.add_output(svg_path)
-    _write_summary(args.out, manifest, summary)
+    report.write_json(_output(args, manifest, "summary.json"), summary)
     for lbl, info in summary["functionals"].items():
         print(
             f"{lbl}: nu_hat = {info['nu_hat']:.6g} +- {info['se_nu']:.2g}, "
@@ -213,10 +180,10 @@ def _cmd_slln(cfg, setup, args, manifest) -> int:
     return EXIT_OK if summary["pass"] else EXIT_STATS
 
 
-def _write_cycles_csv(cfg, setup, args, manifest, n_max=10_000):
+def _write_cycles_csv(cfg, setup, args, manifest):
     """Per-cycle table from the first estimation shard (same stream, same values)."""
-    n_shards = max(1, min(cfg.plan.est_shards, cfg.plan.n_cycles))
-    n_record = min(n_max, cfg.plan.n_cycles // n_shards or 1)
+    plan = cfg.plan
+    n_record = min(_CYCLES_CSV_MAX, plan.n_cycles // min(plan.est_shards, plan.n_cycles))
     x0 = setup.initial_state(ESTIMATION_SHARD_BASE)
     rows = []
     for rec in simulate_cycles(
@@ -245,119 +212,57 @@ def _write_cycles_csv(cfg, setup, args, manifest, n_max=10_000):
                 row[f"S_{label}_norm"] = float(np.linalg.norm(np.asarray(value)))
         rows.append(row)
     header = sorted({k for row in rows for k in row})
-    csv_path = os.path.join(args.out, "cycles.csv")
-    report.write_csv(csv_path, header, rows)
-    manifest.add_output(csv_path)
+    report.write_csv(_output(args, manifest, "cycles.csv"), header, rows)
 
 
 def _cmd_clt(cfg, setup, args, manifest) -> int:
     result = run_clt(setup, cfg.plan, threads=args.threads)
     _write_cycles_csv(cfg, setup, args, manifest)
-    if result.get("vector"):
-        summary = {k: v for k, v in result.items() if k != "q_hat"}
-        summary["note"] = "vector-valued functional: covariance route (no replicate KS)"
-        _write_summary(args.out, manifest, summary)
+    summary = result["summary"]
+    report.write_json(_output(args, manifest, "summary.json"), summary)
+    if summary.get("vector"):
         print(
-            f"covariance eigenvalues in [{result['q_min_eigenvalue']:.3e}, "
-            f"{float(np.max(result['q_eigenvalues'])):.3e}], "
-            f"projection gap {result['projection_gap']:.2e}"
+            f"covariance eigenvalues in [{summary['q_min_eigenvalue']:.3e}, "
+            f"{float(np.max(summary['q_eigenvalues'])):.3e}], "
+            f"projection gap {summary['projection_gap']:.2e}"
         )
-        return EXIT_OK if result["pass"] else EXIT_STATS
-    summary = {
-        "t": result["t"],
-        "label": result["label"],
-        "nu_hat": result["nu_hat"],
-        "sigma2_hat": result["sigma2_hat"],
-        "mean_tau": result["mean_tau"],
-        "n_replicates": result["n_replicates"],
-        "n_cycles_estimation": result["n_cycles_estimation"],
-        "degenerate": result["degenerate"],
-        "pass": result["pass"],
-    }
-    if result["degenerate"]:
-        summary["note"] = result["note"]
-        summary["max_abs_statistic"] = result["max_abs_statistic"]
-        rows = [{"replicate": i, "raw": float(v)} for i, v in enumerate(result["raw_statistics"])]
-        csv_path = os.path.join(args.out, "clt_samples.csv")
-        report.write_csv(csv_path, ["replicate", "raw"], rows)
-        manifest.add_output(csv_path)
-        _write_summary(args.out, manifest, summary)
+    elif summary["degenerate"]:
+        rows = enumerate(result["raw"].tolist())
+        report.write_csv(_output(args, manifest, "clt_samples.csv"), ["replicate", "raw"], rows)
         print("deterministic configuration: CLT limit is the point mass at 0")
-        return EXIT_OK if result["pass"] else EXIT_STATS
-    summary["ks_clt"] = result["ks_clt"].as_dict()
-    summary["ks_anscombe"] = result["ks_anscombe"].as_dict()
-    summary["var_ratio"] = result["var_ratio"]
-    rows = [
-        {
-            "replicate": i,
-            "raw": float(raw),
-            "standardized": float(std),
-            "anscombe_sum_s": result["anscombe_samples"][i][0],
-            "anscombe_sum_tau": result["anscombe_samples"][i][1],
-        }
-        for i, (raw, std) in enumerate(
-            zip(result["raw_statistics"], result["standardized_statistics"])
+    else:
+        raw, std = result["raw"].tolist(), result["standardized"].tolist()
+        samples = result["anscombe_samples"]
+        rows = [(i, raw[i], std[i], s, tau) for i, (s, tau, _) in enumerate(samples)]
+        header = ["replicate", "raw", "standardized", "anscombe_sum_s", "anscombe_sum_tau"]
+        report.write_csv(_output(args, manifest, "clt_samples.csv"), header, rows)
+        report.histogram_svg(
+            _output(args, manifest, "clt_hist.svg"),
+            result["standardized"],
+            title=f"standardized fluctuation at t = {summary['t']:g}",
+            xlabel="statistic / sigma_hat",
+            overlay_pdf=lambda x: math.exp(-0.5 * x * x) / math.sqrt(2.0 * math.pi),
         )
-    ]
-    csv_path = os.path.join(args.out, "clt_samples.csv")
-    report.write_csv(
-        csv_path,
-        ["replicate", "raw", "standardized", "anscombe_sum_s", "anscombe_sum_tau"],
-        rows,
-    )
-    manifest.add_output(csv_path)
-    svg_path = os.path.join(args.out, "clt_hist.svg")
-    report.histogram_svg(
-        svg_path,
-        result["standardized_statistics"],
-        title=f"standardized fluctuation at t = {result['t']:g}",
-        xlabel="statistic / sigma_hat",
-        overlay_pdf=lambda x: math.exp(-0.5 * x * x) / math.sqrt(2.0 * math.pi),
-    )
-    manifest.add_output(svg_path)
-    _write_summary(args.out, manifest, summary)
-    print(
-        f"CLT KS p = {summary['ks_clt']['p_value']:.4g}, "
-        f"Anscombe KS p = {summary['ks_anscombe']['p_value']:.4g}, "
-        f"var ratio = {summary['var_ratio']:.4g}"
-    )
-    return EXIT_OK if result["pass"] else EXIT_STATS
+        print(
+            f"CLT KS p = {summary['ks_clt'].p_value:.4g}, "
+            f"Anscombe KS p = {summary['ks_anscombe'].p_value:.4g}, "
+            f"var ratio = {summary['var_ratio']:.4g}"
+        )
+    return EXIT_OK if summary["pass"] else EXIT_STATS
 
 
 def _cmd_anscombe(cfg, setup, args, manifest) -> int:
     schedule = cfg.theta_schedule or [100.0, 300.0, 1000.0]
-    result = run_anscombe(setup, cfg.plan, schedule, threads=args.threads)
-    summary = {
-        "label": result["label"],
-        "degenerate": result["degenerate"],
-        "pass": result["pass"],
-    }
-    if result["degenerate"]:
-        summary["note"] = result["note"]
-        _write_summary(args.out, manifest, summary)
+    summary = run_anscombe(setup, cfg.plan, schedule, threads=args.threads)["summary"]
+    report.write_json(_output(args, manifest, "summary.json"), summary)
+    if summary["degenerate"]:
         print("deterministic configuration: random-index limit is a point mass")
         return EXIT_OK
-    rows = [
-        {
-            "theta": entry["theta"],
-            "t": entry["t"],
-            "ks_statistic": entry["report"].statistic,
-            "p_value": entry["report"].p_value,
-            "passed": entry["report"].passed,
-        }
-        for entry in result["reports"]
-    ]
-    csv_path = os.path.join(args.out, "anscombe_table.csv")
-    report.write_csv(csv_path, ["theta", "t", "ks_statistic", "p_value", "passed"], rows)
-    manifest.add_output(csv_path)
-    summary["nu_hat"] = result["nu_hat"]
-    summary["sigma2_hat"] = result["sigma2_hat"]
-    summary["mean_tau"] = result["mean_tau"]
-    summary["table"] = rows
-    _write_summary(args.out, manifest, summary)
-    for row in rows:
+    header = ["theta", "t", "ks_statistic", "p_value", "passed"]
+    report.write_csv(_output(args, manifest, "anscombe_table.csv"), header, summary["table"])
+    for row in summary["table"]:
         print(f"theta = {row['theta']:g}: KS p = {row['p_value']:.4g}")
-    return EXIT_OK if result["pass"] else EXIT_STATS
+    return EXIT_OK if summary["pass"] else EXIT_STATS
 
 
 _NEEDS_DRIFT = {"slln", "clt", "anscombe"}

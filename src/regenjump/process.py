@@ -665,17 +665,21 @@ class _StepChain:
         return [integrate_segment(xi, state, dt, sg, flow=flow).value for xi in self.functionals]
 
 
-def _chain(x0, driver, sg, policy, functionals, replicate_index):
-    """The chain of one replicate: the scalar table on the power law, else the grid stepper."""
+def _check_functionals(sg, functionals):
+    """Unique labels, and on the power law a closed form for each; once per driver call."""
     labels = [xi.label for xi in functionals]
     if len(set(labels)) != len(labels):
         raise ValueError("functional labels must be unique")
-    if not isinstance(sg, ScalarPowerLaw):
-        return _StepChain(x0, driver, sg, policy, functionals, replicate_index)
-    for xi in functionals:
-        if not has_closed_form(xi):
-            raise ValueError(f"no closed form for functional {xi.label!r}")
-    return _ScalarChain(x0, driver, sg, policy, functionals, replicate_index)
+    if isinstance(sg, ScalarPowerLaw):
+        for xi in functionals:
+            if not has_closed_form(xi):
+                raise ValueError(f"no closed form for functional {xi.label!r}")
+
+
+def _chain(x0, driver, sg, policy, functionals, replicate_index):
+    """The chain of one replicate: the scalar table on the power law, else the grid stepper."""
+    cls = _ScalarChain if isinstance(sg, ScalarPowerLaw) else _StepChain
+    return cls(x0, driver, sg, policy, functionals, replicate_index)
 
 
 def _records(chain, n_cycles: int):
@@ -817,6 +821,7 @@ def simulate_cycles(
     """
     if n_cycles < 1:
         raise ValueError("need at least one cycle")
+    _check_functionals(sg, functionals)
     chain = _chain(x0, driver, sg, policy, functionals, replicate_index)
     yield from _records(chain, n_cycles)
 
@@ -838,6 +843,7 @@ def cycle_moments(
     for xi in functionals:
         if xi.vector_valued:
             raise ValueError("moment accumulation needs scalar-valued functionals")
+    _check_functionals(sg, functionals)
     chain = _chain(x0, driver, sg, policy, functionals, replicate_index)
     moments = CycleMoments(labels=[xi.label for xi in functionals])
     return _moments(chain, n_cycles, moments) if n_cycles >= 1 else moments
@@ -877,5 +883,6 @@ def simulate_until_time(
     indices = range(len(x0s)) if replicate_indices is None else list(replicate_indices)
     if not x0s or len(indices) != len(x0s):
         raise ValueError("need one replicate index per initial state, and at least one")
+    _check_functionals(sg, functionals)
     chains = [_chain(x0, driver, sg, policy, functionals, i) for x0, i in zip(x0s, indices)]
     return _horizon(chains, cps)

@@ -115,6 +115,7 @@ class RunManifest:
 _W, _H = 640, 420
 _ML, _MR, _MT, _MB = 64, 16, 28, 44
 _COLORS = ["#1f77b4", "#d62728", "#2ca02c", "#9467bd", "#ff7f0e", "#8c564b"]
+_N_BINS = 40
 
 
 def _fmt(v: float) -> str:
@@ -289,10 +290,10 @@ def line_plot_svg(
     canvas.save(path)
 
 
-def histogram_svg(path, samples, title="", xlabel="value", n_bins=40, overlay_pdf=None):
-    """Histogram of samples (density scale) with an optional pdf overlay."""
+def histogram_svg(path, samples, title="", xlabel="value", overlay_pdf=None):
+    """Histogram of samples (density scale, _N_BINS bins) with an optional pdf overlay."""
     samples = np.asarray(samples, dtype=float)
-    counts, edges = np.histogram(samples, bins=n_bins, density=True)
+    counts, edges = np.histogram(samples, bins=_N_BINS, density=True)
     y_max = float(np.max(counts)) if counts.size else 1.0
     xs_pdf = np.linspace(edges[0], edges[-1], 200)
     if overlay_pdf is not None:

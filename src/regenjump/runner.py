@@ -17,6 +17,11 @@ and the horizon chunks together; ``anscombe`` sizes its horizons from the
 estimate, so it queues them after it.  Before they collect any result, the
 KS studies import ``scipy.stats`` in the main process, which then loads
 while the workers compute; with no workers, it loads at its first use.
+
+The semigroup-check, strong-law, CLT and random-index drivers own their
+output layout and gate: each returns a ``summary``, exactly what its
+``summary.json`` holds, ``pass`` included, beside the arrays or rows written
+as CSV or SVG.
 """
 
 from __future__ import annotations
@@ -51,7 +56,7 @@ from .process import (
     cycle_moments,
     simulate_until_time,
 )
-from .semigroup import AxiomReport, ScalarPowerLaw, axiom_residuals
+from .semigroup import ScalarPowerLaw, axiom_residuals
 from .spaces import StateVector, project_zero_mean
 
 __all__ = [
@@ -70,6 +75,29 @@ __all__ = [
 ESTIMATION_SHARD_BASE = 1_000_000
 CORPUS_REPLICATE = 2_000_000
 INITIAL_STREAM = 2
+
+# Study gates: semigroup-check tolerances, as (summary key, residual column,
+# tolerance) per space kind, and the grid's kappa-fit residual.
+_SCALAR_TOL = 1e-12
+_MASS_TOL = 1e-10
+_LQ_TOL = 1e-9
+_FIT_TOL = 1e-9
+_AXIOM_GATES = {
+    "scalar": (
+        ("max_semigroup_residual", "semigroup_residual", _SCALAR_TOL),
+        ("max_contraction_residual", "contraction_residual", _SCALAR_TOL),
+        ("max_identity_residual", "identity_residual", _SCALAR_TOL),
+        ("max_extinction_equality_residual", "extinction_residual", _SCALAR_TOL),
+    ),
+    "grid": (
+        ("max_semigroup_residual", "semigroup_residual", 0.0),
+        ("max_contraction_residual", "contraction_residual", _LQ_TOL),
+        ("max_identity_residual", "identity_residual", 0.0),
+        ("max_mass_residual", "mass_residual", _MASS_TOL),
+        ("max_lq_contraction_residual", "lq_contraction_residual", _LQ_TOL),
+    ),
+}
+_N_PSI = 10  # random weights of run_clt_vector's projection check
 
 
 @dataclass
@@ -341,8 +369,13 @@ def require_valid_drift(setup: ExperimentSetup, plan: RunPlan, force: bool = Fal
     return report
 
 
+def _kappa_fit_ok(fit) -> bool:
+    """The grid's kappa-fit gate: a positive rate, fitted within _FIT_TOL."""
+    return fit.kappa_emp > 0.0 and fit.fit_residual <= _FIT_TOL
+
+
 def run_semigroup_check(setup: ExperimentSetup, n_samples: int = 50) -> dict:
-    """Axiom residual suite on a seeded corpus; returns rows and a summary."""
+    """Axiom residual suite on a seeded corpus: the rows, and a summary with the gate."""
     sg = setup.sg
     space = setup.space
     rng = derive_replicate_rng(setup.driver.master_seed, CORPUS_REPLICATE, 1)
@@ -376,22 +409,17 @@ def run_semigroup_check(setup: ExperimentSetup, n_samples: int = 50) -> dict:
             bound = max(v.norm_v1() ** sg.rho - sg.kappa * t, 0.0)
             row["extinction_residual"] = abs(ev.norm_v1() ** sg.rho - bound)
         rows.append(row)
-    axioms = AxiomReport.from_rows(rows)
-    summary = {
-        "n_samples": len(samples),
-        "max_semigroup_residual": axioms.max_semigroup_residual,
-        "max_contraction_residual": axioms.max_contraction_residual,
-        "max_identity_residual": axioms.max_identity_residual,
-    }
-
-    def worst(column):
-        return max([0.0] + [row[column] for row in rows])
-
+    gates = _AXIOM_GATES[space.kind]
+    summary = {"n_samples": len(samples), "tolerances": {key: tol for key, _, tol in gates}}
+    # each residual column's maximum; only the signed contraction residual may stay below 0
+    for key, column, _ in gates:
+        top = max(row[column] for row in rows)
+        summary[key] = top if column == "contraction_residual" else max(0.0, top)
+    ok = all(summary[key] <= tol for key, _, tol in gates)
     if is_grid:
-        summary["max_mass_residual"] = worst("mass_residual")
-        summary["max_lq_contraction_residual"] = worst("lq_contraction_residual")
-    else:
-        summary["max_extinction_equality_residual"] = worst("extinction_residual")
+        summary["kappa_fit"] = setup.kappa_fit  # fitted by build_setup
+        ok = ok and _kappa_fit_ok(setup.kappa_fit)
+    summary["pass"] = ok
     return {"summary": summary, "rows": rows}
 
 
@@ -409,7 +437,7 @@ def run_kappa_fit(
     samples = [project_zero_mean(s) for s in setup.corpus(n_samples)]
     known = prior.traces if prior is not None else ()
     fit = estimate_kappa(samples, sg.cfg, sg.grid, sg.weights, t_cap=t_cap, known_traces=known)
-    return {"fit": fit, "summary": fit.as_dict()}
+    return {"fit": fit, "summary": fit.as_dict(), "pass": _kappa_fit_ok(fit)}
 
 
 def run_slln(setup: ExperimentSetup, plan: RunPlan, threads: int = 1) -> dict:
@@ -472,9 +500,7 @@ def two_route_agreement(st, time_averages: np.ndarray, t_end: float, n_se: float
     return gap, gap <= n_se * combined
 
 
-def run_clt_vector(
-    setup: ExperimentSetup, plan: RunPlan, xi, n_psi: int = 10
-) -> dict:
+def run_clt_vector(setup: ExperimentSetup, plan: RunPlan, xi) -> dict:
     """Covariance route for a vector-valued functional.
 
     Estimates the fluctuation covariance from cycle records, reports its
@@ -504,26 +530,27 @@ def run_clt_vector(
     eigenvalues = np.linalg.eigvalsh(q_hat)
     psi_rng = derive_replicate_rng(setup.driver.master_seed, 0, 104)
     worst_gap = 0.0
-    for _ in range(n_psi):
+    for _ in range(_N_PSI):
         psi = psi_rng.normal(size=setup.space.dim)
         s_proj = (s @ psi) * h
         nu_proj = float(np.dot(nu, psi)) * h
         sigma2_proj = estimate_sigma2(s_proj, cycles.tau, nu_proj)
         worst_gap = max(worst_gap, abs(float(psi @ q_hat @ psi) - sigma2_proj))
     ok = worst_gap <= 1e-8 and float(eigenvalues.min()) >= -1e-10
-    return {
+    summary = {
         "label": xi.label,
         "vector": True,
+        "note": "vector-valued functional: covariance route (no replicate KS)",
         "n_cycles": cycles.n,
         "nu_hat": nu,
         "se_nu": se,
         "mean_tau": float(np.mean(cycles.tau)),
-        "q_hat": q_hat,
         "q_eigenvalues": eigenvalues,
         "q_min_eigenvalue": float(eigenvalues.min()),
         "projection_gap": worst_gap,
         "pass": bool(ok),
     }
+    return {"summary": summary, "q_hat": q_hat}
 
 
 def _index_samples(reps: HorizonResult, label: str, j: int, t: float) -> list:
@@ -532,19 +559,18 @@ def _index_samples(reps: HorizonResult, label: str, j: int, t: float) -> list:
     return [(s, tau, t) for s, tau in sums]
 
 
-def run_clt(setup: ExperimentSetup, plan: RunPlan, threads: int = 1, label: str | None = None) -> dict:
-    """CLT and random-index (Anscombe) samples at the plan's horizon.
+def run_clt(setup: ExperimentSetup, plan: RunPlan, threads: int = 1) -> dict:
+    """CLT and random-index (Anscombe) samples of the first functional at the plan's horizon.
 
-    Returns the standardized statistic samples, the KS reports, and the
-    variance-bridging diagnostics for one scalar functional; vector-valued
-    functionals are routed to the covariance estimate instead.
+    Returns the summary with its KS reports and variance-bridging
+    diagnostics, and the ``raw`` and ``standardized`` statistics and
+    ``anscombe_samples`` of each replicate; a vector-valued functional is
+    routed to the covariance estimate instead.
     """
-    labels = [xi.label for xi in setup.functionals]
-    label = label or labels[0]
-    xi = setup.functionals[labels.index(label)]
+    xi = setup.functionals[0]
     if xi.vector_valued:
         return run_clt_vector(setup, plan, xi)
-    t = plan.clt_t
+    label, t = xi.label, plan.clt_t
     with _study_pool(plan, threads) as pool:
         estimate = run_cycle_estimation(setup, plan.n_cycles, plan.est_shards, pool=pool)
         replicates = run_horizon_replicates(setup, t, None, plan.n_replicates, pool=pool)
@@ -553,7 +579,7 @@ def run_clt(setup: ExperimentSetup, plan: RunPlan, threads: int = 1, label: str 
     st = stats_from_moments(moments, label)
     raw = clt_statistic(reps.integrals[label][:, -1], t, st.nu_hat)
     sigma = math.sqrt(max(st.sigma2_hat, 0.0))
-    out = {
+    summary = {
         "t": t,
         "label": label,
         "nu_hat": st.nu_hat,
@@ -561,75 +587,65 @@ def run_clt(setup: ExperimentSetup, plan: RunPlan, threads: int = 1, label: str 
         "mean_tau": st.mean_tau,
         "n_cycles_estimation": st.n_cycles,
         "n_replicates": plan.n_replicates,
-        "raw_statistics": raw,
+        "degenerate": sigma == 0.0,
     }
     if sigma == 0.0:
-        out["degenerate"] = True
-        out["note"] = "zero fluctuation variance: CLT limit is the point mass at 0"
+        summary["note"] = "zero fluctuation variance: CLT limit is the point mass at 0"
         # the warm-up deficit decays like 1/sqrt(t); reported, not asserted
-        out["max_abs_statistic"] = float(np.max(np.abs(raw))) if raw.size else 0.0
-        out["pass"] = True
-        return out
-    out["degenerate"] = False
+        summary["max_abs_statistic"] = float(np.max(np.abs(raw))) if raw.size else 0.0
+        summary["pass"] = True
+        return {"summary": summary, "raw": raw}
     standardized = raw / sigma
-    out["standardized_statistics"] = standardized
-    out["ks_clt"] = ks_test_normal(standardized, 1.0, alpha=plan.alpha)
-    out["var_ratio"] = float(np.var(raw) / st.sigma2_hat)
-    anscombe_samples = _index_samples(reps, label, -1, t)
-    out["anscombe_samples"] = anscombe_samples
-    out["ks_anscombe"] = anscombe_check(
-        anscombe_samples, st.nu_hat, st.sigma2_hat, st.mean_tau, alpha=plan.alpha
+    samples = _index_samples(reps, label, -1, t)
+    summary["ks_clt"] = ks_test_normal(standardized, 1.0, alpha=plan.alpha)
+    summary["var_ratio"] = float(np.var(raw) / st.sigma2_hat)
+    summary["ks_anscombe"] = anscombe_check(
+        samples, st.nu_hat, st.sigma2_hat, st.mean_tau, alpha=plan.alpha
     )
-    out["pass"] = bool(out["ks_clt"].passed and out["ks_anscombe"].passed)
-    return out
+    summary["pass"] = bool(summary["ks_clt"].passed and summary["ks_anscombe"].passed)
+    arrays = {"raw": raw, "standardized": standardized, "anscombe_samples": samples}
+    return {"summary": summary, **arrays}
 
 
 def run_anscombe(
-    setup: ExperimentSetup,
-    plan: RunPlan,
-    theta_schedule,
-    threads: int = 1,
-    label: str | None = None,
+    setup: ExperimentSetup, plan: RunPlan, theta_schedule, threads: int = 1
 ) -> dict:
-    """Random-index CLT checks along a schedule of cycle-count scales."""
-    scalars = [xi.label for xi in setup.functionals if not xi.vector_valued]
+    """Random-index CLT checks of the first scalar functional along a schedule of theta scales.
+
+    The summary's ``table`` holds each theta's horizon and KS report.
+    """
+    scalars = _scalar_functionals(setup)
     if not scalars:
         raise ConfigError("the random-index check needs a scalar-valued functional")
-    label = label or scalars[0]
-    if label not in scalars:
-        raise ConfigError(f"functional {label!r} is not scalar-valued")
+    label = scalars[0].label
+    summary = {"label": label}
     with _study_pool(plan, threads) as pool:
         estimate = run_cycle_estimation(setup, plan.n_cycles, plan.est_shards, pool=pool)
         pool.meanwhile_import("scipy.stats")  # the KS tests' module
         st = stats_from_moments(estimate(), label)
-        if st.sigma2_hat <= 0.0:
-            return {
-                "label": label,
-                "degenerate": True,
-                "note": "zero fluctuation variance: random-index limit is a point mass",
-                "reports": [],
-                "pass": True,
-            }
+        summary["degenerate"] = st.sigma2_hat <= 0.0
+        if summary["degenerate"]:
+            summary["note"] = "zero fluctuation variance: random-index limit is a point mass"
+            summary["pass"] = True
+            return {"summary": summary}
         horizons = [theta * st.mean_tau for theta in theta_schedule]
         reps = run_horizon_replicates(
             setup, max(horizons), sorted(horizons), plan.n_replicates, pool=pool
         )()
-    reports = []
-    overall = True
+    table = []
     for theta, t_cp in zip(theta_schedule, horizons):
         j = int(np.searchsorted(reps.checkpoints, t_cp))
         samples = _index_samples(reps, label, j, t_cp)
-        report = anscombe_check(
-            samples, st.nu_hat, st.sigma2_hat, st.mean_tau, alpha=plan.alpha
+        ks = anscombe_check(samples, st.nu_hat, st.sigma2_hat, st.mean_tau, alpha=plan.alpha)
+        table.append(
+            {
+                "theta": theta,
+                "t": t_cp,
+                "ks_statistic": ks.statistic,
+                "p_value": ks.p_value,
+                "passed": ks.passed,
+            }
         )
-        overall = overall and report.passed
-        reports.append({"theta": theta, "t": t_cp, "report": report})
-    return {
-        "label": label,
-        "degenerate": False,
-        "nu_hat": st.nu_hat,
-        "sigma2_hat": st.sigma2_hat,
-        "mean_tau": st.mean_tau,
-        "reports": reports,
-        "pass": overall,
-    }
+    summary.update(nu_hat=st.nu_hat, sigma2_hat=st.sigma2_hat, mean_tau=st.mean_tau, table=table)
+    summary["pass"] = all(row["passed"] for row in table)
+    return {"summary": summary}

@@ -11,8 +11,7 @@ closed forms.  The sign is preserved and the magnitude shrinks, so T(t) is a
 contraction on the real line.
 
 ``axiom_residuals`` measures the semigroup, contraction, and identity
-residuals of one sample and ``AxiomReport.from_rows`` their maxima over a
-corpus; violations are reported as data, not raised.
+residuals of one sample; violations are reported as data, not raised.
 """
 
 from __future__ import annotations
@@ -22,7 +21,7 @@ from dataclasses import dataclass
 from .errors import DimensionMismatch
 from .spaces import Space, StateVector, scalar_space
 
-__all__ = ["ExtinctionParams", "ScalarPowerLaw", "AxiomReport", "axiom_residuals"]
+__all__ = ["ExtinctionParams", "ScalarPowerLaw", "axiom_residuals"]
 
 
 @dataclass(frozen=True)
@@ -81,36 +80,13 @@ class ScalarPowerLaw:
         return StateVector(v.space, [self.evolve_scalar(v.scalar, t)])
 
 
-@dataclass
-class AxiomReport:
-    """Worst-case residuals of the three semigroup axioms over a sample set.
-
-    The contraction residual is signed: values <= 0 mean the contraction
-    inequality held with slack, positive values measure its violation.
-    """
-
-    max_semigroup_residual: float
-    max_contraction_residual: float
-    max_identity_residual: float
-    n_samples: int
-
-    @classmethod
-    def from_rows(cls, rows) -> "AxiomReport":
-        """The maxima over per-sample ``axiom_residuals`` rows."""
-        return cls(
-            max_semigroup_residual=max([0.0] + [r["semigroup_residual"] for r in rows]),
-            max_contraction_residual=max(r["contraction_residual"] for r in rows),
-            max_identity_residual=max([0.0] + [r["identity_residual"] for r in rows]),
-            n_samples=len(rows),
-        )
-
-
 def axiom_residuals(sg, u, v, t, s):
     """The three axiom residuals of one sample, with T(t)u and T(t)v.
 
     In the ambient norm: ``|T(t+s)v - T(t)T(s)v|``, ``|T(t)u - T(t)v| -
-    |u - v|`` (contraction) and ``|T(0)v - v|``.  Every flow is evaluated
-    once; the returned T(t)u and T(t)v serve further per-sample checks.
+    |u - v|`` (contraction; signed, at most 0 where it holds) and
+    ``|T(0)v - v|``.  Every flow is evaluated once; the returned T(t)u and
+    T(t)v serve further per-sample checks.
     """
     tu, tv = sg.evolve(u, t), sg.evolve(v, t)
     residuals = {

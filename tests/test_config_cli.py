@@ -404,6 +404,17 @@ def test_cli_clt_deterministic_point_mass(tmp_path):
     assert summary["max_abs_statistic"] <= 1e-12
 
 
+def test_cli_anscombe_deterministic_point_mass(tmp_path):
+    cfg = write(tmp_path, DETERMINISTIC_CFG)
+    out = tmp_path / "out"
+    assert run_cli(["anscombe", "--config", cfg, "--out", out]) == 0
+    summary = read_json(out / "summary.json")
+    assert set(summary) == {"label", "degenerate", "note", "pass"}
+    assert summary["degenerate"] is True and summary["pass"] is True
+    assert "point mass" in summary["note"]
+    assert read_json(out / "manifest.json")["outputs"] == ["summary.json"]
+
+
 def test_cli_anscombe(tmp_path):
     cfg = write(tmp_path, SCALAR_CFG)
     out = tmp_path / "out"
@@ -416,10 +427,10 @@ def test_cli_anscombe(tmp_path):
 
 def test_anscombe_pairs_each_theta_with_its_own_horizon():
     cfg = parse_config_text(SCALAR_CFG)
-    result = run_anscombe(cfg.build_setup(), cfg.plan, [20.0, 10.0])
-    assert [entry["theta"] for entry in result["reports"]] == [20.0, 10.0]
-    for entry in result["reports"]:
-        assert entry["t"] == entry["theta"] * result["mean_tau"]
+    summary = run_anscombe(cfg.build_setup(), cfg.plan, [20.0, 10.0])["summary"]
+    assert [row["theta"] for row in summary["table"]] == [20.0, 10.0]
+    for row in summary["table"]:
+        assert row["t"] == row["theta"] * summary["mean_tau"]
 
 
 @pytest.mark.parametrize(
@@ -705,6 +716,12 @@ def test_cli_clt_vector_covariance_route(tmp_path):
     out = tmp_path / "out"
     assert run_cli(["clt", "--config", cfg, "--out", out]) == 0
     summary = read_json(out / "summary.json")
+    # the covariance route's summary: its note, and no covariance matrix
+    assert set(summary) == {
+        "label", "vector", "note", "n_cycles", "nu_hat", "se_nu", "mean_tau",
+        "q_eigenvalues", "q_min_eigenvalue", "projection_gap", "pass",
+    }
+    assert summary["note"] == "vector-valued functional: covariance route (no replicate KS)"
     assert summary["vector"] is True
     assert len(summary["q_eigenvalues"]) == 12
     assert summary["q_min_eigenvalue"] >= -1e-10

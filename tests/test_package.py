@@ -43,6 +43,29 @@ def test_no_unused_imports(module):
 
 
 SRC = Path(regenjump.__file__).resolve().parents[1]
+_TRACE_INSTALL = """
+import importlib.util, sys
+spec = importlib.util.spec_from_file_location("trace", sys.argv[1])
+trace = importlib.util.module_from_spec(spec)
+spec.loader.exec_module(trace)
+trace.install(trace.Tracer())
+"""
+
+
+def test_bench_trace_installs_over_the_package():
+    # bench/trace.py wraps package names by attribute, the clt- and
+    # anscombe-only ones too (cli.run_clt, runner.anscombe_check); renaming
+    # one makes install raise, which the traced slln run alone would not see
+    script = SRC.parent / "bench" / "trace.py"
+    subprocess.run(
+        [sys.executable, "-c", _TRACE_INSTALL, str(script)],
+        env=dict(os.environ, PYTHONPATH=str(SRC)),
+        capture_output=True,
+        text=True,
+        check=True,
+    )
+
+
 _PROBE = """
 import sys
 import regenjump, regenjump.cli

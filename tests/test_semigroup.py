@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from regenjump.semigroup import AxiomReport, ExtinctionParams, ScalarPowerLaw, axiom_residuals
+from regenjump.semigroup import ExtinctionParams, ScalarPowerLaw, axiom_residuals
 from regenjump.spaces import scalar_space
 
 SPACE = scalar_space()
@@ -84,10 +84,10 @@ def test_evolve_at_zero_is_identity_object():
     assert sg.evolve(v, 0.0) is v
 
 
-def assert_within(report, tol):
-    assert report.max_semigroup_residual <= tol
-    assert report.max_contraction_residual <= tol
-    assert report.max_identity_residual <= tol
+def assert_within(rows, tol):
+    # the maxima over axiom_residuals rows; the contraction residual is signed
+    for column in ("semigroup_residual", "contraction_residual", "identity_residual"):
+        assert max(row[column] for row in rows) <= tol
 
 
 def test_axiom_report_scalar_exact():
@@ -102,16 +102,16 @@ def test_axiom_report_scalar_exact():
         )
         for _ in range(200)
     ]
-    report = AxiomReport.from_rows([axiom_residuals(sg, *q)[0] for q in samples])
-    assert_within(report, 1e-12)
-    assert report.n_samples == 200
+    rows = [axiom_residuals(sg, *q)[0] for q in samples]
+    assert_within(rows, 1e-12)
+    assert len(rows) == 200
 
 
 def test_axiom_report_triples():
     # one sample with u = 0
     sg = make()
     rows = [axiom_residuals(sg, SPACE.zero(), SPACE.state([1.0]), 0.5, 0.25)[0]]
-    assert_within(AxiomReport.from_rows(rows), 1e-12)
+    assert_within(rows, 1e-12)
 
 
 @pytest.mark.parametrize("kappa,rho", [(0.0, 0.5), (-1.0, 0.5), (1.0, 0.0), (1.0, 1.0)])
