@@ -12,9 +12,9 @@ cell-weighted pairing.
 
 Distribution checks are one-sample Kolmogorov-Smirnov tests at a configured
 significance level; zero-variance configurations are first-class and raise
-DegenerateSigma (the limit is a point mass, not a failure).  ``scipy.stats``
-is imported only inside the functions that call it, so importing the
-package does not load it.
+DegenerateSigma (the limit is a point mass, not a failure).  The KS statistic
+and its p-value are computed here with numpy and ``math``, so no study
+loads ``scipy.stats``; only ``cycle_diagnostics`` imports it.
 """
 
 from __future__ import annotations
@@ -207,10 +207,109 @@ class TestReport:
         }
 
 
+_SQRT1_2 = math.sqrt(0.5)
+
+
+def _normal_cdf(z: float) -> float:
+    """Standard normal CDF, evaluated as cephes ``ndtr`` (and so scipy) does."""
+    x = z * _SQRT1_2
+    if abs(x) < _SQRT1_2:
+        return 0.5 + 0.5 * math.erf(x)
+    y = 0.5 * math.erfc(abs(x))
+    return 1.0 - y if x > 0 else y
+
+
+def _ks_statistic(samples: np.ndarray, sigma: float) -> float:
+    """Two-sided KS distance max(D+, D-) of the samples from N(0, sigma^2)."""
+    z = np.sort(samples) / sigma
+    n = z.shape[0]
+    cdf = np.fromiter(map(_normal_cdf, z.tolist()), dtype=float, count=n)
+    d_plus = np.max(np.arange(1.0, n + 1) / n - cdf)
+    d_minus = np.max(cdf - np.arange(0.0, n) / n)
+    return float(max(d_plus, d_minus))
+
+
+def _smirnov_sf(n: int, d: float) -> float:
+    """One-sided tail P(D_n+ >= d), 0 < d < 1: the Birnbaum-Tingey sum in log space."""
+    j = np.arange(math.floor(n * (1.0 - d)) + 1)
+    a = 1.0 - d - j / n
+    j, a = j[a > 0.0], a[a > 0.0]  # a term with a == 0 is 0
+    log_binom = np.concatenate(([0.0], np.cumsum(np.log((n - j[1:] + 1) / j[1:]))))
+    logs = log_binom + (n - j) * np.log(a) + (j - 1) * np.log(d + j / n)
+    top = float(np.max(logs))
+    return d * math.exp(top) * float(np.sum(np.exp(logs - top)))
+
+
+def _durbin_cdf(n: int, d: float) -> float:
+    """P(D_n < d) from the Durbin matrix, as Marsaglia, Tsang & Wang (2003) compute it.
+
+    With n d = k - h, the probability is n!/n^n times entry (k, k) of H^n,
+    H of size 2k - 1.  Powers are taken by repeated squaring and kept as a
+    matrix scaled to entries below 1 times a power of two, so nothing
+    overflows; the scaling is exact.
+    """
+    k = math.ceil(n * d)
+    h = k - n * d
+    m = 2 * k - 1
+    i = np.arange(1, m + 1)
+    inv_fact = np.concatenate(([1.0], np.cumprod(1.0 / i)))  # 1/j!, j = 0..m
+    lag = np.subtract.outer(np.arange(m), np.arange(m)) + 1
+    mat = np.where(lag >= 0, inv_fact[np.maximum(lag, 0)], 0.0)
+    v = (1.0 - h**i) * inv_fact[1:]
+    v[-1] = (1.0 - 2.0 * h**m + max(0.0, 2.0 * h - 1.0) ** m) * inv_fact[m]
+    mat[:, 0] = v
+    mat[-1, :] = v[::-1]
+
+    def scaled(a: np.ndarray, expo: int):
+        e = math.frexp(float(np.max(a)))[1]  # the entries are non-negative
+        return a * math.ldexp(1.0, -e), expo + e
+
+    power, expo = np.eye(m), 0
+    sq, sq_expo = scaled(mat, 0)
+    bits = n
+    while True:
+        if bits & 1:
+            power, expo = scaled(power @ sq, expo + sq_expo)
+        bits >>= 1
+        if not bits:
+            break
+        sq, sq_expo = scaled(sq @ sq, 2 * sq_expo)
+    p = float(power[k - 1, k - 1])
+    for j in range(1, n + 1):  # times n!/n^n, renormalised as it shrinks
+        p, e = math.frexp(p * j / n)
+        expo += e
+    return math.ldexp(p, expo)
+
+
+def _kolmogorov_sf(n: int, d: float) -> float:
+    """P(D_n >= d) for the two-sided KS statistic D_n of n samples.
+
+    The cases follow Simard & L'Ecuyer (2011): closed forms at both ends
+    (Ruben & Gambino), twice the one-sided tail where the two tails cannot
+    both be crossed (d >= 1/2) and where crossing both is rare (Miller;
+    n d^2 >= 2.2, or > 4 for n <= 140, as scipy decides: the dropped term is
+    about 1e-6 of the tail at 2.2 and 2e-11 at 4), and the Durbin matrix
+    elsewhere, of size 2 ceil(n d) - 1 < 2 sqrt(2.2 n) + 1 for n > 140.  A
+    NaN distance gives a NaN probability, which fails any test.
+    """
+    if math.isnan(d):
+        return d
+    t = n * d
+    if t <= 0.5:
+        return 1.0
+    if d >= 1.0:
+        return 0.0
+    if t <= 1.0:  # P(D_n < d) = n!/n^n (2t - 1)^n
+        return 1.0 - math.exp(math.lgamma(n + 1) + n * math.log((2.0 * t - 1.0) / n))
+    if t >= n - 1:
+        return 2.0 * (1.0 - d) ** n
+    if d >= 0.5 or t * d >= (2.2 if n > 140 else 4.0):
+        return 2.0 * _smirnov_sf(n, d)
+    return 1.0 - _durbin_cdf(n, d)
+
+
 def ks_test_normal(samples, sigma: float, alpha: float = 0.01) -> TestReport:
     """One-sample Kolmogorov-Smirnov test against N(0, sigma^2)."""
-    from scipy import stats as sps
-
     samples = np.asarray(samples, dtype=float)
     if samples.shape[0] < 100:
         raise InsufficientCycles(
@@ -220,12 +319,14 @@ def ks_test_normal(samples, sigma: float, alpha: float = 0.01) -> TestReport:
         raise DegenerateSigma(
             "sigma <= 0: the limit is a point mass at 0, no distribution to test"
         )
-    result = sps.kstest(samples, "norm", args=(0.0, sigma))
+    n = samples.shape[0]
+    statistic = _ks_statistic(samples, sigma)
+    p_value = _kolmogorov_sf(n, statistic)
     return TestReport(
-        statistic=float(result.statistic),
-        p_value=float(result.pvalue),
-        n_samples=samples.shape[0],
-        passed=bool(result.pvalue > alpha),
+        statistic=statistic,
+        p_value=p_value,
+        n_samples=n,
+        passed=p_value > alpha,
         alpha=alpha,
     )
 
@@ -267,7 +368,11 @@ def _lag_pvalues(r: np.ndarray, n: int) -> np.ndarray:
 def cycle_diagnostics(
     s: np.ndarray, tau: np.ndarray, max_lag: int = 5, alpha: float = 0.01
 ) -> CycleDiagnostics:
-    """Lag-1..max_lag autocorrelations plus first-half/second-half KS tests."""
+    """Lag-1..max_lag autocorrelations plus first-half/second-half KS tests.
+
+    Only tests call it, so it keeps ``scipy.stats`` (``ks_2samp`` and the
+    normal tail), imported inside.
+    """
     s = np.asarray(s, dtype=float)
     tau = np.asarray(tau, dtype=float)
     n = s.shape[0]

@@ -14,9 +14,7 @@ not depend on the block), and the chunks' results are concatenated into one
 Each study forks one pool of workers, once, no more of them than it has
 shards and replicates.  ``slln`` and ``clt`` queue the estimation shards
 and the horizon chunks together; ``anscombe`` sizes its horizons from the
-estimate, so it queues them after it.  Before they collect any result, the
-KS studies import ``scipy.stats`` in the main process, which then loads
-while the workers compute; with no workers, it loads at its first use.
+estimate, so it queues them after it.
 
 The semigroup-check, strong-law, CLT and random-index drivers own their
 output layout and gate: each returns a ``summary``, exactly what its
@@ -26,7 +24,6 @@ as CSV or SVG.
 
 from __future__ import annotations
 
-import importlib
 import math
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
@@ -203,11 +200,6 @@ class _Pool:
     def __exit__(self, exc_type, exc, tb):
         if self._executor is not None:  # on an error, queued tasks do not start
             self._executor.shutdown(cancel_futures=exc_type is not None)
-
-    def meanwhile_import(self, module: str):
-        """Import a module while the workers run; without workers, leave it to its first use."""
-        if self._executor is not None:
-            importlib.import_module(module)
 
     def chunk(self, n_tasks: int) -> int:
         """Tasks per chunk for about 4 chunks per worker."""
@@ -574,7 +566,6 @@ def run_clt(setup: ExperimentSetup, plan: RunPlan, threads: int = 1) -> dict:
     with _study_pool(plan, threads) as pool:
         estimate = run_cycle_estimation(setup, plan.n_cycles, plan.est_shards, pool=pool)
         replicates = run_horizon_replicates(setup, t, None, plan.n_replicates, pool=pool)
-        pool.meanwhile_import("scipy.stats")  # the KS tests' module
         moments, reps = estimate(), replicates()
     st = stats_from_moments(moments, label)
     raw = clt_statistic(reps.integrals[label][:, -1], t, st.nu_hat)
@@ -621,7 +612,6 @@ def run_anscombe(
     summary = {"label": label}
     with _study_pool(plan, threads) as pool:
         estimate = run_cycle_estimation(setup, plan.n_cycles, plan.est_shards, pool=pool)
-        pool.meanwhile_import("scipy.stats")  # the KS tests' module
         st = stats_from_moments(estimate(), label)
         summary["degenerate"] = st.sigma2_hat <= 0.0
         if summary["degenerate"]:

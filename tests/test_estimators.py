@@ -3,7 +3,9 @@ import math
 import numpy as np
 import pytest
 from scipy import stats as sps
+from scipy.stats._ksstats import _kolmogn_Pomeranz
 
+from regenjump import estimators
 from regenjump.errors import DegenerateSigma, InsufficientCycles
 from regenjump.estimators import (
     CycleSet,
@@ -153,6 +155,82 @@ def test_ks_normal_scale_sensitivity():
     samples = rng.normal(0.0, 2.0, size=10**4)
     assert ks_test_normal(samples, 2.0).passed
     assert not ks_test_normal(samples, 1.0).passed
+
+
+KS_SIZES = [100, 140, 141, 400, 1000, 2000, 10000]
+
+
+def ks_grid(n):
+    """d from 1/(2n) to 1, with the branch boundaries of scipy and of the package."""
+    edges = [1 / n, 1.4 ** (2 / 3) / n ** (2 / 3), math.sqrt(2.2 / n), math.sqrt(4 / n), 0.5]
+    d = np.concatenate([np.geomspace(0.5 / n, 1.0, 40), edges, np.nextafter(edges, 0.0)])
+    return sorted(set(np.clip(d, 0.5 / n, 1.0).tolist()))
+
+
+def pelz_good(n, d):
+    # the one region where scipy's kstwo.sf is an approximation (Pelz-Good)
+    return n > 140 and n * d**1.5 > 1.4 and n * d * d < 2.2 and d < 0.5
+
+
+@pytest.mark.parametrize("n", KS_SIZES)
+def test_kolmogorov_sf_matches_scipy(n):
+    # scipy is exact (Durbin matrix, Pomeranz, closed forms) or uses the same
+    # Miller tail everywhere but the Pelz-Good region
+    for d in ks_grid(n):
+        got, want = estimators._kolmogorov_sf(n, d), float(sps.kstwo.sf(d, n))
+        tol = 1e-10
+        if pelz_good(n, d):  # its own error, 2.2e-5 at n = 141 (see the Pomeranz test)
+            tol = 3e-5 if n == 141 else 1e-5
+        assert got == pytest.approx(want, rel=tol, abs=1e-300), d
+
+
+@pytest.mark.parametrize("n", [141, 400])
+def test_kolmogorov_sf_is_exact_where_scipy_approximates(n):
+    # against scipy's exact Pomeranz recursion, which kstwo uses only for
+    # n <= 140; by n = 1000 the recursion's own rounding reaches 1e-9
+    ds = [d for d in ks_grid(n) if pelz_good(n, d)]
+    assert ds
+    for d in ds:
+        want = 1.0 - float(_kolmogn_Pomeranz(n, d))
+        assert estimators._kolmogorov_sf(n, d) == pytest.approx(want, rel=1e-10), d
+
+
+def test_ks_statistic_and_verdict_match_scipy():
+    rng = np.random.default_rng(2025)
+    for _ in range(60):
+        n = int(rng.integers(100, 3000))
+        sigma = float(rng.uniform(0.2, 3.0))
+        samples = rng.normal(rng.normal(0.0, 0.1), sigma * rng.uniform(0.9, 1.1), size=n)
+        report = ks_test_normal(samples, sigma)
+        want = sps.kstest(samples, "norm", args=(0.0, sigma))
+        assert report.statistic == pytest.approx(want.statistic, rel=0, abs=1e-15)
+        assert report.passed == (want.pvalue > report.alpha)
+
+
+def test_ks_large_distance_builds_no_large_matrix(monkeypatch):
+    # n d^2 >= 2.2 takes the one-sided tail; the Durbin matrix, of size
+    # 2 n d + 1, is built only below that
+    calls = []
+    durbin = estimators._durbin_cdf
+
+    def spy(n, d):
+        calls.append(n * d * d)
+        return durbin(n, d)
+
+    monkeypatch.setattr(estimators, "_durbin_cdf", spy)
+    report = ks_test_normal(np.zeros(10**4), 1.0)
+    assert report.statistic == 0.5
+    assert report.p_value == float(sps.kstwo.sf(0.5, 10**4))
+    assert not report.passed
+    ks_test_normal(np.random.default_rng(3).normal(size=10**4), 1.0)
+    assert calls and all(x < 2.2 for x in calls)
+
+
+def test_ks_normal_fails_nan_samples():
+    samples = np.random.default_rng(4).normal(size=200)
+    samples[7] = np.nan
+    report = ks_test_normal(samples, 1.0)
+    assert math.isnan(report.p_value) and not report.passed
 
 
 def test_ks_normal_degenerate_sigma():

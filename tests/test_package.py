@@ -67,32 +67,32 @@ def test_bench_trace_installs_over_the_package():
 
 
 _PROBE = """
-import sys
+import json, sys
 import regenjump, regenjump.cli
 if len(sys.argv) > 1:
     assert regenjump.cli.main(sys.argv[1:]) == 0
-print("scipy.stats" in sys.modules)
+# any scipy submodule loads the package "scipy" first
+print(json.dumps([m for m in ("scipy", "scipy.linalg", "scipy.stats") if m in sys.modules]))
 """
 _SMALL_GRID = (
     PLAPLACE_CFG.replace("n_cycles = 40", "n_cycles = 4")
     .replace("t_end = 10.0", "t_end = 1.0")
     .replace("clt_t = 10.0", "clt_t = 1.0")
 )
+_SCALAR_COMMANDS = ["validate", "semigroup-check", "slln", "clt", "anscombe"]
 
 
 @pytest.mark.parametrize(
-    "command, config, loads_stats",
-    [
-        (None, None, False),
-        ("slln", SCALAR_CFG, False),
-        ("slln", _SMALL_GRID, False),
-        ("clt", SCALAR_CFG, True),
-    ],
-    ids=["import", "slln-scalar", "slln-grid", "clt-scalar"],
+    "command, config, loaded",
+    [(None, None, [])]
+    + [(command, SCALAR_CFG, []) for command in _SCALAR_COMMANDS]
+    + [("slln", _SMALL_GRID, ["scipy", "scipy.linalg"])],
+    ids=["import"] + [f"{command}-scalar" for command in _SCALAR_COMMANDS] + ["slln-grid"],
 )
-def test_scipy_stats_loads_only_for_ks_studies(tmp_path, command, config, loads_stats):
-    # importing scipy.stats costs about 0.9 s of a fresh process; only the
-    # KS tests and the cycle diagnostics need it
+def test_scipy_loads_only_for_grid_solves(tmp_path, command, config, loaded):
+    # numpy alone serves the package and every scalar command, the KS tests
+    # included; the grid loads scipy.linalg for its banded solves, never
+    # scipy.stats (about 0.6 s and 40 MB of a fresh process)
     args = []
     if command:
         cfg = tmp_path / "exp.ini"
@@ -106,7 +106,7 @@ def test_scipy_stats_loads_only_for_ks_studies(tmp_path, command, config, loads_
         text=True,
         check=True,
     )
-    assert proc.stdout.splitlines()[-1] == str(loads_stats)
+    assert json.loads(proc.stdout.splitlines()[-1]) == loaded
 
 
 _POOL_PROBE = """
@@ -129,18 +129,15 @@ class InlineExecutor:  # records each pool; runs the tasks here when collected
 
 runner.ProcessPoolExecutor = InlineExecutor
 assert cli.main(sys.argv[1:]) == 0
+events.append("scipy.stats" in sys.modules)
 print(json.dumps(events))
 """
 
 
-@pytest.mark.parametrize(
-    "command, loads_stats", [("slln", False), ("clt", True), ("anscombe", True)]
-)
-def test_study_forks_one_pool_and_loads_scipy_stats_before_collecting(
-    tmp_path, command, loads_stats
-):
-    # a study forks its workers once; a KS study imports scipy.stats while
-    # they run, so it is loaded before the first result is collected
+@pytest.mark.parametrize("command", ["slln", "clt", "anscombe"])
+def test_study_forks_one_pool_and_never_loads_scipy_stats(tmp_path, command):
+    # a study forks its workers once, and its KS tests need no scipy.stats,
+    # neither before the results are collected nor after
     cfg = tmp_path / "exp.ini"
     cfg.write_text(SCALAR_CFG)
     args = [command, "--config", str(cfg), "--out", str(tmp_path / "out"), "--threads", "2"]
@@ -152,5 +149,5 @@ def test_study_forks_one_pool_and_loads_scipy_stats_before_collecting(
         text=True,
         check=True,
     )
-    # the pool, then one collection each of the estimation and the replicates
-    assert json.loads(proc.stdout.splitlines()[-1]) == ["pool", loads_stats, loads_stats]
+    # the pool, one collection each of the estimation and the replicates, the end
+    assert json.loads(proc.stdout.splitlines()[-1]) == ["pool", False, False, False]
