@@ -215,13 +215,14 @@ def read_json(path):
 REPO = Path(__file__).resolve().parents[1]
 
 
-def assert_outputs_match_committed(tmp_path, backend, command, threads=1):
-    # every file the committed manifest lists, byte for byte, and every
-    # manifest field but the wall time; returns the listed file names
-    committed = REPO / "out" / backend / command.replace("-", "_")
+def assert_outputs_match_committed(tmp_path, config, command, threads=1):
+    # the run of configs/<config>.ini reproduces every file the committed
+    # manifest under out/<config>/ lists, byte for byte, and every manifest
+    # field but the wall time; returns the listed file names
+    committed = REPO / "out" / config / command.replace("-", "_")
     out = tmp_path / "out"
-    config = REPO / "configs" / f"{backend}.ini"
-    assert run_cli([command, "--config", config, "--out", out, "--threads", threads]) == 0
+    path = REPO / "configs" / f"{config}.ini"
+    assert run_cli([command, "--config", path, "--out", out, "--threads", threads]) == 0
     want, got = read_json(committed / "manifest.json"), read_json(out / "manifest.json")
     del want["wall_time_seconds"], got["wall_time_seconds"]
     assert got == dict(want, threads=threads)
@@ -259,6 +260,13 @@ def test_cli_plaplace_outputs_match_committed(tmp_path, command, output):
 )
 def test_cli_scalar_outputs_match_committed(tmp_path, command, threads):
     assert_outputs_match_committed(tmp_path, "scalar", command, threads)
+
+
+@pytest.mark.parametrize("command, threads", [("slln", 1), ("slln", 2), ("clt", 1)])
+def test_cli_small_grid_outputs_match_committed(tmp_path, command, threads):
+    # the grid's segment integrals, horizon runs and vector covariance route
+    # (clt's first functional is identity_v2; cycles.csv carries its norm)
+    assert_outputs_match_committed(tmp_path, "plaplace_small", command, threads)
 
 
 def test_cli_kappa_fit_steps_each_sample_once(tmp_path, monkeypatch):
