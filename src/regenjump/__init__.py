@@ -21,11 +21,9 @@ from .errors import (
     QuadratureBudgetExceeded,
 )
 from .estimators import (
-    CycleSet,
     TestReport,
     anscombe_check,
     clt_statistic,
-    cycle_diagnostics,
     estimate_Q,
     estimate_nu,
     estimate_sigma2,
@@ -49,7 +47,7 @@ from .plaplace import (
     implicit_euler_step,
 )
 from .process import (
-    CycleRecord,
+    Cycles,
     ExtinctionPolicy,
     HorizonResult,
     cycle_moments,

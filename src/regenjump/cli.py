@@ -185,8 +185,7 @@ def _write_cycles_csv(cfg, setup, args, manifest):
     plan = cfg.plan
     n_record = min(_CYCLES_CSV_MAX, plan.n_cycles // min(plan.est_shards, plan.n_cycles))
     x0 = setup.initial_state(ESTIMATION_SHARD_BASE)
-    rows = []
-    for rec in simulate_cycles(
+    cycles = simulate_cycles(
         x0,
         setup.driver,
         setup.sg,
@@ -194,22 +193,16 @@ def _write_cycles_csv(cfg, setup, args, manifest):
         n_record,
         setup.functionals,
         replicate_index=ESTIMATION_SHARD_BASE,
-    ):
-        row = {
-            "n": rec.n,
-            "is_warmup": rec.is_warmup,
-            "m_start": rec.m_start,
-            "m_end": rec.m_end,
-            "t_start": rec.t_start,
-            "t_end": rec.t_end,
-            "tau": rec.tau,
-            "steps": rec.steps,
-        }
-        for label, value in rec.integrals.items():
+    )
+    columns = ("m_start", "m_end", "t_start", "t_end", "tau", "steps")
+    rows = []
+    for n, values in enumerate(cycles):
+        row = {"n": n, "is_warmup": n == 0, **dict(zip(columns, values))}
+        for xi, value in zip(setup.functionals, values[len(columns) :]):
             if np.ndim(value) == 0:
-                row[f"S_{label}"] = float(value)
-            else:
-                row[f"S_{label}_norm"] = float(np.linalg.norm(np.asarray(value)))
+                row[f"S_{xi.label}"] = value
+            else:  # row by row: a norm along axis 1 of the column may round differently
+                row[f"S_{xi.label}_norm"] = float(np.linalg.norm(np.asarray(value)))
         rows.append(row)
     header = sorted({k for row in rows for k in row})
     report.write_csv(_output(args, manifest, "cycles.csv"), header, rows)

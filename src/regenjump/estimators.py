@@ -14,7 +14,7 @@ Distribution checks are one-sample Kolmogorov-Smirnov tests at a configured
 significance level; zero-variance configurations are first-class and raise
 DegenerateSigma (the limit is a point mass, not a failure).  The KS statistic
 and its p-value are computed here with numpy and ``math``, so no study
-loads ``scipy.stats``; only ``cycle_diagnostics`` imports it.
+loads ``scipy.stats``.
 """
 
 from __future__ import annotations
@@ -27,52 +27,17 @@ import numpy as np
 from .errors import DegenerateSigma, InsufficientCycles
 
 __all__ = [
-    "CycleSet",
     "CycleStats",
     "TestReport",
-    "CycleDiagnostics",
     "estimate_nu",
     "estimate_sigma2",
     "estimate_Q",
     "stats_from_moments",
     "clt_statistic",
     "ks_test_normal",
-    "cycle_diagnostics",
-    "autocorrelation",
     "anscombe_statistics",
     "anscombe_check",
 ]
-
-
-@dataclass
-class CycleSet:
-    """Arrays of cycle lengths and per-functional cycle integrals."""
-
-    tau: np.ndarray
-    integrals: dict
-
-    @classmethod
-    def from_records(cls, records) -> "CycleSet":
-        """Collect a record stream, dropping the warm-up segment."""
-        tau = []
-        integrals: dict = {}
-        for rec in records:
-            if rec.is_warmup:
-                continue
-            tau.append(rec.tau)
-            for label, value in rec.integrals.items():
-                integrals.setdefault(label, []).append(value)
-        return cls(
-            tau=np.asarray(tau, dtype=float),
-            integrals={
-                label: np.asarray(vals)
-                for label, vals in integrals.items()
-            },
-        )
-
-    @property
-    def n(self) -> int:
-        return self.tau.shape[0]
 
 
 @dataclass
@@ -328,95 +293,6 @@ def ks_test_normal(samples, sigma: float, alpha: float = 0.01) -> TestReport:
         n_samples=n,
         passed=p_value > alpha,
         alpha=alpha,
-    )
-
-
-def autocorrelation(series: np.ndarray, max_lag: int) -> np.ndarray:
-    """Sample autocorrelations at lags 1..max_lag (biased normalization)."""
-    z = np.asarray(series, dtype=float)
-    z = z - np.mean(z)
-    denom = float(np.dot(z, z))
-    if denom == 0.0:
-        return np.full(max_lag, np.nan)
-    return np.array(
-        [float(np.dot(z[:-lag], z[lag:])) / denom for lag in range(1, max_lag + 1)]
-    )
-
-
-@dataclass
-class CycleDiagnostics:
-    """Independence and identical-distribution checks on the cycle sequence."""
-
-    lag_autocorr_s: np.ndarray
-    lag_autocorr_tau: np.ndarray
-    lag_pvalues_s: np.ndarray
-    lag_pvalues_tau: np.ndarray
-    halves_s: TestReport | None
-    halves_tau: TestReport | None
-    degenerate: bool
-    n_cycles: int
-
-
-def _lag_pvalues(r: np.ndarray, n: int) -> np.ndarray:
-    # under independence r_l ~ N(0, 1/n); two-sided normal p-value
-    from scipy import stats as sps
-
-    z = np.abs(r) * math.sqrt(n)
-    return 2.0 * sps.norm.sf(z)
-
-
-def cycle_diagnostics(
-    s: np.ndarray, tau: np.ndarray, max_lag: int = 5, alpha: float = 0.01
-) -> CycleDiagnostics:
-    """Lag-1..max_lag autocorrelations plus first-half/second-half KS tests.
-
-    Only tests call it, so it keeps ``scipy.stats`` (``ks_2samp`` and the
-    normal tail), imported inside.
-    """
-    s = np.asarray(s, dtype=float)
-    tau = np.asarray(tau, dtype=float)
-    n = s.shape[0]
-    if n < 200:
-        raise InsufficientCycles("diagnostics need at least 200 cycles")
-    if tau.shape[0] != n:
-        raise ValueError("mismatched cycle arrays")
-    degenerate = float(np.var(s)) == 0.0 or float(np.var(tau)) == 0.0
-    r_s = autocorrelation(s, max_lag)
-    r_tau = autocorrelation(tau, max_lag)
-    if degenerate:
-        return CycleDiagnostics(
-            lag_autocorr_s=r_s,
-            lag_autocorr_tau=r_tau,
-            lag_pvalues_s=np.full(max_lag, np.nan),
-            lag_pvalues_tau=np.full(max_lag, np.nan),
-            halves_s=None,
-            halves_tau=None,
-            degenerate=True,
-            n_cycles=n,
-        )
-    half = n // 2
-
-    def halves_report(series: np.ndarray) -> TestReport:
-        from scipy import stats as sps
-
-        res = sps.ks_2samp(series[:half], series[half:])
-        return TestReport(
-            statistic=float(res.statistic),
-            p_value=float(res.pvalue),
-            n_samples=n,
-            passed=bool(res.pvalue > alpha),
-            alpha=alpha,
-        )
-
-    return CycleDiagnostics(
-        lag_autocorr_s=r_s,
-        lag_autocorr_tau=r_tau,
-        lag_pvalues_s=_lag_pvalues(r_s, n),
-        lag_pvalues_tau=_lag_pvalues(r_tau, n),
-        halves_s=halves_report(s),
-        halves_tau=halves_report(tau),
-        degenerate=False,
-        n_cycles=n,
     )
 
 

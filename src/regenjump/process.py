@@ -13,13 +13,13 @@ path into cycles whose lengths and functional integrals are i.i.d.; the
 segment before the first regeneration is the warm-up and is emitted
 separately.
 
-Three drivers are provided: ``simulate_cycles`` streams cycle records with
-O(1) memory in the cycle count, ``cycle_moments`` accumulates cycle moments
-without records, and ``simulate_until_time`` makes a single pass to a fixed
-horizon for each replicate of a block, producing running integrals at
-checkpoints, regeneration counts, and at each checkpoint the random-index
-sums of S and tau over the cycles up to the one reaching past it, one row
-per replicate.
+Three drivers are provided: ``simulate_cycles`` returns a run's cycles as
+columns (``Cycles``), concatenated from its windows; ``cycle_moments``
+accumulates cycle moments with O(1) memory in the cycle count; and
+``simulate_until_time`` makes a single pass to a fixed horizon for each
+replicate of a block, producing running integrals at checkpoints,
+regeneration counts, and at each checkpoint the random-index sums of S and
+tau over the cycles up to the one reaching past it, one row per replicate.
 
 Each backend has one chain, and every chain has one interface: ``advance``
 returns the next window of the run's cycles (a ``_Window``),
@@ -55,7 +55,7 @@ from .spaces import StateVector
 
 __all__ = [
     "ExtinctionPolicy",
-    "CycleRecord",
+    "Cycles",
     "HorizonResult",
     "CycleMoments",
     "simulate_cycles",
@@ -81,21 +81,41 @@ class ExtinctionPolicy:
 
 
 @dataclass
-class CycleRecord:
-    """One regeneration cycle (or the warm-up segment when n == 0)."""
+class Cycles:
+    """Cycles 1 .. n of one run as columns, and the warm-up before them as a row.
 
-    n: int
-    m_start: int
-    m_end: int
-    t_start: float
-    t_end: float
-    tau: float
+    Cycle i (row i - 1) takes chain steps m_start + 1 .. m_end, ``steps`` of
+    them, from time t_start to t_end, ``tau`` long; ``integrals`` holds each
+    functional's cycle integrals by label, one row per cycle (2-D for a
+    vector-valued functional).  ``warmup`` is the segment before the first
+    regeneration, as the row ``__iter__`` yields for it; it is not a cycle,
+    so no column holds it.
+    """
+
+    warmup: tuple
+    m_start: np.ndarray
+    m_end: np.ndarray
+    t_start: np.ndarray
+    t_end: np.ndarray
+    tau: np.ndarray
+    steps: np.ndarray
     integrals: dict
-    steps: int
 
     @property
-    def is_warmup(self) -> bool:
-        return self.n == 0
+    def n(self) -> int:
+        return self.tau.shape[0]
+
+    def __iter__(self):
+        """Rows (m_start, m_end, t_start, t_end, tau, steps, *integrals) of Python
+        scalars, the warm-up first; a vector integral is a list.
+
+        The only row view: ``cycles.csv`` is written from it, and the
+        benchmark's trace (``bench/trace.py``) drains ``simulate_cycles``
+        with ``list()`` to count its rows.
+        """
+        yield self.warmup
+        cols = (self.m_start, self.m_end, self.t_start, self.t_end, self.tau, self.steps)
+        yield from zip(*(col.tolist() for col in (*cols, *self.integrals.values())))
 
 
 @dataclass
@@ -194,18 +214,17 @@ class _Window:
 
     The first of them is cycle number ``first`` of the run (0 is the
     warm-up); ``ends`` are their end positions in the window and
-    ``alpha[i]`` is the jump time after i steps of it.  ``states`` holds the
-    chain's state before each step (what its chain's ``partial`` reads);
-    ``values`` (each functional's segment value over each step) and
-    ``integrals`` (its integral over each cycle) hold one array per
-    functional.
+    ``alpha[i]`` is the jump time after i steps of it; ``m_end``, ``t_end``
+    and ``tau`` are their last chain steps, end times and lengths.
+    ``states`` holds the chain's state before each step (what its chain's
+    ``partial`` reads); ``values`` (each functional's segment value over
+    each step) and ``integrals`` (its integral over each cycle) hold one
+    array per functional.
     """
 
     first: int
     ends: np.ndarray
-    m_start: np.ndarray
     m_end: np.ndarray
-    t_start: np.ndarray
     t_end: np.ndarray
     tau: np.ndarray
     integrals: list
@@ -381,9 +400,10 @@ class _ScalarChain:
         A cycle still open after its table steps is stepped on alone and
         writes its states.  Returns the path's cycles: the table positions
         where each starts and where its steps in this window stop; how many
-        of them (at most ``want``) close, with steps m_start .. m_end of the
-        run; whether the next cycle starts at a kick (else the last is still
-        open, in state x_last); and the positions the window takes from o.
+        of them (at most ``want``) close, and the run's step m_end that each
+        of those ends with; whether the next cycle starts at a kick (else the
+        last is still open, in state x_last); and the positions the window
+        takes from o.
         """
         starts = []
         append = starts.append
@@ -418,7 +438,7 @@ class _ScalarChain:
         n_path = keep + (not fresh)
         bounds = stops[:n_path]
         bounds[keep:] = reach  # the open cycle's steps stop where the window does
-        return starts[:n_path], bounds, keep, m_start[:keep], m_end[:keep], fresh, x_last, reach - o
+        return starts[:n_path], bounds, keep, m_end[:keep], fresh, x_last, reach - o
 
     def advance(self, cycles: float, time: float = 0.0, last: int | None = None) -> _Window:
         """Tabulate lanes for about ``cycles`` more cycles and ``time`` more time.
@@ -537,7 +557,7 @@ class _ScalarChain:
     def _close(self, walked, o, first, b, e, states, values, sums) -> _Window:
         """This chain's window off its table segment at offset o, whose path's
         cycles are the table's from ``first``; moves the chain past it."""
-        _, bounds, keep, m_start, m_end, fresh, x_last, reach = walked
+        _, bounds, keep, m_end, fresh, x_last, reach = walked
         ends = bounds[:keep] - o
         beta = b[o : o + reach]
         alpha = np.cumsum(np.concatenate(([self.alpha], beta)))  # as alpha += beta
@@ -546,9 +566,7 @@ class _ScalarChain:
         window = _Window(
             first=self.closed,
             ends=ends,
-            m_start=m_start,
             m_end=m_end,
-            t_start=t_start,
             t_end=t_end,
             tau=t_end - t_start,
             integrals=[s[first : first + keep] for s in sums],
@@ -632,9 +650,7 @@ class _StepChain:
         window = _Window(
             first=self.closed,
             ends=np.array([self.m - m_start]),
-            m_start=np.array([m_start]),
             m_end=np.array([self.m]),
-            t_start=np.array([t_start]),
             t_end=np.array([t_end]),
             tau=np.array([t_end - t_start]),
             integrals=[np.array([a]) for a in acc],
@@ -682,22 +698,14 @@ def _chain(x0, driver, sg, policy, functionals, replicate_index):
     return cls(x0, driver, sg, policy, functionals, replicate_index)
 
 
-def _records(chain, n_cycles: int):
-    labels = [xi.label for xi in chain.functionals]
+def _windows(chain, n_cycles: int):
+    """The chain's windows through cycle n_cycles, the warm-up's first."""
     while chain.closed <= n_cycles:
-        w = chain.advance(n_cycles + 1 - chain.closed, last=n_cycles)
-        cols = (w.m_start, w.m_end, w.t_start, w.t_end, w.tau, w.m_end - w.m_start)
-        # floats per cycle, or the rows of a vector-valued functional's stack
-        sums = (s.tolist() if s.ndim == 1 else list(s) for s in w.integrals)
-        rows = zip(*(a.tolist() for a in cols), *sums)
-        for i, (m_start, m_end, t_start, t_end, tau, steps, *values) in enumerate(rows):
-            integrals = dict(zip(labels, values))
-            yield CycleRecord(w.first + i, m_start, m_end, t_start, t_end, tau, integrals, steps)
+        yield chain.advance(n_cycles + 1 - chain.closed, last=n_cycles)
 
 
 def _moments(chain, n_cycles: int, moments: CycleMoments):
-    while chain.closed <= n_cycles:
-        w = chain.advance(n_cycles + 1 - chain.closed, last=n_cycles)
+    for w in _windows(chain, n_cycles):
         lo = 1 if w.first == 0 else 0  # the warm-up is not a cycle
         tau = w.tau[lo:]
         moments.n += tau.size
@@ -812,18 +820,28 @@ def simulate_cycles(
     n_cycles: int,
     functionals,
     replicate_index: int = 0,
-):
-    """Stream the warm-up record and then n_cycles regeneration cycles.
+) -> Cycles:
+    """The warm-up and then cycles 1 .. n_cycles, as ``Cycles``.
 
-    Yields CycleRecord with n = 0 for the warm-up segment (excluded from
-    statistics downstream) followed by cycles n = 1 .. n_cycles.  Raises
-    CycleCapExceeded if any cycle exceeds the policy's step cap.
+    Raises CycleCapExceeded if any of them exceeds the policy's step cap.
     """
     if n_cycles < 1:
         raise ValueError("need at least one cycle")
     _check_functionals(sg, functionals)
     chain = _chain(x0, driver, sg, policy, functionals, replicate_index)
-    yield from _records(chain, n_cycles)
+    # each window's columns, not the window: its states and values are freed
+    parts = [(w.m_end, w.t_end, *w.integrals) for w in _windows(chain, n_cycles)]
+    m_end, t_end, *sums = (np.concatenate(col) for col in zip(*parts))
+    del parts
+    # each cycle starts where the one before it ends, the warm-up at step 0 and time 0
+    m_start = np.concatenate(([0], m_end[:-1]))
+    t_start = np.concatenate(([0.0], t_end[:-1]))
+    cols = (m_start, m_end, t_start, t_end, t_end - t_start, m_end - m_start, *sums)
+    return Cycles(
+        tuple(col[0].tolist() for col in cols),
+        *(col[1:] for col in cols[:6]),
+        integrals={xi.label: s[1:] for xi, s in zip(functionals, sums)},
+    )
 
 
 def cycle_moments(

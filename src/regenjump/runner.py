@@ -42,6 +42,9 @@ from .errors import ConfigError, DriftViolated
 from .estimators import (
     anscombe_check,
     clt_statistic,
+    estimate_Q,
+    estimate_nu,
+    estimate_sigma2,
     ks_test_normal,
     stats_from_moments,
 )
@@ -51,6 +54,7 @@ from .process import (
     ExtinctionPolicy,
     HorizonResult,
     cycle_moments,
+    simulate_cycles,
     simulate_until_time,
 )
 from .semigroup import ScalarPowerLaw, axiom_residuals
@@ -495,25 +499,20 @@ def two_route_agreement(st, time_averages: np.ndarray, t_end: float, n_se: float
 def run_clt_vector(setup: ExperimentSetup, plan: RunPlan, xi) -> dict:
     """Covariance route for a vector-valued functional.
 
-    Estimates the fluctuation covariance from cycle records, reports its
+    Estimates the fluctuation covariance from the cycles, reports its
     eigenvalues, and verifies the projection identity: for every weight psi,
     the scalar fluctuation variance of the pairing <., psi> equals the
     quadratic form of the covariance estimate.
     """
-    from .estimators import CycleSet, estimate_Q, estimate_nu, estimate_sigma2
-    from .process import simulate_cycles
-
     x0 = setup.initial_state(ESTIMATION_SHARD_BASE)
-    cycles = CycleSet.from_records(
-        simulate_cycles(
-            x0,
-            setup.driver,
-            setup.sg,
-            setup.policy,
-            plan.n_cycles,
-            [xi],
-            replicate_index=ESTIMATION_SHARD_BASE,
-        )
+    cycles = simulate_cycles(
+        x0,
+        setup.driver,
+        setup.sg,
+        setup.policy,
+        plan.n_cycles,
+        [xi],
+        replicate_index=ESTIMATION_SHARD_BASE,
     )
     s = cycles.integrals[xi.label]
     nu, se = estimate_nu(s, cycles.tau)

@@ -11,15 +11,22 @@ at a time through the segment flow's ``at``.
 The per-step chain loops take the flow and the segment integrals from the
 public ``sg.evolve`` and ``integrate_segment`` and re-derive the rest: the
 chain's steps, its cycles, regeneration counts and checkpoint integrals.
+The cycle diagnostics (lag autocorrelations with their normal p-values, and
+a two-sample KS test of the first half against the second) check that the
+simulated cycles look i.i.d.
 """
 
+import math
+from dataclasses import dataclass
 from itertools import accumulate
 from types import SimpleNamespace
 
 import numpy as np
+from scipy import stats as sps
 from scipy.integrate import quad
 
-from regenjump.estimators import CycleStats, estimate_nu, estimate_sigma2
+from regenjump.errors import InsufficientCycles
+from regenjump.estimators import CycleStats, TestReport, estimate_nu, estimate_sigma2
 from regenjump.functionals import integrate_segment
 
 
@@ -131,6 +138,89 @@ def stats_from_arrays(s, tau):
         se_nu=se,
         sigma2_hat=estimate_sigma2(s_arr, tau, nu),
     )
+
+
+def autocorrelation(series: np.ndarray, max_lag: int) -> np.ndarray:
+    """Sample autocorrelations at lags 1..max_lag (biased normalization)."""
+    z = np.asarray(series, dtype=float)
+    z = z - np.mean(z)
+    denom = float(np.dot(z, z))
+    if denom == 0.0:
+        return np.full(max_lag, np.nan)
+    return np.array(
+        [float(np.dot(z[:-lag], z[lag:])) / denom for lag in range(1, max_lag + 1)]
+    )
+
+
+@dataclass
+class CycleDiagnostics:
+    """Independence and identical-distribution checks on the cycle sequence."""
+
+    lag_autocorr_s: np.ndarray
+    lag_autocorr_tau: np.ndarray
+    lag_pvalues_s: np.ndarray
+    lag_pvalues_tau: np.ndarray
+    halves_s: TestReport | None
+    halves_tau: TestReport | None
+    degenerate: bool
+    n_cycles: int
+
+
+def _lag_pvalues(r: np.ndarray, n: int) -> np.ndarray:
+    # under independence r_l ~ N(0, 1/n); two-sided normal p-value
+    z = np.abs(r) * math.sqrt(n)
+    return 2.0 * sps.norm.sf(z)
+
+
+def cycle_diagnostics(
+    s: np.ndarray, tau: np.ndarray, max_lag: int = 5, alpha: float = 0.01
+) -> CycleDiagnostics:
+    """Lag-1..max_lag autocorrelations plus first-half/second-half KS tests."""
+    s = np.asarray(s, dtype=float)
+    tau = np.asarray(tau, dtype=float)
+    n = s.shape[0]
+    if n < 200:
+        raise InsufficientCycles("diagnostics need at least 200 cycles")
+    if tau.shape[0] != n:
+        raise ValueError("mismatched cycle arrays")
+    degenerate = float(np.var(s)) == 0.0 or float(np.var(tau)) == 0.0
+    r_s = autocorrelation(s, max_lag)
+    r_tau = autocorrelation(tau, max_lag)
+    if degenerate:
+        return CycleDiagnostics(
+            lag_autocorr_s=r_s,
+            lag_autocorr_tau=r_tau,
+            lag_pvalues_s=np.full(max_lag, np.nan),
+            lag_pvalues_tau=np.full(max_lag, np.nan),
+            halves_s=None,
+            halves_tau=None,
+            degenerate=True,
+            n_cycles=n,
+        )
+    half = n // 2
+
+    def halves_report(series: np.ndarray) -> TestReport:
+        res = sps.ks_2samp(series[:half], series[half:])
+        return TestReport(
+            statistic=float(res.statistic),
+            p_value=float(res.pvalue),
+            n_samples=n,
+            passed=bool(res.pvalue > alpha),
+            alpha=alpha,
+        )
+
+    return CycleDiagnostics(
+        lag_autocorr_s=r_s,
+        lag_autocorr_tau=r_tau,
+        lag_pvalues_s=_lag_pvalues(r_s, n),
+        lag_pvalues_tau=_lag_pvalues(r_tau, n),
+        halves_s=halves_report(s),
+        halves_tau=halves_report(tau),
+        degenerate=False,
+        n_cycles=n,
+    )
+
+
 
 
 def grid_simpson_reference(xi, state, delta, sg, tol=1e-9):

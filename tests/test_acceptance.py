@@ -14,14 +14,12 @@ import numpy as np
 import pytest
 from scipy import stats as sps
 
-from _oracles import projected_gradient_minimize, quad_segment_integral
+from _oracles import cycle_diagnostics, projected_gradient_minimize, quad_segment_integral
 from regenjump.cli import main as cli_main
 from regenjump.driver import BetaLaw, DriverConfig, EtaLaw, derive_replicate_rng
 from regenjump.estimators import (
-    CycleSet,
     anscombe_check,
     clt_statistic,
-    cycle_diagnostics,
     estimate_Q,
     estimate_nu,
     estimate_sigma2,
@@ -178,11 +176,10 @@ def test_c02_pde_backend_invariants():
 @pytest.fixture(scope="module")
 def regeneration_run():
     setup = scalar_setup(8001)
-    records = simulate_cycles(
+    return simulate_cycles(
         SCALAR.zero(), setup.driver, setup.sg, setup.policy, 1_000_000,
         setup.functionals,
     )
-    return CycleSet.from_records(records)
 
 
 def test_c03_regeneration_structure(regeneration_run):
@@ -327,11 +324,7 @@ def test_c07_vector_clt_consistency():
     setup.kappa_fit = fit
     validation = run_validate(setup, RunPlan(n_mc=10_000))
     assert validation["ok"], "drift condition must hold for the vector study"
-    cycles = CycleSet.from_records(
-        simulate_cycles(
-            sg.space.zero(), driver, sg, setup.policy, 250, setup.functionals
-        )
-    )
+    cycles = simulate_cycles(sg.space.zero(), driver, sg, setup.policy, 250, setup.functionals)
     s = cycles.integrals["identity_v2"]
     nu, _ = estimate_nu(s, cycles.tau)
     q_hat = estimate_Q(s, cycles.tau, nu, h=sg.space.h)
@@ -358,9 +351,7 @@ def test_c08_deterministic_oracle():
     sg = ScalarPowerLaw(ExtinctionParams(1.0, 0.5), SCALAR)
     driver = DriverConfig(BetaLaw.deterministic(3.0), EtaLaw.scalar_constant(1.0), 42)
     policy = ExtinctionPolicy(eps_ext=1e-12)
-    cycles = CycleSet.from_records(
-        simulate_cycles(SCALAR.zero(), driver, sg, policy, 200, [NormV2(SCALAR)])
-    )
+    cycles = simulate_cycles(SCALAR.zero(), driver, sg, policy, 200, [NormV2(SCALAR)])
     s = cycles.integrals["norm_v2"]
     # brute-force reference: independent quadrature of the one-cycle integrand
     s_ref = quad_segment_integral(1.0, 1.0, 0.5, 3.0)

