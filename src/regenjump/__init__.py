@@ -34,7 +34,6 @@ from .functionals import (
     IdentityV2,
     Linear,
     NormV2,
-    QuadratureConfig,
     integrate_segment,
 )
 from .plaplace import (

@@ -224,9 +224,8 @@ def _cmd_clt(cfg, setup, args, manifest) -> int:
         report.write_csv(_output(args, manifest, "clt_samples.csv"), ["replicate", "raw"], rows)
         print("deterministic configuration: CLT limit is the point mass at 0")
     else:
-        raw, std = result["raw"].tolist(), result["standardized"].tolist()
-        samples = result["anscombe_samples"]
-        rows = [(i, raw[i], std[i], s, tau) for i, (s, tau, _) in enumerate(samples)]
+        columns = [result[key].tolist() for key in ("raw", "standardized", "sum_s", "sum_tau")]
+        rows = zip(range(len(columns[0])), *columns)
         header = ["replicate", "raw", "standardized", "anscombe_sum_s", "anscombe_sum_tau"]
         report.write_csv(_output(args, manifest, "clt_samples.csv"), header, rows)
         report.histogram_svg(

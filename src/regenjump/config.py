@@ -267,6 +267,10 @@ def parse_config_text(text: str) -> ExperimentConfig:
         init = (ikind,)
     else:
         raise ConfigError(f"unknown initial kind {ikind!r}")
+    # one value is a scalar state; a sine's zero-mean projection on one cell is 0
+    needs = {"value": "scalar", "sine": "plaplace"}.get(ikind, backend)
+    if needs != backend:
+        raise ConfigError(f"[initial] kind = {ikind} needs backend = {needs}")
 
     plp, run = sections.get("plaplace", {}), sections.get("run", {})
     plan = _build("run", RunPlan, run)

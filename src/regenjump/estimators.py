@@ -296,29 +296,28 @@ def ks_test_normal(samples, sigma: float, alpha: float = 0.01) -> TestReport:
     )
 
 
-def anscombe_statistics(replicates, nu: float, mean_tau: float) -> np.ndarray:
+def anscombe_statistics(sum_s, sum_tau, t: float, nu: float, mean_tau: float) -> np.ndarray:
     """Random-index normalized sums, one per replicate.
 
-    Each replicate contributes (sum_k (S_k - nu tau_k)) / sqrt(theta) where
-    the sum runs over the cycles counted by the horizon (one past it) and
-    theta = t / mean_tau is the deterministic cycle-count scale.  Under the
-    limit theorem these converge to N(0, sigma^2 * mean_tau).
+    ``sum_s`` and ``sum_tau`` hold each replicate's sums of S and tau over the
+    cycles counted by the horizon t (one past it); each gives
+    (sum_s - nu sum_tau) / sqrt(theta), where theta = t / mean_tau is the
+    deterministic cycle-count scale.  Under the limit theorem these converge
+    to N(0, sigma^2 * mean_tau).
     """
-    out = np.empty(len(replicates))
-    for i, (sum_s, sum_tau, t) in enumerate(replicates):
-        theta = t / mean_tau
-        out[i] = (sum_s - nu * sum_tau) / math.sqrt(theta)
-    return out
+    return (np.asarray(sum_s) - nu * np.asarray(sum_tau)) / math.sqrt(t / mean_tau)
 
 
 def anscombe_check(
-    replicates,
+    sum_s,
+    sum_tau,
+    t: float,
     nu: float,
     sigma2: float,
     mean_tau: float,
     alpha: float = 0.01,
 ) -> TestReport:
     """KS test of the random-index sums against N(0, sigma^2 * mean_tau)."""
-    samples = anscombe_statistics(replicates, nu, mean_tau)
+    samples = anscombe_statistics(sum_s, sum_tau, t, nu, mean_tau)
     sigma = math.sqrt(max(sigma2, 0.0) * mean_tau)
     return ks_test_normal(samples, sigma, alpha=alpha)

@@ -9,11 +9,11 @@ per backend.  On the exact scalar power-law semigroup the integrand is a
 piecewise power function and the integral is evaluated in closed form, split
 at the extinction time.  On the grid, adaptive composite Simpson is used,
 with interval bisection until the local Richardson error estimate is below
-tolerance; breakpoints are placed at the time-step grid, where the
-trajectory has kinks, and at the extinction time when known.  The bisection
-tree is refined level by level; each level's nodes go to the segment flow's
-``at_many`` first, which solves all of their partial implicit-Euler steps as
-one row-batched step.
+``QUAD_TOL``, within ``QUAD_MAX_EVALS`` evaluations per segment; breakpoints
+are placed at the time-step grid, where the trajectory has kinks, and at the
+extinction time when known.  The bisection tree is refined level by level;
+each level's nodes go to the segment flow's ``at_many`` first, which solves
+all of their partial implicit-Euler steps as one row-batched step.
 """
 
 from __future__ import annotations
@@ -32,7 +32,6 @@ __all__ = [
     "IdentityV2",
     "Linear",
     "AffineShift",
-    "QuadratureConfig",
     "SegmentIntegralResult",
     "integrate_segment",
 ]
@@ -167,15 +166,9 @@ class AffineShift(Functional):
         return self.base.apply_values(values) + self.w
 
 
-@dataclass(frozen=True)
-class QuadratureConfig:
-    """Per-segment Simpson tolerance and evaluation cap."""
-
-    tol: float = 1e-9
-    max_evals: int = 100_000
-
-
-DEFAULT_QUADRATURE = QuadratureConfig()
+# Per-segment Simpson tolerance and evaluation cap on the grid.
+QUAD_TOL = 1e-9
+QUAD_MAX_EVALS = 100_000
 
 
 @dataclass
@@ -298,7 +291,6 @@ def integrate_segment(
     state: StateVector,
     delta: float,
     sg,
-    quad_cfg: QuadratureConfig = DEFAULT_QUADRATURE,
     flow=None,
 ) -> SegmentIntegralResult:
     """Integrate Xi along the flow started at ``state`` for time ``delta``.
@@ -331,7 +323,5 @@ def integrate_segment(
     def f(tau):
         return xi.apply_values(flow.at(tau))
 
-    value, err, used = _adaptive_simpson(
-        f, breaks, quad_cfg.tol, xi, quad_cfg.max_evals, flow.at_many
-    )
+    value, err, used = _adaptive_simpson(f, breaks, QUAD_TOL, xi, QUAD_MAX_EVALS, flow.at_many)
     return SegmentIntegralResult(value, err, used)

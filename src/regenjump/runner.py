@@ -16,6 +16,12 @@ shards and replicates.  ``slln`` and ``clt`` queue the estimation shards
 and the horizon chunks together; ``anscombe`` sizes its horizons from the
 estimate, so it queues them after it.
 
+Each study picks the functionals it reports once, and both of its phases
+run a setup narrowed to them: ``slln`` its scalar-valued functionals,
+``clt`` and ``anscombe`` the one functional they test (the vector route of
+``clt`` simulates its functional alone).  No phase integrates a functional
+that its study drops.
+
 The semigroup-check, strong-law, CLT and random-index drivers own their
 output layout and gate: each returns a ``summary``, exactly what its
 ``summary.json`` holds, ``pass`` included, beside the arrays or rows written
@@ -26,7 +32,7 @@ from __future__ import annotations
 
 import math
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from functools import partial, reduce
 
 import numpy as np
@@ -170,7 +176,6 @@ class RunPlan:
     n_replicates: int = 200
     clt_t: float = 0.0
     n_mc: int = 100_000
-    alpha: float = 0.01
 
     def __post_init__(self):
         for key in ("n_cycles", "est_shards", "n_replicates"):
@@ -220,10 +225,6 @@ class _Pool:
         return lambda: combine(list(results))
 
 
-def _scalar_functionals(setup: ExperimentSetup) -> list:
-    return [xi for xi in setup.functionals if not xi.vector_valued]
-
-
 def _moments_task(args) -> CycleMoments:
     setup, n_cycles, shard_index = args
     x0 = setup.initial_state(ESTIMATION_SHARD_BASE + shard_index)
@@ -233,7 +234,7 @@ def _moments_task(args) -> CycleMoments:
         setup.sg,
         setup.policy,
         n_cycles,
-        _scalar_functionals(setup),
+        setup.functionals,
         replicate_index=ESTIMATION_SHARD_BASE + shard_index,
     )
 
@@ -253,15 +254,13 @@ def _study_pool(plan: RunPlan, threads: int) -> _Pool:
 def run_cycle_estimation(
     setup: ExperimentSetup, n_cycles: int, n_shards: int = 16, threads: int = 1, pool=None
 ):
-    """Merged cycle moments from a fixed number of independent shards.
+    """The setup's merged cycle moments from a fixed number of independent shards.
 
-    Moment accumulation covers the scalar-valued functionals; vector-valued
-    ones go through the record-based covariance route instead.  Given a
-    study's ``pool``, the shards are queued on it, and what is returned is a
-    function giving the merged moments.
+    Moments accumulate for scalar-valued functionals only (``cycle_moments``
+    rejects a vector-valued one).  Given a study's ``pool``, the shards are
+    queued on it, and what is returned is a function giving the merged
+    moments.
     """
-    if not _scalar_functionals(setup):
-        raise ValueError("cycle estimation needs at least one scalar functional")
     tasks = [(setup, size, i) for i, size in enumerate(_shard_sizes(n_cycles, n_shards))]
     merged = partial(reduce, CycleMoments.merge)
     if pool is not None:
@@ -439,11 +438,15 @@ def run_kappa_fit(
 def run_slln(setup: ExperimentSetup, plan: RunPlan, threads: int = 1) -> dict:
     """Running time averages against the cycle-ratio estimate.
 
-    Scalar-valued functionals carry the estimates and the two-route gate;
-    vector-valued ones are reported through the covariance route of run_clt.
+    Both phases integrate the scalar-valued functionals alone, which carry
+    the estimates and the two-route gate; vector-valued ones are listed as
+    skipped (run_clt's covariance route reports them).
     """
-    if not _scalar_functionals(setup):
+    scalars = [xi for xi in setup.functionals if not xi.vector_valued]
+    if not scalars:
         raise ConfigError("the strong-law check needs a scalar-valued functional")
+    skipped = [xi.label for xi in setup.functionals if xi.vector_valued]
+    setup = replace(setup, functionals=scalars)
     checkpoints = plan.checkpoints or None
     with _study_pool(plan, threads) as pool:
         estimate = run_cycle_estimation(setup, plan.n_cycles, plan.est_shards, pool=pool)
@@ -451,9 +454,7 @@ def run_slln(setup: ExperimentSetup, plan: RunPlan, threads: int = 1) -> dict:
             setup, plan.t_end, checkpoints, plan.n_replicates, pool=pool
         )
         moments, reps = estimate(), replicates()
-    stats = {label: stats_from_moments(moments, label) for label in moments.labels}
     labels = moments.labels
-    skipped = [xi.label for xi in setup.functionals if xi.vector_valued]
     times = reps.checkpoints.tolist()
     averages = {label: (reps.integrals[label] / reps.checkpoints).tolist() for label in labels}
     curves = [
@@ -466,7 +467,7 @@ def run_slln(setup: ExperimentSetup, plan: RunPlan, threads: int = 1) -> dict:
         summary["skipped_vector_functionals"] = skipped
     suite_pass = True
     for label in labels:
-        st = stats[label]
+        st = stats_from_moments(moments, label)
         finals = reps.integrals[label][:, -1] / plan.t_end
         se_time_avg = math.sqrt(max(st.sigma2_hat, 0.0) / plan.t_end)
         combined = math.sqrt(st.se_nu**2 + se_time_avg**2)
@@ -484,7 +485,7 @@ def run_slln(setup: ExperimentSetup, plan: RunPlan, threads: int = 1) -> dict:
             "two_route_agree": agree,
         }
     summary["pass"] = suite_pass
-    return {"summary": summary, "curves": curves, "stats": stats, "replicates": reps}
+    return {"summary": summary, "curves": curves, "replicates": reps}
 
 
 def two_route_agreement(st, time_averages: np.ndarray, t_end: float, n_se: float = 3.0):
@@ -544,23 +545,19 @@ def run_clt_vector(setup: ExperimentSetup, plan: RunPlan, xi) -> dict:
     return {"summary": summary, "q_hat": q_hat}
 
 
-def _index_samples(reps: HorizonResult, label: str, j: int, t: float) -> list:
-    """Each replicate's (random-index sum of S, of tau, t) at checkpoint j."""
-    sums = zip(reps.index_s[label][:, j].tolist(), reps.index_tau[:, j].tolist())
-    return [(s, tau, t) for s, tau in sums]
-
-
 def run_clt(setup: ExperimentSetup, plan: RunPlan, threads: int = 1) -> dict:
     """CLT and random-index (Anscombe) samples of the first functional at the plan's horizon.
 
-    Returns the summary with its KS reports and variance-bridging
-    diagnostics, and the ``raw`` and ``standardized`` statistics and
-    ``anscombe_samples`` of each replicate; a vector-valued functional is
-    routed to the covariance estimate instead.
+    Both phases integrate that functional alone.  Returns the summary with
+    its KS reports and variance-bridging diagnostics, and each replicate's
+    ``raw`` and ``standardized`` statistic and random-index sums ``sum_s``
+    and ``sum_tau``, as columns; a vector-valued functional is routed to the
+    covariance estimate instead.
     """
     xi = setup.functionals[0]
     if xi.vector_valued:
         return run_clt_vector(setup, plan, xi)
+    setup = replace(setup, functionals=[xi])
     label, t = xi.label, plan.clt_t
     with _study_pool(plan, threads) as pool:
         estimate = run_cycle_estimation(setup, plan.n_cycles, plan.est_shards, pool=pool)
@@ -586,14 +583,14 @@ def run_clt(setup: ExperimentSetup, plan: RunPlan, threads: int = 1) -> dict:
         summary["pass"] = True
         return {"summary": summary, "raw": raw}
     standardized = raw / sigma
-    samples = _index_samples(reps, label, -1, t)
-    summary["ks_clt"] = ks_test_normal(standardized, 1.0, alpha=plan.alpha)
+    sum_s, sum_tau = reps.index_s[label][:, -1], reps.index_tau[:, -1]
+    summary["ks_clt"] = ks_test_normal(standardized, 1.0)
     summary["var_ratio"] = float(np.var(raw) / st.sigma2_hat)
     summary["ks_anscombe"] = anscombe_check(
-        samples, st.nu_hat, st.sigma2_hat, st.mean_tau, alpha=plan.alpha
+        sum_s, sum_tau, t, st.nu_hat, st.sigma2_hat, st.mean_tau
     )
     summary["pass"] = bool(summary["ks_clt"].passed and summary["ks_anscombe"].passed)
-    arrays = {"raw": raw, "standardized": standardized, "anscombe_samples": samples}
+    arrays = {"raw": raw, "standardized": standardized, "sum_s": sum_s, "sum_tau": sum_tau}
     return {"summary": summary, **arrays}
 
 
@@ -602,12 +599,14 @@ def run_anscombe(
 ) -> dict:
     """Random-index CLT checks of the first scalar functional along a schedule of theta scales.
 
-    The summary's ``table`` holds each theta's horizon and KS report.
+    Both phases integrate that functional alone.  The summary's ``table``
+    holds each theta's horizon and KS report.
     """
-    scalars = _scalar_functionals(setup)
-    if not scalars:
+    xi = next((f for f in setup.functionals if not f.vector_valued), None)
+    if xi is None:
         raise ConfigError("the random-index check needs a scalar-valued functional")
-    label = scalars[0].label
+    setup = replace(setup, functionals=[xi])
+    label = xi.label
     summary = {"label": label}
     with _study_pool(plan, threads) as pool:
         estimate = run_cycle_estimation(setup, plan.n_cycles, plan.est_shards, pool=pool)
@@ -624,8 +623,8 @@ def run_anscombe(
     table = []
     for theta, t_cp in zip(theta_schedule, horizons):
         j = int(np.searchsorted(reps.checkpoints, t_cp))
-        samples = _index_samples(reps, label, j, t_cp)
-        ks = anscombe_check(samples, st.nu_hat, st.sigma2_hat, st.mean_tau, alpha=plan.alpha)
+        sum_s, sum_tau = reps.index_s[label][:, j], reps.index_tau[:, j]
+        ks = anscombe_check(sum_s, sum_tau, t_cp, st.nu_hat, st.sigma2_hat, st.mean_tau)
         table.append(
             {
                 "theta": theta,

@@ -37,7 +37,6 @@ from regenjump.plaplace import (
 )
 from regenjump.process import ExtinctionPolicy, cycle_moments, simulate_cycles
 from regenjump.runner import (
-    _index_samples,
     ExperimentSetup,
     run_cycle_estimation,
     run_horizon_replicates,
@@ -258,9 +257,13 @@ def clt_study():
         reps = run_horizon_replicates(setup, CLT_T, None, N_REPLICATES, threads=2)
         raw = clt_statistic(reps.integrals["norm_v2"][:, -1], CLT_T, st.nu_hat)
         ks = ks_test_normal(raw / sigma, 1.0)
-        anscombe_samples = _index_samples(reps, "norm_v2", -1, CLT_T)
         ks_anscombe = anscombe_check(
-            anscombe_samples, st.nu_hat, st.sigma2_hat, st.mean_tau
+            reps.index_s["norm_v2"][:, -1],
+            reps.index_tau[:, -1],
+            CLT_T,
+            st.nu_hat,
+            st.sigma2_hat,
+            st.mean_tau,
         )
         per_seed.append(
             {

@@ -2,6 +2,7 @@ import csv
 import json
 import os
 import re
+from dataclasses import replace
 from functools import partial
 from pathlib import Path
 
@@ -10,7 +11,7 @@ import pytest
 
 from regenjump import runner
 from regenjump.cli import main
-from regenjump.config import _KEYS, build_functional, config_hash, parse_config_text
+from regenjump.config import _KEYS, build_functional, config_hash, load_config, parse_config_text
 from regenjump.errors import ConfigError
 from regenjump.runner import run_anscombe, run_semigroup_check
 from regenjump.spaces import scalar_space
@@ -522,6 +523,23 @@ def test_cli_config_error_in_the_setup_leaves_no_output_directory(tmp_path, caps
     assert not out.exists()
 
 
+@pytest.mark.parametrize(
+    "base, kind",
+    [(PLAPLACE_CFG, "kind = value\nvalue = 0.5"), (SCALAR_CFG, "kind = sine")],
+    ids=["value-on-grid", "sine-on-scalar"],
+)
+def test_cli_initial_kind_of_another_backend_is_a_config_error(tmp_path, capsys, base, kind):
+    # one value is a scalar state, and a sine projected to zero mean on one
+    # cell is 0: each is rejected at parse time, before any set-up or output
+    cfg = write(tmp_path, base + f"\n[initial]\n{kind}\n")
+    out = tmp_path / "o"
+    assert run_cli(["slln", "--config", cfg, "--out", out]) == 1
+    err = capsys.readouterr().err
+    assert "config error" in err and "[initial]" in err
+    assert "Traceback" not in err
+    assert not out.exists()
+
+
 def test_cli_drift_and_runtime_errors_write_their_manifest(tmp_path):
     drift = write(tmp_path, BAD_DRIFT_CFG)
     assert run_cli(["slln", "--config", drift, "--out", tmp_path / "drift"]) == 2
@@ -567,10 +585,10 @@ EVERY_KEY = [
     ("eta", "amp_max", "0.4", 0.4, lambda c: c.eta.amp_max),
     ("eta", "width_low", "0.1", 0.1, lambda c: c.eta.width_low),
     ("eta", "width_high", "0.3", 0.3, lambda c: c.eta.width_high),
-    ("initial", "kind", "value", "value", lambda c: c.initial[0]),
-    ("initial", "value", "0.25", 0.25, lambda c: c.initial[1]),
-    ("initial", "amplitude", "0.5", 0.5, None),  # read by kind = sine only
-    ("initial", "mode", "2", 2, None),
+    ("initial", "kind", "sine", "sine", lambda c: c.initial[0]),
+    ("initial", "value", "0.25", 0.25, None),  # read by kind = value only
+    ("initial", "amplitude", "0.5", 0.5, lambda c: c.initial[1]),
+    ("initial", "mode", "2", 2, lambda c: c.initial[2]),
     ("functionals", "specs", "mass, norm_v2", ["mass", "norm_v2"], lambda c: c.specs),
     ("run", "n_cycles", "7", 7, lambda c: c.plan.n_cycles),
     ("run", "est_shards", "3", 3, lambda c: c.plan.est_shards),
@@ -595,8 +613,9 @@ def test_every_config_key_reaches_its_object():
     for section, key, _, want, got in EVERY_KEY:
         if got is not None:
             assert got(cfg) == want, (section, key)
-    sine = parse_config_text(text.replace("kind = value", "kind = sine"))
-    assert sine.initial == ("sine", 0.5, 2)
+    scalar = text.replace("backend = plaplace", "backend = scalar")
+    value = parse_config_text(scalar.replace("kind = sine", "kind = value"))
+    assert value.initial == ("value", 0.25)
     # a law kind's own keys are required, not taken as 0.0
     for text, key in [
         (SCALAR_CFG.replace("kind = scalar_uniform\namp = 1.0", "kind = scalar_constant"), "value"),
@@ -708,6 +727,48 @@ def test_cli_study_without_scalar_functional_is_a_config_error(tmp_path, capsys,
     assert "Traceback" not in err
 
 
+def test_grid_slln_integrates_its_scalar_functionals_alone():
+    # specs = identity_v2, norm_v2: the vector functional is listed as skipped
+    # and no horizon replicate integrates it
+    cfg = load_config(REPO / "configs" / "plaplace_small.ini")
+    result = runner.run_slln(cfg.build_setup(), replace(cfg.plan, n_cycles=4))
+    reps = result["replicates"]
+    assert list(reps.integrals) == list(reps.index_s) == ["norm_v2"]
+    assert result["summary"]["skipped_vector_functionals"] == ["identity_v2"]
+
+
+@pytest.mark.parametrize(
+    "command, outputs",
+    [
+        ("clt", ["summary.json", "clt_samples.csv"]),
+        ("anscombe", ["summary.json", "anscombe_table.csv"]),
+    ],
+    ids=["clt", "anscombe"],
+)
+def test_ks_studies_integrate_their_functional_alone(tmp_path, monkeypatch, command, outputs):
+    # with specs = norm_v2, mass the estimation and horizon tasks run norm_v2
+    # alone, and the study writes what a norm_v2-only run writes
+    seen = set()
+    for name in ("_moments_task", "_horizon_task"):
+
+        def logged(args, task=getattr(runner, name), name=name):
+            seen.add((name, tuple(xi.label for xi in args[0].functionals)))
+            return task(args)
+
+        monkeypatch.setattr(runner, name, logged)
+    text = SCALAR_CFG.replace("specs = norm_v2", "specs = norm_v2, mass")
+    both = write(tmp_path, text, "both.ini")
+    assert run_cli([command, "--config", both, "--out", tmp_path / "both"]) == 0
+    assert seen == {("_moments_task", ("norm_v2",)), ("_horizon_task", ("norm_v2",))}
+    alone = write(tmp_path, SCALAR_CFG, "alone.ini")
+    assert run_cli([command, "--config", alone, "--out", tmp_path / "alone"]) == 0
+    for name in outputs:
+        assert (tmp_path / "both" / name).read_bytes() == (tmp_path / "alone" / name).read_bytes()
+    if command == "clt":  # cycles.csv keeps a column for every configured functional
+        with open(tmp_path / "both" / "cycles.csv", newline="") as fh:
+            assert {"S_mass", "S_norm_v2"} <= set(next(csv.reader(fh)))
+
+
 def test_cli_outputs_thread_invariant(tmp_path):
     cfg = write(tmp_path, SCALAR_CFG)
     out1 = tmp_path / "t1"
@@ -717,13 +778,10 @@ def test_cli_outputs_thread_invariant(tmp_path):
     assert _tree_bytes(out1) == _tree_bytes(out2)
 
 
-def test_cli_clt_vector_covariance_route(tmp_path):
-    text = PLAPLACE_CFG.replace("n_cycles = 40", "n_cycles = 60")
-    text += "\n[functionals]\nspecs = identity_v2\n"
-    cfg = write(tmp_path, text)
-    out = tmp_path / "out"
-    assert run_cli(["clt", "--config", cfg, "--out", out]) == 0
-    summary = read_json(out / "summary.json")
+def test_cli_clt_vector_covariance_route():
+    # the committed small-grid clt (its first functional is identity_v2 on 16
+    # cells), which test_cli_small_grid_outputs_match_committed[clt-1] reruns
+    summary = read_json(REPO / "out" / "plaplace_small" / "clt" / "summary.json")
     # the covariance route's summary: its note, and no covariance matrix
     assert set(summary) == {
         "label", "vector", "note", "n_cycles", "nu_hat", "se_nu", "mean_tau",
@@ -731,7 +789,7 @@ def test_cli_clt_vector_covariance_route(tmp_path):
     }
     assert summary["note"] == "vector-valued functional: covariance route (no replicate KS)"
     assert summary["vector"] is True
-    assert len(summary["q_eigenvalues"]) == 12
+    assert len(summary["q_eigenvalues"]) == 16
     assert summary["q_min_eigenvalue"] >= -1e-10
     assert summary["projection_gap"] <= 1e-8
     assert summary["pass"] is True

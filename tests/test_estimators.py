@@ -310,17 +310,16 @@ def test_anscombe_calibration_deterministic_count():
     sigma2 = 1.3
     theta = 400
     t = theta * mean_tau
-    replicates = []
-    for _ in range(2000):
-        y = rng.normal(0.0, math.sqrt(sigma2 * mean_tau), size=theta)
-        # S_k - nu tau_k = y_k with nu = 0, tau absorbed in the variance
-        replicates.append((float(np.sum(y)), 0.0, t))
-    report = anscombe_check(replicates, nu=0.0, sigma2=sigma2, mean_tau=mean_tau)
+    # S_k - nu tau_k = y_k with nu = 0, tau absorbed in the variance
+    y = rng.normal(0.0, math.sqrt(sigma2 * mean_tau), size=(2000, theta))
+    sum_s, sum_tau = np.sum(y, axis=1), np.zeros(2000)
+    report = anscombe_check(sum_s, sum_tau, t, nu=0.0, sigma2=sigma2, mean_tau=mean_tau)
     assert report.passed
 
 
 def test_anscombe_statistics_shapes():
-    reps = [(1.0, 2.0, 10.0), (0.5, 1.0, 10.0)]
-    out = anscombe_statistics(reps, nu=0.25, mean_tau=2.0)
+    sum_s, sum_tau = np.array([1.0, 0.5]), np.array([2.0, 1.0])
+    out = anscombe_statistics(sum_s, sum_tau, 10.0, nu=0.25, mean_tau=2.0)
     theta = 10.0 / 2.0
+    assert out.shape == (2,)
     assert out[0] == pytest.approx((1.0 - 0.25 * 2.0) / math.sqrt(theta))

@@ -5,15 +5,9 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from _oracles import grid_simpson_reference, quad_segment_integral
+from regenjump import functionals as functionals_module
 from regenjump.errors import QuadratureBudgetExceeded
-from regenjump.functionals import (
-    AffineShift,
-    IdentityV2,
-    Linear,
-    NormV2,
-    QuadratureConfig,
-    integrate_segment,
-)
+from regenjump.functionals import AffineShift, IdentityV2, Linear, NormV2, integrate_segment
 from regenjump.plaplace import Grid1D, PLaplaceConfig, PLaplaceSemigroup, WeightField
 from regenjump.semigroup import ExtinctionParams, ScalarPowerLaw
 from regenjump.spaces import grid_space, project_zero_mean, scalar_space
@@ -203,9 +197,7 @@ def test_grid_norm_segment_vs_refined():
     state = project_zero_mean(sg.space.state(np.sin(2 * np.pi * sg.space.centers())))
     xi = NormV2(sg.space)
     coarse = integrate_segment(xi, state, 0.05, sg).value
-    fine = integrate_segment(
-        xi, state, 0.05, sg, QuadratureConfig(tol=1e-12)
-    ).value
+    fine, _, _ = grid_simpson_reference(xi, state, 0.05, sg, tol=1e-12)
     assert coarse == pytest.approx(fine, abs=1e-8)
 
 
@@ -276,13 +268,15 @@ def test_grid_quadrature_matches_depth_first_oracle(where, eps_reg):
             assert got.n_evals == n_evals
 
 
-def test_grid_budget_exceeded_exactly_where_the_recursion_exceeds():
+def test_grid_budget_exceeded_exactly_where_the_recursion_exceeds(monkeypatch):
     sg = grid_problem()
     state = sg.space.state(np.sin(2 * np.pi * sg.space.centers()))
     xi = NormV2(sg.space)
     _, _, n_evals = grid_simpson_reference(xi, state, 0.047, sg)
     for cap in (4, n_evals // 2, n_evals - 1):
+        monkeypatch.setattr(functionals_module, "QUAD_MAX_EVALS", cap)
         with pytest.raises(QuadratureBudgetExceeded):
-            integrate_segment(xi, state, 0.047, sg, QuadratureConfig(max_evals=cap))
-    res = integrate_segment(xi, state, 0.047, sg, QuadratureConfig(max_evals=n_evals))
+            integrate_segment(xi, state, 0.047, sg)
+    monkeypatch.setattr(functionals_module, "QUAD_MAX_EVALS", n_evals)
+    res = integrate_segment(xi, state, 0.047, sg)
     assert res.n_evals == n_evals
