@@ -43,7 +43,6 @@ from .plaplace import (
     WeightField,
     apply_discrete_operator,
     estimate_kappa,
-    implicit_euler_step,
 )
 from .process import (
     Cycles,

@@ -193,6 +193,14 @@ _KIND_KEYS = {
 }
 
 
+# The backend whose states a kind makes: one value is a scalar state, a sine's
+# zero-mean projection on one cell is 0, and kicks are scalars or grid bumps.
+_KIND_BACKEND = {
+    "value": "scalar", "sine": "plaplace",
+    "scalar_constant": "scalar", "scalar_uniform": "scalar", "grid_bumps": "plaplace",
+}
+
+
 def _require(section: str, values: dict, keys):
     for key in keys:
         if key not in values:
@@ -267,10 +275,10 @@ def parse_config_text(text: str) -> ExperimentConfig:
         init = (ikind,)
     else:
         raise ConfigError(f"unknown initial kind {ikind!r}")
-    # one value is a scalar state; a sine's zero-mean projection on one cell is 0
-    needs = {"value": "scalar", "sine": "plaplace"}.get(ikind, backend)
-    if needs != backend:
-        raise ConfigError(f"[initial] kind = {ikind} needs backend = {needs}")
+    for section, kind in (("initial", ikind), ("eta", sections["eta"].get("kind"))):
+        needs = _KIND_BACKEND.get(kind, backend)
+        if needs != backend:
+            raise ConfigError(f"[{section}] kind = {kind} needs backend = {needs}")
 
     plp, run = sections.get("plaplace", {}), sections.get("run", {})
     plan = _build("run", RunPlan, run)

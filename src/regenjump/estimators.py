@@ -35,7 +35,6 @@ __all__ = [
     "stats_from_moments",
     "clt_statistic",
     "ks_test_normal",
-    "anscombe_statistics",
     "anscombe_check",
 ]
 
@@ -296,18 +295,6 @@ def ks_test_normal(samples, sigma: float, alpha: float = 0.01) -> TestReport:
     )
 
 
-def anscombe_statistics(sum_s, sum_tau, t: float, nu: float, mean_tau: float) -> np.ndarray:
-    """Random-index normalized sums, one per replicate.
-
-    ``sum_s`` and ``sum_tau`` hold each replicate's sums of S and tau over the
-    cycles counted by the horizon t (one past it); each gives
-    (sum_s - nu sum_tau) / sqrt(theta), where theta = t / mean_tau is the
-    deterministic cycle-count scale.  Under the limit theorem these converge
-    to N(0, sigma^2 * mean_tau).
-    """
-    return (np.asarray(sum_s) - nu * np.asarray(sum_tau)) / math.sqrt(t / mean_tau)
-
-
 def anscombe_check(
     sum_s,
     sum_tau,
@@ -317,7 +304,14 @@ def anscombe_check(
     mean_tau: float,
     alpha: float = 0.01,
 ) -> TestReport:
-    """KS test of the random-index sums against N(0, sigma^2 * mean_tau)."""
-    samples = anscombe_statistics(sum_s, sum_tau, t, nu, mean_tau)
+    """KS test of the random-index normalized sums against N(0, sigma^2 * mean_tau).
+
+    ``sum_s`` and ``sum_tau`` hold each replicate's sums of S and tau over the
+    cycles counted by the horizon t (one past it); each gives
+    (sum_s - nu sum_tau) / sqrt(theta), where theta = t / mean_tau is the
+    deterministic cycle-count scale.  Under the limit theorem these converge
+    to N(0, sigma^2 * mean_tau).
+    """
+    samples = (np.asarray(sum_s) - nu * np.asarray(sum_tau)) / math.sqrt(t / mean_tau)
     sigma = math.sqrt(max(sigma2, 0.0) * mean_tau)
     return ks_test_normal(samples, sigma, alpha=alpha)

@@ -41,9 +41,7 @@ def _w_norm(value, space: Space) -> float:
     """Norm of a W-value: |.| for scalars, the discrete Lq norm for arrays."""
     if np.isscalar(value) or np.ndim(value) == 0:
         return abs(float(value))
-    value = np.asarray(value)
-    q = space.q
-    return float((np.sum(np.abs(value) ** q) * space.h) ** (1.0 / q))
+    return space.lq_norm(np.asarray(value))
 
 
 class Functional:
@@ -83,14 +81,10 @@ class NormV2(Functional):
         self.c1 = 1.0
         self.c2 = 0.0
 
-    def apply(self, v: StateVector) -> float:
-        return v.norm_v2()
-
     def apply_values(self, values: np.ndarray) -> float:
         if self.space.kind == "scalar":
             return abs(float(values[0]))
-        q = self.space.q
-        return float((np.sum(np.abs(values) ** q) * self.space.h) ** (1.0 / q))
+        return self.space.lq_norm(values)
 
 
 class IdentityV2(Functional):

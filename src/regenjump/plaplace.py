@@ -27,6 +27,10 @@ zero in finite time; ``estimate_kappa`` fits the largest decay rate
     ``||u(t)||_2^rho <= (||u(0)||_2^rho - kappa_emp * t)_+``, with rho = 2 - p,
 
 holds along every sampled trajectory.
+
+The semigroup composes full steps of size dt with one trailing partial step
+(the Crandall--Liggett exponential formula); ``_SegmentFlow`` is its one loop
+of full steps, and one discrete-L2 rule snaps states to zero in both kernels.
 """
 
 from __future__ import annotations
@@ -46,7 +50,6 @@ __all__ = [
     "PLaplaceConfig",
     "PLaplaceSemigroup",
     "apply_discrete_operator",
-    "implicit_euler_step",
     "estimate_kappa",
     "KappaFit",
 ]
@@ -245,15 +248,6 @@ def _lagged_diffusivity_sweep(w, u, gamma, h, dt, p, eps2):
     return out
 
 
-def implicit_euler_step(
-    u: StateVector, cfg: PLaplaceConfig, grid: Grid1D, weights: WeightField
-) -> StateVector:
-    """One resolvent step: the minimizer of the per-step energy."""
-    weights.check_grid(grid)
-    w = _step_values(u.values, cfg.dt, cfg, grid, weights)
-    return StateVector(u.space, w)
-
-
 def _merit_backtrack(w, delta, merit, u, gamma, h, dt, p, eps2):
     """Backtrack along delta until the squared-gradient merit decreases.
 
@@ -272,18 +266,8 @@ def _merit_backtrack(w, delta, merit, u, gamma, h, dt, p, eps2):
     return None, None, None
 
 
-def _step_values(
-    u: np.ndarray, dt: float, cfg: PLaplaceConfig, grid: Grid1D, weights: WeightField
-) -> np.ndarray:
-    # One error-state context per step: with eps_reg = 0 the flux and
-    # curvature powers divide by zero on flat edges and multiply that inf by
-    # zero; the gradient masks those entries and every solve is guarded by a
-    # finiteness check.
-    with np.errstate(divide="ignore", invalid="ignore"):
-        return _newton_step(u, dt, cfg, grid.h, weights.gamma)
-
-
 def _newton_step(u, dt, cfg, h, gamma):
+    """One resolvent step: the minimizer of the per-step energy."""
     p = cfg.p
     eps2 = cfg.eps_reg * cfg.eps_reg
     tol = cfg.newton_tol
@@ -568,16 +552,18 @@ def _frozen(vals: np.ndarray) -> np.ndarray:
     return vals
 
 
-def _l2(vals: np.ndarray, h: float) -> float:
-    return math.sqrt(float(np.sum(vals * vals)) * h)
+def _l2(vals: np.ndarray, h: float):
+    """Discrete L2 norm over the last axis: one per state in a stack of rows."""
+    return np.sqrt(np.sum(vals * vals, axis=-1) * h)
 
 
 class PLaplaceSemigroup:
     """Grid semigroup driven by implicit Euler steps with extinction snapping.
 
-    Evolution composes full steps of size dt plus one trailing partial step;
-    when the discrete L2 norm falls below the extinction threshold the state
-    is replaced by the exact zero state and stays there.
+    Evolution composes full steps of size dt plus one trailing partial step,
+    all stepped by a ``_SegmentFlow``; when the discrete L2 norm falls below
+    the extinction threshold the state is replaced by the exact zero state
+    and stays there.
     """
 
     def __init__(
@@ -598,56 +584,49 @@ class PLaplaceSemigroup:
         importlib.import_module("scipy.linalg")
 
     def _advance(self, vals: np.ndarray, dt: float) -> np.ndarray:
-        out = _step_values(vals, dt, self.cfg, self.grid, self.weights)
-        if _l2(out, self.grid.h) < self.eps_ext:
-            return np.zeros_like(out)
-        return out
+        return self._step(_newton_step, vals, dt)
 
     def _advance_rows(self, rows: np.ndarray, dts: np.ndarray) -> np.ndarray:
         """``_advance`` of each row, row i by ``dts[i]``, as one batched step."""
-        h = self.grid.h
-        with np.errstate(divide="ignore", invalid="ignore"):  # as in _step_values
-            out = _newton_rows(rows, dts, self.cfg, h, self.weights.gamma)
-        out[np.sqrt(np.sum(out * out, axis=1) * h) < self.eps_ext] = 0.0
-        return out
+        return self._step(_newton_rows, rows, dts)
 
-    def evolve_values(self, vals: np.ndarray, t: float) -> np.ndarray:
-        n_full, rem = _split_time(t, self.cfg.dt)
-        out = vals
-        for _ in range(n_full):
-            if not out.any():
-                return np.zeros_like(vals)
-            out = self._advance(out, self.cfg.dt)
-        if rem > 0.0 and out.any():
-            out = self._advance(out, rem)
-        return out if out is not vals else vals.copy()
+    def _step(self, kernel, u: np.ndarray, dt) -> np.ndarray:
+        # One error-state context per step: with eps_reg = 0 the flux and
+        # curvature powers divide by zero on flat edges and multiply that inf
+        # by zero; the gradient masks those entries and every solve is guarded
+        # by a finiteness check.
+        h = self.grid.h
+        with np.errstate(divide="ignore", invalid="ignore"):
+            out = kernel(u, dt, self.cfg, h, self.weights.gamma)
+        out[_l2(out, h) < self.eps_ext] = 0.0
+        return out
 
     def evolve(self, v: StateVector, t: float) -> StateVector:
         if v.space != self.space:
             raise DimensionMismatch("state does not match the semigroup's space")
         if t == 0.0:
             return v
-        return StateVector(self.space, self.evolve_values(v.values, t))
+        return StateVector(self.space, _SegmentFlow(self, v.values).at(t).copy())
 
     def segment_flow(self, v: StateVector) -> "_SegmentFlow":
         return _SegmentFlow(self, v.values)
 
     def decay_trace(self, v: StateVector, t_cap: float):
-        """Step until extinction or t_cap; returns (times, l2 norms, extinct)."""
-        vals = v.values.copy()
+        """Full steps until extinction or t_cap; returns (times, l2 norms, extinct).
+
+        The times accumulate ``t += dt`` rather than being ``k * dt``; the
+        committed kappa-fit traces were written that way.
+        """
+        flow = _SegmentFlow(self, v.values)
         h = self.grid.h
-        dt = self.cfg.dt
-        times = [0.0]
-        norms = [_l2(vals, h)]
-        t = 0.0
-        extinct = norms[0] == 0.0
+        t, times = 0.0, [0.0]
+        extinct = _l2(v.values, h) == 0.0
         while not extinct and t < t_cap:
-            vals = self._advance(vals, dt)
-            t += dt
+            t += self.cfg.dt
             times.append(t)
-            norms.append(_l2(vals, h))
-            extinct = not vals.any()
-        return np.asarray(times), np.asarray(norms), extinct
+            extinct = not flow.full_state(len(times) - 1).any()
+        norms = _l2(np.stack(flow._states[: len(times)]), h)
+        return np.asarray(times), norms, extinct
 
 
 class _SegmentFlow:
@@ -659,8 +638,8 @@ class _SegmentFlow:
     sub-segment and end-of-segment lookup shares one solve per time.
     ``at_many`` fills the memo for many times at once: the quadrature hands
     it each refinement level's nodes, and all their partial steps are solved
-    as one row-batched step.  Evaluations reproduce ``evolve_values``
-    bit-exactly.  Returned states are shared and therefore read-only.
+    as one row-batched step.  ``full_state`` is the grid's only loop of full
+    steps.  Returned states are shared and therefore read-only.
     """
 
     def __init__(self, sg: PLaplaceSemigroup, start: np.ndarray):
@@ -669,15 +648,15 @@ class _SegmentFlow:
         self._at: dict[float, np.ndarray] = {}
         self._extinct_index: int | None = 0 if not start.any() else None
 
-    def _extend(self, k: int):
-        while len(self._states) <= k:
-            if self._extinct_index is not None:
-                self._states.append(self._states[-1])
-                continue
-            nxt = _frozen(self._sg._advance(self._states[-1], self._sg.cfg.dt))
-            self._states.append(nxt)
+    def full_state(self, k: int) -> np.ndarray:
+        """The state after k full steps; once extinct it stays the zero state."""
+        states = self._states
+        while len(states) <= k and self._extinct_index is None:
+            nxt = _frozen(self._sg._advance(states[-1], self._sg.cfg.dt))
+            states.append(nxt)
             if not nxt.any():
-                self._extinct_index = len(self._states) - 1
+                self._extinct_index = len(states) - 1
+        return states[min(k, len(states) - 1)]
 
     def at(self, tau: float) -> np.ndarray:
         state = self._at.get(tau)
@@ -692,10 +671,9 @@ class _SegmentFlow:
         split = {tau: _split_time(tau, dt) for tau in taus if tau not in self._at}
         if not split:
             return
-        self._extend(max(n_full for n_full, _ in split.values()))
         partial = []
         for tau, (n_full, rem) in split.items():
-            state = self._states[n_full]
+            state = self.full_state(n_full)
             if rem != 0.0 and state.any():
                 partial.append((tau, state, rem))
             else:
@@ -711,7 +689,7 @@ class _SegmentFlow:
     def extinction_breakpoint(self, horizon: float) -> float | None:
         """First cached grid time at which the state is exactly zero."""
         n_full, rem = _split_time(horizon, self._sg.cfg.dt)
-        self._extend(n_full)
+        self.full_state(n_full)
         if self._extinct_index is None:
             return None
         t0 = self._extinct_index * self._sg.cfg.dt
@@ -738,12 +716,7 @@ class KappaFit:
 
 
 def estimate_kappa(
-    samples,
-    cfg: PLaplaceConfig,
-    grid: Grid1D,
-    weights: WeightField,
-    t_cap: float = 50.0,
-    known_traces=(),
+    samples, sg: PLaplaceSemigroup, t_cap: float = 50.0, known_traces=()
 ) -> KappaFit:
     """Fit the largest kappa_emp validating the power-law decay bound.
 
@@ -755,8 +728,7 @@ def estimate_kappa(
     ``known_traces`` are the traces of the first samples from an earlier fit
     with the same configuration and t_cap; those samples are not evolved again.
     """
-    rho = 2.0 - cfg.p
-    sg = PLaplaceSemigroup(grid, weights, cfg)
+    rho = 2.0 - sg.cfg.p
     kappa_emp = math.inf
     traces = []
     used = 0

@@ -431,7 +431,7 @@ def run_kappa_fit(
         raise ValueError("kappa fitting applies to the grid backend only")
     samples = [project_zero_mean(s) for s in setup.corpus(n_samples)]
     known = prior.traces if prior is not None else ()
-    fit = estimate_kappa(samples, sg.cfg, sg.grid, sg.weights, t_cap=t_cap, known_traces=known)
+    fit = estimate_kappa(samples, sg, t_cap=t_cap, known_traces=known)
     return {"fit": fit, "summary": fit.as_dict(), "pass": _kappa_fit_ok(fit)}
 
 

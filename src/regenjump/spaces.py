@@ -64,6 +64,11 @@ class Space:
         """Cell centres, (i + 1/2) h."""
         return (np.arange(self.dim) + 0.5) * self.h
 
+    def lq_norm(self, values) -> float:
+        """Discrete Lq norm of a grid array, with the cell width as weight."""
+        q = self.q
+        return float((np.sum(np.abs(values) ** q) * self.h) ** (1.0 / q))
+
     def zero(self) -> "StateVector":
         return StateVector(self, np.zeros(self.dim))
 
@@ -118,8 +123,7 @@ class StateVector:
         """Functional-space norm: |x| for scalars, discrete Lq for grids."""
         if self.space.kind == "scalar":
             return abs(float(self.values[0]))
-        q = self.space.q
-        return float((np.sum(np.abs(self.values) ** q) * self.space.h) ** (1.0 / q))
+        return self.space.lq_norm(self.values)
 
     def mean(self) -> float:
         return float(np.mean(self.values))

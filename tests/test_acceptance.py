@@ -33,7 +33,6 @@ from regenjump.plaplace import (
     PLaplaceSemigroup,
     WeightField,
     estimate_kappa,
-    implicit_euler_step,
 )
 from regenjump.process import ExtinctionPolicy, cycle_moments, simulate_cycles
 from regenjump.runner import (
@@ -143,7 +142,7 @@ def test_c02_pde_backend_invariants():
         rng8 = np.random.default_rng(300 + seed)
         w8 = WeightField.uniform(grid8, 0.5, 2.0, rng8)
         u8 = rng8.normal(size=8)
-        newton = implicit_euler_step(grid8.space().state(u8), cfg, grid8, w8)
+        newton = PLaplaceSemigroup(grid8, w8, cfg).evolve(grid8.space().state(u8), cfg.dt)
         oracle = projected_gradient_minimize(
             u8, w8.gamma, grid8.h, cfg.dt, cfg.p, cfg.eps_reg, tol=1e-11
         )
@@ -153,7 +152,7 @@ def test_c02_pde_backend_invariants():
     law = EtaLaw.grid_bumps(3, 1.0, (0.05, 0.25))
     rng_corpus = derive_replicate_rng(404, 0, 0)
     corpus = [law.sample(rng_corpus, space) for _ in range(20)]
-    fit = estimate_kappa(corpus, cfg, grid, weights, t_cap=50.0)
+    fit = estimate_kappa(corpus, sg, t_cap=50.0)
     elapsed = time.perf_counter() - t0
     ok = (
         worst_mass <= 1e-10
@@ -321,8 +320,7 @@ def test_c07_vector_clt_consistency():
     )
     law_rng = derive_replicate_rng(driver.master_seed, 2_000_000, 0)
     fit = estimate_kappa(
-        [driver.eta.sample(law_rng, sg.space) for _ in range(8)],
-        cfg, grid, weights, t_cap=50.0,
+        [driver.eta.sample(law_rng, sg.space) for _ in range(8)], sg, t_cap=50.0
     )
     setup.kappa_fit = fit
     validation = run_validate(setup, RunPlan(n_mc=10_000))

@@ -540,6 +540,33 @@ def test_cli_initial_kind_of_another_backend_is_a_config_error(tmp_path, capsys,
     assert not out.exists()
 
 
+@pytest.mark.parametrize(
+    "base, kind",
+    [
+        (PLAPLACE_CFG, ("grid_bumps", "scalar_uniform\namp = 0.5")),
+        (
+            SCALAR_CFG,
+            (
+                "scalar_uniform",
+                "grid_bumps\nn_bumps = 2\namp_max = 0.6\nwidth_low = 0.05\nwidth_high = 0.2",
+            ),
+        ),
+    ],
+    ids=["scalar-kick-on-grid", "grid-kick-on-scalar"],
+)
+def test_cli_eta_kind_of_another_backend_is_a_config_error(tmp_path, capsys, base, kind):
+    # a kick must live in the backend's space: rejected at parse time, with
+    # the section named, before any set-up or output
+    old, new = kind
+    cfg = write(tmp_path, base.replace(f"kind = {old}", f"kind = {new}"))
+    out = tmp_path / "o"
+    assert run_cli(["slln", "--config", cfg, "--out", out]) == 1
+    err = capsys.readouterr().err
+    assert "config error" in err and "[eta]" in err
+    assert "Traceback" not in err
+    assert not out.exists()
+
+
 def test_cli_drift_and_runtime_errors_write_their_manifest(tmp_path):
     drift = write(tmp_path, BAD_DRIFT_CFG)
     assert run_cli(["slln", "--config", drift, "--out", tmp_path / "drift"]) == 2
@@ -613,7 +640,9 @@ def test_every_config_key_reaches_its_object():
     for section, key, _, want, got in EVERY_KEY:
         if got is not None:
             assert got(cfg) == want, (section, key)
-    scalar = text.replace("backend = plaplace", "backend = scalar")
+    scalar = text.replace("backend = plaplace", "backend = scalar").replace(
+        "kind = grid_bumps", "kind = scalar_uniform"
+    )
     value = parse_config_text(scalar.replace("kind = sine", "kind = value"))
     assert value.initial == ("value", 0.25)
     # a law kind's own keys are required, not taken as 0.0

@@ -9,7 +9,6 @@ from regenjump import estimators
 from regenjump.errors import DegenerateSigma, InsufficientCycles
 from regenjump.estimators import (
     anscombe_check,
-    anscombe_statistics,
     clt_statistic,
     estimate_Q,
     estimate_nu,
@@ -317,9 +316,14 @@ def test_anscombe_calibration_deterministic_count():
     assert report.passed
 
 
-def test_anscombe_statistics_shapes():
+def test_anscombe_statistics_shapes(monkeypatch):
+    # the normalized sums anscombe_check hands to its KS test
+    seen = []
+    monkeypatch.setattr(estimators, "ks_test_normal", lambda *args, **kw: seen.append(args))
     sum_s, sum_tau = np.array([1.0, 0.5]), np.array([2.0, 1.0])
-    out = anscombe_statistics(sum_s, sum_tau, 10.0, nu=0.25, mean_tau=2.0)
+    anscombe_check(sum_s, sum_tau, 10.0, nu=0.25, sigma2=1.0, mean_tau=2.0)
+    ((out, sigma),) = seen
+    assert sigma == math.sqrt(2.0)
     theta = 10.0 / 2.0
     assert out.shape == (2,)
     assert out[0] == pytest.approx((1.0 - 0.25 * 2.0) / math.sqrt(theta))

@@ -17,13 +17,13 @@ from regenjump.plaplace import (
     PLaplaceSemigroup,
     WeightField,
     _banded_system,
+    _l2,
     _merits,
     _newton_rows,
     _newton_step,
     _solve_rows,
     apply_discrete_operator,
     estimate_kappa,
-    implicit_euler_step,
 )
 from regenjump.spaces import project_zero_mean
 
@@ -81,7 +81,7 @@ def test_operator_matches_finite_difference_oracle():
 def test_step_fixed_point_on_constants():
     grid, weights, cfg = make_problem(n_cells=12)
     u = grid.space().state(np.full(12, -1.25))
-    w = implicit_euler_step(u, cfg, grid, weights)
+    w = PLaplaceSemigroup(grid, weights, cfg).evolve(u, cfg.dt)
     assert np.all(w.values == u.values)
 
 
@@ -89,8 +89,9 @@ def test_step_odd_symmetry():
     # symmetric weights: step(-u) == -step(u) since the energy is even
     grid, weights, cfg = make_problem(n_cells=16, gamma=1.3)
     u = sine_state(grid, amp=0.8)
-    w_pos = implicit_euler_step(u, cfg, grid, weights)
-    w_neg = implicit_euler_step(-u, cfg, grid, weights)
+    sg = PLaplaceSemigroup(grid, weights, cfg)
+    w_pos = sg.evolve(u, cfg.dt)
+    w_neg = sg.evolve(-u, cfg.dt)
     assert np.max(np.abs(w_neg.values + w_pos.values)) <= 1e-13
 
 
@@ -98,7 +99,7 @@ def test_step_preserves_mean():
     grid, weights, cfg = make_problem(n_cells=64, seed=2)
     rng = np.random.default_rng(9)
     u = grid.space().state(rng.normal(size=64) + 0.4)
-    w = implicit_euler_step(u, cfg, grid, weights)
+    w = PLaplaceSemigroup(grid, weights, cfg).evolve(u, cfg.dt)
     assert abs(w.mean() - u.mean()) <= 1e-12
 
 
@@ -106,7 +107,7 @@ def test_step_residual_equation():
     # the minimizer solves w + dt * A_h w = u in the sup norm
     grid, weights, cfg = make_problem(n_cells=24, seed=4)
     u = project_zero_mean(sine_state(grid, amp=1.0, mode=2))
-    w = implicit_euler_step(u, cfg, grid, weights)
+    w = PLaplaceSemigroup(grid, weights, cfg).evolve(u, cfg.dt)
     aw = apply_discrete_operator(w, grid, weights, cfg.p, cfg.eps_reg)
     residual = np.max(np.abs(w.values + cfg.dt * aw.values - u.values))
     assert residual <= cfg.newton_tol
@@ -117,7 +118,7 @@ def test_step_decreases_energy_and_l2():
 
     grid, weights, cfg = make_problem(n_cells=16, dt=0.1, seed=6)
     u = project_zero_mean(sine_state(grid, amp=1.0))
-    w = implicit_euler_step(u, cfg, grid, weights)
+    w = PLaplaceSemigroup(grid, weights, cfg).evolve(u, cfg.dt)
     eps2 = cfg.eps_reg**2
     e_u = _energy(u.values, u.values, weights.gamma, grid.h, cfg.dt, cfg.p, eps2)
     e_w = _energy(w.values, u.values, weights.gamma, grid.h, cfg.dt, cfg.p, eps2)
@@ -130,7 +131,7 @@ def test_newton_matches_projected_gradient_oracle(seed):
     grid, weights, cfg = make_problem(n_cells=8, seed=seed)
     rng = np.random.default_rng(100 + seed)
     u = rng.normal(size=8)
-    w = implicit_euler_step(grid.space().state(u), cfg, grid, weights)
+    w = PLaplaceSemigroup(grid, weights, cfg).evolve(grid.space().state(u), cfg.dt)
     ref = projected_gradient_minimize(
         u, weights.gamma, grid.h, cfg.dt, cfg.p, cfg.eps_reg, tol=1e-11
     )
@@ -140,7 +141,7 @@ def test_newton_matches_projected_gradient_oracle(seed):
 def test_large_dt_step_shrinks_l2_vs_oracle():
     grid, weights, cfg = make_problem(n_cells=8, dt=0.5, gamma=1.0)
     u = project_zero_mean(sine_state(grid, amp=1.0))
-    w = implicit_euler_step(u, cfg, grid, weights)
+    w = PLaplaceSemigroup(grid, weights, cfg).evolve(u, cfg.dt)
     assert w.norm_v1() < u.norm_v1()
     ref = projected_gradient_minimize(
         u.values, weights.gamma, grid.h, cfg.dt, cfg.p, cfg.eps_reg, tol=1e-12
@@ -153,7 +154,7 @@ def test_nonconvergence_raised_with_tiny_budget():
     cfg = PLaplaceConfig(p=1.5, dt=10.0, newton_max_iter=2)
     u = project_zero_mean(sine_state(grid, amp=1.0))
     with pytest.raises(NonConvergence):
-        implicit_euler_step(u, cfg, grid, weights)
+        PLaplaceSemigroup(grid, weights, cfg).evolve(u, cfg.dt)
 
 
 def test_evolve_identities():
@@ -181,9 +182,9 @@ def test_evolve_partial_step():
     u = project_zero_mean(sine_state(grid))
     t = 0.5 * cfg.dt
     out = sg.evolve(u, t)
-    ref = implicit_euler_step(
-        u, PLaplaceConfig(p=cfg.p, dt=t, eps_reg=cfg.eps_reg), grid, weights
-    )
+    ref = PLaplaceSemigroup(
+        grid, weights, PLaplaceConfig(p=cfg.p, dt=t, eps_reg=cfg.eps_reg)
+    ).evolve(u, t)
     assert np.max(np.abs(out.values - ref.values)) <= 1e-12
 
 
@@ -206,7 +207,8 @@ def test_segment_flow_memoises_each_time(monkeypatch, where):
     grid, weights, cfg = make_problem(n_cells=16, seed=8)
     sg = PLaplaceSemigroup(grid, weights, cfg)
     u = project_zero_mean(sine_state(grid, amp=0.05))
-    t_ext = float(sg.decay_trace(u, 50.0)[0][-1])
+    times = sg.decay_trace(u, 50.0)[0]
+    t_ext = float(times[-1])
     tau = {
         "on_grid": 3 * cfg.dt,
         "off_grid": 2.5 * cfg.dt,
@@ -229,7 +231,18 @@ def test_segment_flow_memoises_each_time(monkeypatch, where):
     assert flow.at(tau) is first
     assert steps == []
     monkeypatch.undo()
-    assert first.tobytes() == sg.evolve_values(u.values, tau).tobytes()
+    # an independent loop: n full steps, then one partial step
+    n_full, rem = {
+        "on_grid": (3, 0.0),
+        "off_grid": (2, tau - 2 * cfg.dt),
+        "extinct_tail": (len(times) - 1, tau - (len(times) - 1) * cfg.dt),
+    }[where]
+    ref = u.values
+    for _ in range(n_full):
+        ref = sg._advance(ref, cfg.dt)
+    if rem:
+        ref = sg._advance(ref, rem)
+    assert first.tobytes() == ref.tobytes()
 
 
 def test_segment_flow_states_are_read_only():
@@ -244,6 +257,27 @@ def test_segment_flow_states_are_read_only():
         with pytest.raises(ValueError):
             state += 1.0
     assert u.values.flags.writeable  # the caller's start state is left alone
+
+
+def test_advance_rows_snaps_by_the_single_state_l2_bit_for_bit():
+    # a stack's row norms are the single-state norms bit for bit, so the
+    # batched step zeroes exactly the rows that single steps zero
+    rng = np.random.default_rng(41)
+    for n in (2, 3, 7, 16, 31, 64, 128):
+        rows = rng.normal(size=(500, n)) * 10.0 ** rng.uniform(-14, 2, size=(500, 1))
+        h = 1.0 / n
+        for row, norm in zip(rows, _l2(rows, h)):
+            assert norm == _l2(row, h) == math.sqrt(float(np.sum(row * row)) * h)
+    grid, weights, cfg = make_problem(n_cells=16, seed=8)
+    sg = PLaplaceSemigroup(grid, weights, cfg)
+    u = project_zero_mean(sine_state(grid)).values
+    stack = np.outer(10.0 ** np.linspace(-10, -7, 12), u)
+    dts = np.full(12, cfg.dt)
+    got = sg._advance_rows(stack, dts)
+    zeroed = ~got.any(axis=1)
+    assert zeroed.any() and not zeroed.all()
+    for row, dt, out in zip(stack, dts, got):
+        assert out.tobytes() == sg._advance(row, dt).tobytes()
 
 
 def test_lq_contraction():
@@ -271,7 +305,7 @@ def test_estimate_kappa_basic():
     grid, weights, cfg = make_problem(n_cells=16, gamma=1.0)
     sg = PLaplaceSemigroup(grid, weights, cfg)
     u = project_zero_mean(sine_state(grid, amp=0.5))
-    fit = estimate_kappa([u], cfg, grid, weights)
+    fit = estimate_kappa([u], sg)
     assert fit.kappa_emp > 0.0
     assert fit.rho_used == 2.0 - cfg.p
     assert fit.fit_residual <= 1e-9
@@ -282,17 +316,18 @@ def test_estimate_kappa_excludes_zero_sample():
     space = grid.space()
     zero = space.zero()
     u = project_zero_mean(sine_state(grid, amp=0.5))
-    fit = estimate_kappa([zero, u], cfg, grid, weights)
+    sg = PLaplaceSemigroup(grid, weights, cfg)
+    fit = estimate_kappa([zero, u], sg)
     assert fit.n_samples_used == 1
     with pytest.raises(ValueError):
-        estimate_kappa([zero], cfg, grid, weights)
+        estimate_kappa([zero], sg)
 
 
 def test_estimate_kappa_regression_baseline():
     # p = 1.5, gamma = 1, 64 cells, sine profile: value recorded from the run
     grid, weights, cfg = make_problem(n_cells=64, gamma=1.0)
     u = project_zero_mean(sine_state(grid, amp=1.0))
-    fit = estimate_kappa([u], cfg, grid, weights)
+    fit = estimate_kappa([u], PLaplaceSemigroup(grid, weights, cfg))
     assert fit.kappa_emp > 0.0
     assert fit.fit_residual <= 1e-9
     assert fit.kappa_emp == pytest.approx(2.3357982161946835, rel=1e-9)
@@ -302,7 +337,7 @@ def test_no_extinction_error():
     grid, weights, cfg = make_problem(n_cells=16, gamma=1.0)
     u = project_zero_mean(sine_state(grid, amp=1.0))
     with pytest.raises(NoExtinction):
-        estimate_kappa([u], cfg, grid, weights, t_cap=2 * cfg.dt)
+        estimate_kappa([u], PLaplaceSemigroup(grid, weights, cfg), t_cap=2 * cfg.dt)
 
 
 @pytest.mark.parametrize(
@@ -493,7 +528,7 @@ def test_unregularised_kernels_do_not_warn_on_flat_edges():
     sg = PLaplaceSemigroup(grid, weights, cfg)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        implicit_euler_step(u, cfg, grid, weights)
+        sg.evolve(u, cfg.dt)
         sg._advance_rows(np.stack([u.values, 0.5 * u.values]), np.array([cfg.dt, 0.3 * cfg.dt]))
         out = apply_discrete_operator(u, grid, weights, cfg.p, 0.0)
     assert np.all(np.isfinite(out.values))
