@@ -24,9 +24,6 @@ from .estimators import (
     TestReport,
     anscombe_check,
     clt_statistic,
-    estimate_Q,
-    estimate_nu,
-    estimate_sigma2,
     ks_test_normal,
 )
 from .functionals import (

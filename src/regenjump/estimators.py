@@ -6,9 +6,9 @@ with a delta-method standard error.  The fluctuation variance is
 
     ``sigma2_hat = (1 / mean_tau) * mean((S_n - nu * tau_n)^2)``
 
-and, for vector-valued functionals, the covariance is the second-moment
-matrix of the normalized centered cycle integrals with respect to the
-cell-weighted pairing.
+and, for vector-valued functionals, the matrix of the same second moments.
+One route estimates both kinds: ``stats_from_moments`` reads them off the
+cycle moments that every estimation run accumulates.
 
 Distribution checks are one-sample Kolmogorov-Smirnov tests at a configured
 significance level; zero-variance configurations are first-class and raise
@@ -29,9 +29,6 @@ from .errors import DegenerateSigma, InsufficientCycles
 __all__ = [
     "CycleStats",
     "TestReport",
-    "estimate_nu",
-    "estimate_sigma2",
-    "estimate_Q",
     "stats_from_moments",
     "clt_statistic",
     "ks_test_normal",
@@ -41,69 +38,18 @@ __all__ = [
 
 @dataclass
 class CycleStats:
-    """Point estimates from one batch of cycles for one functional."""
+    """Point estimates from one batch of cycles for one functional.
+
+    For a vector-valued functional ``mean_s``, ``nu_hat`` and ``se_nu`` are
+    arrays (d,) and ``sigma2_hat`` is the (d, d) fluctuation matrix.
+    """
 
     n_cycles: int
     mean_s: object
     mean_tau: float
     nu_hat: object
     se_nu: object
-    sigma2_hat: float | None = None
-
-
-def _as_2d(s: np.ndarray) -> np.ndarray:
-    s = np.asarray(s, dtype=float)
-    return s[:, None] if s.ndim == 1 else s
-
-
-def estimate_nu(s: np.ndarray, tau: np.ndarray):
-    """Ratio estimator sum S / sum tau with its delta-method standard error.
-
-    Scalar cycle integrals give float (nu, se); vector ones give arrays.
-    """
-    tau = np.asarray(tau, dtype=float)
-    n = tau.shape[0]
-    if n < 2:
-        raise InsufficientCycles("need at least 2 cycles for the ratio estimator")
-    s2d = _as_2d(s)
-    sum_tau = float(np.sum(tau))
-    nu = np.sum(s2d, axis=0) / sum_tau
-    mean_tau = sum_tau / n
-    resid = s2d - nu[None, :] * tau[:, None]
-    se = np.sqrt(np.mean(resid**2, axis=0) / n) / mean_tau
-    if np.ndim(s) == 1:
-        return float(nu[0]), float(se[0])
-    return nu, se
-
-
-def estimate_sigma2(s: np.ndarray, tau: np.ndarray, nu: float) -> float:
-    """Fluctuation variance (1/mean_tau) * mean((S - nu*tau)^2) for scalar S."""
-    s = np.asarray(s, dtype=float)
-    tau = np.asarray(tau, dtype=float)
-    if s.ndim != 1:
-        raise ValueError("estimate_sigma2 expects scalar cycle integrals")
-    if tau.shape[0] < 2:
-        raise InsufficientCycles("need at least 2 cycles")
-    mean_tau = float(np.mean(tau))
-    resid = s - nu * tau
-    return float(np.mean(resid**2) / mean_tau)
-
-
-def estimate_Q(s: np.ndarray, tau: np.ndarray, nu: np.ndarray, h: float) -> np.ndarray:
-    """Covariance of the normalized centered cycle integrals.
-
-    With z_n = h * (S_n - nu * tau_n) / sqrt(mean_tau), returns
-    Q = mean(z_n z_n^T), the bilinear form such that psi^T Q psi equals the
-    scalar fluctuation variance of the cell-weighted pairing <., psi>.
-    """
-    s2d = _as_2d(s)
-    tau = np.asarray(tau, dtype=float)
-    if tau.shape[0] < 2:
-        raise InsufficientCycles("need at least 2 cycles")
-    nu = np.atleast_1d(np.asarray(nu, dtype=float))
-    mean_tau = float(np.mean(tau))
-    z = h * (s2d - nu[None, :] * tau[:, None]) / math.sqrt(mean_tau)
-    return (z.T @ z) / tau.shape[0]
+    sigma2_hat: object = None
 
 
 def stats_from_moments(moments, label: str) -> CycleStats:
@@ -114,6 +60,12 @@ def stats_from_moments(moments, label: str) -> CycleStats:
     The subtraction cancels; residual variation below 1e-13 of the raw
     second-moment scale is rounding noise and is clamped to exactly zero
     (degenerate configurations must report a zero variance, not noise).
+
+    A vector-valued label's sums are arrays, and its residual matrix
+    sum (S - nu tau)(S - nu tau)^T is formed the same way, as
+    S_ss - nu S_stau^T - S_stau nu^T + nu nu^T S_tautau, without the clamp:
+    ``sigma2_hat`` is that matrix / n / mean_tau, and ``se_nu`` is read off
+    its diagonal.
     """
     n = moments.n
     if n < 2:
@@ -122,6 +74,17 @@ def stats_from_moments(moments, label: str) -> CycleStats:
     sum_tau = moments.sum_tau
     nu = sum_s / sum_tau
     mean_tau = sum_tau / n
+    if np.ndim(sum_s):
+        s_tau = moments.sum_s_tau[label]
+        resid = (
+            moments.sum_s2[label]
+            - np.outer(nu, s_tau)
+            - np.outer(s_tau, nu)
+            + np.outer(nu, nu) * moments.sum_tau2
+        )
+        # rounding may leave a zero diagonal entry just below 0
+        se = np.sqrt(np.maximum(np.diag(resid), 0.0) / n / n) / mean_tau
+        return CycleStats(n, sum_s / n, mean_tau, nu, se, resid / n / mean_tau)
     raw_scale = moments.sum_s2[label] + nu * nu * moments.sum_tau2
     ss_resid = (
         moments.sum_s2[label]

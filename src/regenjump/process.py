@@ -15,7 +15,8 @@ separately.
 
 Three drivers are provided: ``simulate_cycles`` returns a run's cycles as
 columns (``Cycles``), concatenated from its windows; ``cycle_moments``
-accumulates cycle moments with O(1) memory in the cycle count; and
+accumulates cycle moments with O(1) memory in the cycle count, for scalar
+and vector-valued functionals alike (every estimation run reads them); and
 ``simulate_until_time`` makes a single pass to a fixed horizon for each
 replicate of a block, producing running integrals at checkpoints,
 regeneration counts, and at each checkpoint the random-index sums of S and
@@ -159,7 +160,11 @@ class HorizonResult:
 
 @dataclass
 class CycleMoments:
-    """Running first and second moments of (S, tau) over completed cycles."""
+    """Running first and second moments of (S, tau) over completed cycles.
+
+    A vector-valued functional's sums are arrays: ``sum_s`` and ``sum_s_tau``
+    of shape (d,), and ``sum_s2`` the sum of the outer products S S^T, (d, d).
+    """
 
     labels: list
     n: int = 0
@@ -174,15 +179,6 @@ class CycleMoments:
             self.sum_s.setdefault(label, 0.0)
             self.sum_s2.setdefault(label, 0.0)
             self.sum_s_tau.setdefault(label, 0.0)
-
-    def add(self, tau: float, values: dict):
-        self.n += 1
-        self.sum_tau += tau
-        self.sum_tau2 += tau * tau
-        for label, s in values.items():
-            self.sum_s[label] += s
-            self.sum_s2[label] += s * s
-            self.sum_s_tau[label] += s * tau
 
     def merge(self, other: "CycleMoments") -> "CycleMoments":
         if other.labels != self.labels:
@@ -203,9 +199,13 @@ _LANE_STEPS = 8  # most steps a tabulated lane takes; bounds the work wasted on 
 _CHUNK = 1024  # most inputs converted to Python floats at a time for a cycle stepped alone
 
 
-def _seq_sum(start: float, values: np.ndarray) -> float:
-    """``start + values[0] + ...`` added left to right, as a loop adds (np.sum adds pairwise)."""
-    return float(np.cumsum(np.concatenate(([start], values)))[-1])
+def _seq_sum(start, values: np.ndarray):
+    """``start + values[0] + ...`` added left to right along axis 0, as a loop adds
+    (np.sum adds pairwise); a float start broadcasts along it."""
+    if values.ndim > 1:
+        start = np.broadcast_to(start, values.shape[1:])
+    total = np.cumsum(np.concatenate(([start], values)), axis=0)[-1]
+    return total if values.ndim > 1 else float(total)
 
 
 @dataclass
@@ -713,9 +713,13 @@ def _moments(chain, n_cycles: int, moments: CycleMoments):
         moments.sum_tau2 = _seq_sum(moments.sum_tau2, tau * tau)
         for label, s in zip(moments.labels, w.integrals):
             s = s[lo:]
+            if s.ndim > 1:  # a vector's row per cycle: its outer product, and tau down the row
+                s2, s_tau = s[:, :, None] * s[:, None, :], s * tau[:, None]
+            else:
+                s2, s_tau = s * s, s * tau
             moments.sum_s[label] = _seq_sum(moments.sum_s[label], s)
-            moments.sum_s2[label] = _seq_sum(moments.sum_s2[label], s * s)
-            moments.sum_s_tau[label] = _seq_sum(moments.sum_s_tau[label], s * tau)
+            moments.sum_s2[label] = _seq_sum(moments.sum_s2[label], s2)
+            moments.sum_s_tau[label] = _seq_sum(moments.sum_s_tau[label], s_tau)
     return moments
 
 
@@ -855,12 +859,10 @@ def cycle_moments(
 ) -> CycleMoments:
     """Accumulate per-cycle (S, tau) first and second moments without records.
 
-    Scalar-valued functionals only; the warm-up is excluded.  This is the
-    memory-flat path used by large estimation runs.
+    A vector-valued functional accumulates array sums (see ``CycleMoments``);
+    the warm-up is excluded.  This is the memory-flat path of every
+    estimation run.
     """
-    for xi in functionals:
-        if xi.vector_valued:
-            raise ValueError("moment accumulation needs scalar-valued functionals")
     _check_functionals(sg, functionals)
     chain = _chain(x0, driver, sg, policy, functionals, replicate_index)
     moments = CycleMoments(labels=[xi.label for xi in functionals])

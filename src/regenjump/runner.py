@@ -14,13 +14,17 @@ not depend on the block), and the chunks' results are concatenated into one
 Each study forks one pool of workers, once, no more of them than it has
 shards and replicates.  ``slln`` and ``clt`` queue the estimation shards
 and the horizon chunks together; ``anscombe`` sizes its horizons from the
-estimate, so it queues them after it.
+estimate, so it queues them after it.  The vector route of ``clt`` runs
+the shards alone, on a pool of no more workers than shards.
+
+There is one estimation route: every study reads its estimates off the
+merged cycle moments of ``run_cycle_estimation`` through
+``stats_from_moments``, a vector-valued functional's as array sums.
 
 Each study picks the functionals it reports once, and both of its phases
 run a setup narrowed to them: ``slln`` its scalar-valued functionals,
-``clt`` and ``anscombe`` the one functional they test (the vector route of
-``clt`` simulates its functional alone).  No phase integrates a functional
-that its study drops.
+``clt`` and ``anscombe`` the one functional they test.  No phase
+integrates a functional that its study drops.
 
 The semigroup-check, strong-law, CLT and random-index drivers own their
 output layout and gate: each returns a ``summary``, exactly what its
@@ -45,22 +49,13 @@ from .driver import (
     grid_kick_norms,
 )
 from .errors import ConfigError, DriftViolated
-from .estimators import (
-    anscombe_check,
-    clt_statistic,
-    estimate_Q,
-    estimate_nu,
-    estimate_sigma2,
-    ks_test_normal,
-    stats_from_moments,
-)
+from .estimators import anscombe_check, clt_statistic, ks_test_normal, stats_from_moments
 from .plaplace import PLaplaceSemigroup, estimate_kappa
 from .process import (
     CycleMoments,
     ExtinctionPolicy,
     HorizonResult,
     cycle_moments,
-    simulate_cycles,
     simulate_until_time,
 )
 from .semigroup import ScalarPowerLaw, axiom_residuals
@@ -104,7 +99,7 @@ _AXIOM_GATES = {
         ("max_lq_contraction_residual", "lq_contraction_residual", _LQ_TOL),
     ),
 }
-_N_PSI = 10  # random weights of run_clt_vector's projection check
+_N_PSI = 10  # random weights of the covariance route's projection check
 
 
 @dataclass
@@ -256,10 +251,10 @@ def run_cycle_estimation(
 ):
     """The setup's merged cycle moments from a fixed number of independent shards.
 
-    Moments accumulate for scalar-valued functionals only (``cycle_moments``
-    rejects a vector-valued one).  Given a study's ``pool``, the shards are
-    queued on it, and what is returned is a function giving the merged
-    moments.
+    The one estimation route: every study reads its estimates off these
+    moments, for scalar and vector-valued functionals alike.  Given a
+    study's ``pool``, the shards are queued on it, and what is returned is a
+    function giving the merged moments.
     """
     tasks = [(setup, size, i) for i, size in enumerate(_shard_sizes(n_cycles, n_shards))]
     merged = partial(reduce, CycleMoments.merge)
@@ -393,12 +388,11 @@ def run_semigroup_check(setup: ExperimentSetup, n_samples: int = 50) -> dict:
         row = {"sample": i, "t": t, "s": s, **residuals}
         if is_grid:
             row["mass_residual"] = abs(ev.mean() - v.mean())
-            du, dv = eu.values - ev.values, u.values - v.values
-            h = space.h
+            du, dv = eu - ev, u - v  # the discrete L1, L2 and sup norms
             row["lq_contraction_residual"] = max(
-                float(np.sum(np.abs(du)) * h) - float(np.sum(np.abs(dv)) * h),
-                math.sqrt(float(np.sum(du**2) * h)) - math.sqrt(float(np.sum(dv**2) * h)),
-                float(np.max(np.abs(du))) - float(np.max(np.abs(dv))),
+                du.norm_v() - dv.norm_v(),
+                du.norm_v1() - dv.norm_v1(),
+                float(np.max(np.abs(du.values))) - float(np.max(np.abs(dv.values))),
             )
         else:
             bound = max(v.norm_v1() ** sg.rho - sg.kappa * t, 0.0)
@@ -497,52 +491,45 @@ def two_route_agreement(st, time_averages: np.ndarray, t_end: float, n_se: float
     return gap, gap <= n_se * combined
 
 
-def run_clt_vector(setup: ExperimentSetup, plan: RunPlan, xi) -> dict:
+def _covariance_summary(setup: ExperimentSetup, moments: CycleMoments, label: str) -> dict:
     """Covariance route for a vector-valued functional.
 
-    Estimates the fluctuation covariance from the cycles, reports its
-    eigenvalues, and verifies the projection identity: for every weight psi,
-    the scalar fluctuation variance of the pairing <., psi> equals the
-    quadratic form of the covariance estimate.
+    Estimates the fluctuation covariance Q = h^2 sigma2_hat from the cycle
+    moments, reports its eigenvalues, and verifies the projection identity:
+    for every weight psi, the scalar fluctuation variance of the pairing
+    <., psi>, read off the projected sums, equals the quadratic form of Q.
     """
-    x0 = setup.initial_state(ESTIMATION_SHARD_BASE)
-    cycles = simulate_cycles(
-        x0,
-        setup.driver,
-        setup.sg,
-        setup.policy,
-        plan.n_cycles,
-        [xi],
-        replicate_index=ESTIMATION_SHARD_BASE,
-    )
-    s = cycles.integrals[xi.label]
-    nu, se = estimate_nu(s, cycles.tau)
     h = setup.space.h
-    q_hat = estimate_Q(s, cycles.tau, nu, h=h)
+    st = stats_from_moments(moments, label)
+    q_hat = h * h * st.sigma2_hat
     eigenvalues = np.linalg.eigvalsh(q_hat)
     psi_rng = derive_replicate_rng(setup.driver.master_seed, 0, 104)
     worst_gap = 0.0
     for _ in range(_N_PSI):
         psi = psi_rng.normal(size=setup.space.dim)
-        s_proj = (s @ psi) * h
-        nu_proj = float(np.dot(nu, psi)) * h
-        sigma2_proj = estimate_sigma2(s_proj, cycles.tau, nu_proj)
+        pairing = replace(
+            moments,
+            sum_s={label: h * float(psi @ moments.sum_s[label])},
+            sum_s2={label: h * h * float(psi @ moments.sum_s2[label] @ psi)},
+            sum_s_tau={label: h * float(psi @ moments.sum_s_tau[label])},
+        )
+        sigma2_proj = stats_from_moments(pairing, label).sigma2_hat
         worst_gap = max(worst_gap, abs(float(psi @ q_hat @ psi) - sigma2_proj))
     ok = worst_gap <= 1e-8 and float(eigenvalues.min()) >= -1e-10
     summary = {
-        "label": xi.label,
+        "label": label,
         "vector": True,
         "note": "vector-valued functional: covariance route (no replicate KS)",
-        "n_cycles": cycles.n,
-        "nu_hat": nu,
-        "se_nu": se,
-        "mean_tau": float(np.mean(cycles.tau)),
+        "n_cycles": st.n_cycles,
+        "nu_hat": st.nu_hat,
+        "se_nu": st.se_nu,
+        "mean_tau": st.mean_tau,
         "q_eigenvalues": eigenvalues,
         "q_min_eigenvalue": float(eigenvalues.min()),
         "projection_gap": worst_gap,
         "pass": bool(ok),
     }
-    return {"summary": summary, "q_hat": q_hat}
+    return {"summary": summary}
 
 
 def run_clt(setup: ExperimentSetup, plan: RunPlan, threads: int = 1) -> dict:
@@ -551,14 +538,15 @@ def run_clt(setup: ExperimentSetup, plan: RunPlan, threads: int = 1) -> dict:
     Both phases integrate that functional alone.  Returns the summary with
     its KS reports and variance-bridging diagnostics, and each replicate's
     ``raw`` and ``standardized`` statistic and random-index sums ``sum_s``
-    and ``sum_tau``, as columns; a vector-valued functional is routed to the
-    covariance estimate instead.
+    and ``sum_tau``, as columns.  A vector-valued functional runs the
+    estimation shards alone and takes the covariance route instead.
     """
     xi = setup.functionals[0]
-    if xi.vector_valued:
-        return run_clt_vector(setup, plan, xi)
     setup = replace(setup, functionals=[xi])
     label, t = xi.label, plan.clt_t
+    if xi.vector_valued:
+        moments = run_cycle_estimation(setup, plan.n_cycles, plan.est_shards, threads)
+        return _covariance_summary(setup, moments, label)
     with _study_pool(plan, threads) as pool:
         estimate = run_cycle_estimation(setup, plan.n_cycles, plan.est_shards, pool=pool)
         replicates = run_horizon_replicates(setup, t, None, plan.n_replicates, pool=pool)

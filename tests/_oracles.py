@@ -4,7 +4,9 @@ These deliberately re-derive their formulas instead of importing package
 internals: the projected-gradient minimizer checks the damped-Newton step,
 finite differences of the edge energy check the discrete operator,
 scipy.integrate.quad checks the scalar closed-form segment integrals, and
-the array statistics check the moment route of the estimators.
+the column estimators (the ratio estimator, sigma^2 and Q from the cycles'
+arrays) and a plain loop's moment sums check the moment route of the
+estimators, the package's one estimation route.
 The depth-first adaptive Simpson is the recursion that the package's
 level-by-level quadrature must reproduce bit for bit, evaluating one node
 at a time through the segment flow's ``at``.
@@ -26,7 +28,7 @@ from scipy import stats as sps
 from scipy.integrate import quad
 
 from regenjump.errors import InsufficientCycles
-from regenjump.estimators import CycleStats, TestReport, estimate_nu, estimate_sigma2
+from regenjump.estimators import CycleStats, TestReport
 from regenjump.functionals import integrate_segment
 
 
@@ -124,6 +126,76 @@ def quad_segment_integral(x, kappa, rho, delta, weight=1.0, shift=0.0, signed=Fa
     points = [t for t in (t_star,) if 0.0 < t < delta]
     val, _ = quad(f, 0.0, delta, points=points or None, limit=200)
     return val
+
+
+def _as_2d(s: np.ndarray) -> np.ndarray:
+    s = np.asarray(s, dtype=float)
+    return s[:, None] if s.ndim == 1 else s
+
+
+def estimate_nu(s: np.ndarray, tau: np.ndarray):
+    """Ratio estimator sum S / sum tau with its delta-method standard error.
+
+    Scalar cycle integrals give float (nu, se); vector ones give arrays.
+    """
+    tau = np.asarray(tau, dtype=float)
+    n = tau.shape[0]
+    if n < 2:
+        raise InsufficientCycles("need at least 2 cycles for the ratio estimator")
+    s2d = _as_2d(s)
+    sum_tau = float(np.sum(tau))
+    nu = np.sum(s2d, axis=0) / sum_tau
+    mean_tau = sum_tau / n
+    resid = s2d - nu[None, :] * tau[:, None]
+    se = np.sqrt(np.mean(resid**2, axis=0) / n) / mean_tau
+    if np.ndim(s) == 1:
+        return float(nu[0]), float(se[0])
+    return nu, se
+
+
+def estimate_sigma2(s: np.ndarray, tau: np.ndarray, nu: float) -> float:
+    """Fluctuation variance (1/mean_tau) * mean((S - nu*tau)^2) for scalar S."""
+    s = np.asarray(s, dtype=float)
+    tau = np.asarray(tau, dtype=float)
+    if s.ndim != 1:
+        raise ValueError("estimate_sigma2 expects scalar cycle integrals")
+    if tau.shape[0] < 2:
+        raise InsufficientCycles("need at least 2 cycles")
+    mean_tau = float(np.mean(tau))
+    resid = s - nu * tau
+    return float(np.mean(resid**2) / mean_tau)
+
+
+def estimate_Q(s: np.ndarray, tau: np.ndarray, nu: np.ndarray, h: float) -> np.ndarray:
+    """Covariance of the normalized centered cycle integrals.
+
+    With z_n = h * (S_n - nu * tau_n) / sqrt(mean_tau), returns
+    Q = mean(z_n z_n^T), the bilinear form such that psi^T Q psi equals the
+    scalar fluctuation variance of the cell-weighted pairing <., psi>.
+    """
+    s2d = _as_2d(s)
+    tau = np.asarray(tau, dtype=float)
+    if tau.shape[0] < 2:
+        raise InsufficientCycles("need at least 2 cycles")
+    nu = np.atleast_1d(np.asarray(nu, dtype=float))
+    mean_tau = float(np.mean(tau))
+    z = h * (s2d - nu[None, :] * tau[:, None]) / math.sqrt(mean_tau)
+    return (z.T @ z) / tau.shape[0]
+
+
+def add_cycle(moments, tau, values):
+    """Add one cycle to ``CycleMoments`` as a plain loop adds it.
+
+    ``values`` maps each label to the cycle's integral; a vector integral
+    adds itself, its outer product and its product with tau.
+    """
+    moments.n += 1
+    moments.sum_tau += tau
+    moments.sum_tau2 += tau * tau
+    for label, s in values.items():
+        moments.sum_s[label] = moments.sum_s[label] + s
+        moments.sum_s2[label] = moments.sum_s2[label] + (np.outer(s, s) if np.ndim(s) else s * s)
+        moments.sum_s_tau[label] = moments.sum_s_tau[label] + s * tau
 
 
 def stats_from_arrays(s, tau):

@@ -9,20 +9,24 @@ import json
 import math
 import os
 import time
+from dataclasses import replace
 
 import numpy as np
 import pytest
 from scipy import stats as sps
 
-from _oracles import cycle_diagnostics, projected_gradient_minimize, quad_segment_integral
+from _oracles import (
+    cycle_diagnostics,
+    estimate_nu,
+    estimate_sigma2,
+    projected_gradient_minimize,
+    quad_segment_integral,
+)
 from regenjump.cli import main as cli_main
 from regenjump.driver import BetaLaw, DriverConfig, EtaLaw, derive_replicate_rng
 from regenjump.estimators import (
     anscombe_check,
     clt_statistic,
-    estimate_Q,
-    estimate_nu,
-    estimate_sigma2,
     ks_test_normal,
     stats_from_moments,
 )
@@ -325,18 +329,22 @@ def test_c07_vector_clt_consistency():
     setup.kappa_fit = fit
     validation = run_validate(setup, RunPlan(n_mc=10_000))
     assert validation["ok"], "drift condition must hold for the vector study"
-    cycles = simulate_cycles(sg.space.zero(), driver, sg, setup.policy, 250, setup.functionals)
-    s = cycles.integrals["identity_v2"]
-    nu, _ = estimate_nu(s, cycles.tau)
-    q_hat = estimate_Q(s, cycles.tau, nu, h=sg.space.h)
+    # Q and each pairing's variance from the package's moment route
+    moments = cycle_moments(sg.space.zero(), driver, sg, setup.policy, 250, setup.functionals)
+    h = sg.space.h
+    q_hat = h * h * stats_from_moments(moments, "identity_v2").sigma2_hat
     min_eig = float(np.min(np.linalg.eigvalsh(q_hat)))
     worst = 0.0
     psi_rng = np.random.default_rng(713)
     for _ in range(10):
         psi = psi_rng.normal(size=16)
-        s_proj = (s @ psi) * sg.space.h
-        nu_proj = float(np.dot(nu, psi)) * sg.space.h
-        sigma2 = estimate_sigma2(s_proj, cycles.tau, nu_proj)
+        pairing = replace(
+            moments,
+            sum_s={"identity_v2": h * float(psi @ moments.sum_s["identity_v2"])},
+            sum_s2={"identity_v2": h * h * float(psi @ moments.sum_s2["identity_v2"] @ psi)},
+            sum_s_tau={"identity_v2": h * float(psi @ moments.sum_s_tau["identity_v2"])},
+        )
+        sigma2 = stats_from_moments(pairing, "identity_v2").sigma2_hat
         worst = max(worst, abs(float(psi @ q_hat @ psi) - sigma2))
     elapsed = time.perf_counter() - t0
     ok = worst <= 1e-8 and min_eig >= -1e-10 and elapsed < 600.0

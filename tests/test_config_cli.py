@@ -263,10 +263,13 @@ def test_cli_scalar_outputs_match_committed(tmp_path, command, threads):
     assert_outputs_match_committed(tmp_path, "scalar", command, threads)
 
 
-@pytest.mark.parametrize("command, threads", [("slln", 1), ("slln", 2), ("clt", 1)])
+@pytest.mark.parametrize(
+    "command, threads", [("slln", 1), ("slln", 2), ("clt", 1), ("clt", 2)]
+)
 def test_cli_small_grid_outputs_match_committed(tmp_path, command, threads):
     # the grid's segment integrals, horizon runs and vector covariance route
-    # (clt's first functional is identity_v2; cycles.csv carries its norm)
+    # (clt's first functional is identity_v2, its shards on the study pool;
+    # cycles.csv carries its norm)
     assert_outputs_match_committed(tmp_path, "plaplace_small", command, threads)
 
 

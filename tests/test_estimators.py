@@ -10,15 +10,20 @@ from regenjump.errors import DegenerateSigma, InsufficientCycles
 from regenjump.estimators import (
     anscombe_check,
     clt_statistic,
-    estimate_Q,
-    estimate_nu,
-    estimate_sigma2,
     ks_test_normal,
     stats_from_moments,
 )
 from regenjump.process import CycleMoments
 
-from _oracles import autocorrelation, cycle_diagnostics, stats_from_arrays
+from _oracles import (
+    add_cycle,
+    autocorrelation,
+    cycle_diagnostics,
+    estimate_nu,
+    estimate_Q,
+    estimate_sigma2,
+    stats_from_arrays,
+)
 
 
 def autocorr_band(diag):
@@ -115,12 +120,30 @@ def test_stats_from_moments_matches_arrays():
     arr = stats_from_arrays(s, tau)
     m = CycleMoments(labels=["f"])
     for si, ti in zip(s, tau):
-        m.add(float(ti), {"f": float(si)})
+        add_cycle(m, float(ti), {"f": float(si)})
     mom = stats_from_moments(m, "f")
     assert mom.nu_hat == pytest.approx(arr.nu_hat, rel=1e-12)
     assert mom.sigma2_hat == pytest.approx(arr.sigma2_hat, rel=1e-9)
     assert mom.se_nu == pytest.approx(arr.se_nu, rel=1e-9)
     assert mom.mean_tau == pytest.approx(arr.mean_tau, rel=1e-14)
+
+
+def test_vector_stats_from_moments_match_columns():
+    # the cycles of test_vector_nu_and_q, through the moment route
+    rng = np.random.default_rng(1)
+    n, d = 4000, 3
+    tau = rng.uniform(1.0, 3.0, size=n)
+    s = np.array([0.5, -1.0, 2.0])[None, :] * tau[:, None] + rng.normal(size=(n, d))
+    m = CycleMoments(labels=["f"])
+    for si, ti in zip(s, tau):
+        add_cycle(m, float(ti), {"f": si})
+    mom = stats_from_moments(m, "f")
+    nu, se = estimate_nu(s, tau)
+    q = estimate_Q(s, tau, nu, h=1.0)
+    assert mom.nu_hat.shape == mom.se_nu.shape == (d,) and mom.sigma2_hat.shape == (d, d)
+    np.testing.assert_allclose(mom.nu_hat, nu, rtol=1e-12)
+    np.testing.assert_allclose(mom.se_nu, se, rtol=1e-9)
+    assert np.max(np.abs(mom.sigma2_hat - q)) <= 1e-12 * np.max(np.abs(q))
 
 
 def test_clt_statistic_trivials():

@@ -1,6 +1,7 @@
 from collections import namedtuple
 from functools import lru_cache
 from itertools import islice
+from pathlib import Path
 from types import SimpleNamespace
 
 import numpy as np
@@ -17,6 +18,7 @@ from regenjump.functionals import (
     integrate_segment,
 )
 from regenjump.plaplace import Grid1D, PLaplaceConfig, PLaplaceSemigroup, WeightField
+from regenjump.config import load_config
 from regenjump.process import (
     CycleMoments,
     ExtinctionPolicy,
@@ -25,11 +27,13 @@ from regenjump.process import (
     simulate_until_time,
 )
 from regenjump import process
+from regenjump.runner import ESTIMATION_SHARD_BASE, run_cycle_estimation
 from regenjump.semigroup import ExtinctionParams, ScalarPowerLaw
 from regenjump.spaces import scalar_space
 
-from _oracles import chain_by_steps, horizon_by_steps, records_by_steps
+from _oracles import add_cycle, chain_by_steps, horizon_by_steps, records_by_steps
 
+REPO = Path(__file__).resolve().parent.parent
 SCALAR = scalar_space()
 POLICY = ExtinctionPolicy(eps_ext=1e-12)
 
@@ -314,11 +318,31 @@ def test_simulate_cycles_checks_its_arguments_when_called():
 
 def test_moments_merge():
     a = CycleMoments(labels=["f"])
-    a.add(1.0, {"f": 2.0})
+    add_cycle(a, 1.0, {"f": 2.0})
     b = CycleMoments(labels=["f"])
-    b.add(3.0, {"f": -1.0})
+    add_cycle(b, 3.0, {"f": -1.0})
     c = a.merge(b)
     assert c.n == 2 and c.sum_tau == 4.0 and c.sum_s["f"] == 1.0
+
+
+def test_cycle_estimation_accepts_vector_functionals():
+    # plaplace_small.ini's full setup (identity_v2, norm_v2) at 2 shards: the
+    # merged moments are a loop's sums over each shard's cycles, in order
+    setup = load_config(REPO / "configs" / "plaplace_small.ini").build_setup()
+    got = run_cycle_estimation(setup, 6, n_shards=2)
+    labels = [xi.label for xi in setup.functionals]
+    shards = []
+    for index in (ESTIMATION_SHARD_BASE, ESTIMATION_SHARD_BASE + 1):
+        x0 = setup.initial_state(index)
+        cycles = simulate_cycles(
+            x0, setup.driver, setup.sg, setup.policy, 3, setup.functionals, replicate_index=index
+        )
+        shard = CycleMoments(labels=labels)
+        for k in range(cycles.n):
+            add_cycle(shard, cycles.tau[k], {lb: cycles.integrals[lb][k] for lb in labels})
+        shards.append(shard)
+    assert got.sum_s2["identity_v2"].shape == (16, 16)
+    assert moments_tuple(got) == moments_tuple(shards[0].merge(shards[1]))
 
 
 def test_horizon_deterministic_example():
@@ -419,7 +443,12 @@ def record_tuples(cycles):
 
 
 def moments_tuple(m):
-    return (m.n, m.sum_tau, m.sum_tau2, m.sum_s, m.sum_s2, m.sum_s_tau)
+    """The moments' counts and sums, a vector label's sums as their bytes."""
+
+    def sums(d):
+        return {k: np.asarray(v).tobytes() if np.ndim(v) else v for k, v in d.items()}
+
+    return (m.n, m.sum_tau, m.sum_tau2, sums(m.sum_s), sums(m.sum_s2), sums(m.sum_s_tau))
 
 
 def horizon_tuple(res):
@@ -436,7 +465,7 @@ def horizon_tuple(res):
 def oracle_moments(records, fns):
     ref = CycleMoments(labels=[xi.label for xi in fns])
     for rec in records[1:]:  # the warm-up is not a cycle; the loop's order of additions
-        ref.add(rec[5], {label: np.frombuffer(s)[0] for label, s in rec[7].items()})
+        add_cycle(ref, rec[5], {label: np.frombuffer(s)[0] for label, s in rec[7].items()})
     return ref
 
 
