@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import configparser
 import hashlib
+import math
 from dataclasses import MISSING, dataclass, field, fields, replace
 
 import numpy as np
@@ -128,8 +129,16 @@ def config_hash(items) -> str:
     return hashlib.sha256(canon.encode("utf-8")).hexdigest()
 
 
+def _finite(raw: str) -> float:
+    """The cast of every float key; it refuses nan and inf, which slip past range checks."""
+    value = float(raw)
+    if not math.isfinite(value):
+        raise ValueError("must be a finite number")
+    return value
+
+
 def _floats(raw: str) -> list:
-    return [float(tok) for tok in raw.split(",") if tok.strip()]
+    return [_finite(tok) for tok in raw.split(",") if tok.strip()]
 
 
 def _thetas(raw: str) -> list:
@@ -145,9 +154,9 @@ def _gamma(raw: str):
     kind, _, rest = raw.partition(":")
     kind = kind.strip()
     if kind == "constant":
-        return ("constant", (float(rest),))
+        return ("constant", (_finite(rest),))
     if kind == "uniform":
-        lo, hi = (float(t) for t in rest.split(","))
+        lo, hi = (_finite(t) for t in rest.split(","))
         return ("uniform", (lo, hi))
     raise ValueError("gamma must be 'constant:<v>' or 'uniform:<lo>,<hi>'")
 
@@ -161,27 +170,27 @@ def _specs(raw: str) -> list:
 
 _KEYS = {
     "experiment": {"backend": str.lower, "master_seed": int},
-    "scalar": {"kappa": float, "rho": float},
+    "scalar": {"kappa": _finite, "rho": _finite},
     "plaplace": {
-        "p": float, "n_cells": int, "length": float, "dt": float, "eps_reg": float,
-        "newton_tol": float, "newton_max_iter": int, "eps_ext": float, "q": float,
-        "gamma": _gamma, "kappa_samples": int, "kappa_t_cap": float,
+        "p": _finite, "n_cells": int, "length": _finite, "dt": _finite, "eps_reg": _finite,
+        "newton_tol": _finite, "newton_max_iter": int, "eps_ext": _finite, "q": _finite,
+        "gamma": _gamma, "kappa_samples": int, "kappa_t_cap": _finite,
     },
     "beta": {
-        "kind": str, "value": float, "low": float, "high": float, "rate": float,
-        "shape": float, "scale": float,
+        "kind": str, "value": _finite, "low": _finite, "high": _finite, "rate": _finite,
+        "shape": _finite, "scale": _finite,
     },
     "eta": {
-        "kind": str, "value": float, "amp": float, "n_bumps": int, "amp_max": float,
-        "width_low": float, "width_high": float,
+        "kind": str, "value": _finite, "amp": _finite, "n_bumps": int, "amp_max": _finite,
+        "width_low": _finite, "width_high": _finite,
     },
-    "initial": {"kind": str, "value": float, "amplitude": float, "mode": int},
+    "initial": {"kind": str, "value": _finite, "amplitude": _finite, "mode": int},
     "functionals": {"specs": _specs},
     "run": {
-        "n_cycles": int, "est_shards": int, "t_end": float, "checkpoints": _floats,
-        "n_replicates": int, "clt_t": float, "theta_schedule": _thetas,
+        "n_cycles": int, "est_shards": int, "t_end": _finite, "checkpoints": _floats,
+        "n_replicates": int, "clt_t": _finite, "theta_schedule": _thetas,
     },
-    "policy": {"eps_ext": float, "m_cap": int},
+    "policy": {"eps_ext": _finite, "m_cap": int},
     "validate": {"n_mc": int},
 }
 

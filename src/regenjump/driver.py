@@ -30,7 +30,7 @@ __all__ = [
     "DriftReport",
     "derive_replicate_rng",
     "check_drift_condition",
-    "grid_kick_norms",
+    "kick_norms",
 ]
 
 BETA_STREAM = 0
@@ -188,11 +188,7 @@ class EtaLaw:
         return self.amp_max == 0.0
 
     def sample_values(self, rng: np.random.Generator, space: Space) -> np.ndarray:
-        if self.kind == "grid_bumps":
-            return next(self.sample_blocks(rng, space, 1))[0]
-        if space.kind != "scalar":
-            raise ConfigError(f"{self.kind} eta needs a scalar space")
-        return self.sample_block(rng, 1)
+        return next(self.sample_blocks(rng, space, 1))[0]
 
     def sample_block(self, rng: np.random.Generator, n: int) -> np.ndarray:
         """n scalar kicks; equal to n one-at-a-time draws, generator state too."""
@@ -203,16 +199,21 @@ class EtaLaw:
         raise ConfigError("grid kicks are drawn with sample_blocks")
 
     def sample_blocks(self, rng: np.random.Generator, space: Space, n: int):
-        """Yield n grid_bumps kicks as blocks of at most KICK_BLOCK_ROWS rows.
+        """Yield n kicks as blocks of rows, one kick per row.
 
-        Each block draws ``rng.random((m, n_bumps, 3))`` (center, width,
-        amplitude per bump) and maps it as ``rng.uniform`` maps its draws,
-        ``low + (high - low) * u``, so the rows and the generator state
-        afterwards equal n one-at-a-time draws.  Fixed-size blocks consume
-        the stream in the same order and bound the temporaries.
+        A scalar law yields ``sample_block``'s n draws as one column.  A
+        grid_bumps block has at most KICK_BLOCK_ROWS rows and draws
+        ``rng.random((m, n_bumps, 3))`` (center, width, amplitude per bump),
+        mapped as ``rng.uniform`` maps its draws, ``low + (high - low) * u``,
+        so the rows and the generator state afterwards equal n one-at-a-time
+        draws.  Fixed-size blocks consume the stream in the same order and
+        bound the temporaries.
         """
-        if self.kind != "grid_bumps" or space.kind != "grid":
-            raise ConfigError("grid_bumps eta needs a grid space")
+        if (self.kind == "grid_bumps") != (space.kind == "grid"):
+            raise ConfigError(f"{self.kind} eta does not fit a {space.kind} space")
+        if space.kind == "scalar":
+            yield self.sample_block(rng, n)[:, None]
+            return
         x = space.centers()
         low = np.array([0.0, self.width_low, -self.amp_max])
         high = np.array([space.length, self.width_high, self.amp_max])
@@ -275,23 +276,14 @@ class DriftReport:
         }
 
 
-def grid_kick_norms(
-    law: EtaLaw, rng: np.random.Generator, space: Space, n: int, norm: str
-) -> list:
-    """``norm_v1`` or ``norm_v2`` of n grid_bumps kicks, drawn in blocks.
+def kick_norms(law: EtaLaw, rng: np.random.Generator, space: Space, n: int, norm: str):
+    """``norm_v1`` or ``norm_v2`` of n kicks, drawn in blocks, as one array.
 
-    Equal bit for bit to the per-kick ``StateVector`` norms: the sums run
-    row by row, and the final root is ``np.float_power``, which equals
-    Python's float ``**`` (``np.power`` can differ in the last bits).
+    Equal bit for bit to the per-kick ``StateVector`` norms: both are
+    ``Space.l2`` or ``Space.lq``, taken row by row.
     """
-    out = []
-    for block in law.sample_blocks(rng, space, n):
-        if norm == "v1":
-            out.extend(np.sqrt(np.sum(block**2, axis=1) * space.h).tolist())
-        else:
-            sums = np.sum(np.abs(block) ** space.q, axis=1) * space.h
-            out.extend(np.float_power(sums, 1.0 / space.q).tolist())
-    return out
+    rule = space.l2 if norm == "v1" else space.lq
+    return np.concatenate([rule(block) for block in law.sample_blocks(rng, space, n)])
 
 
 _Z99 = 2.5758293035489004  # two-sided 99% normal quantile
@@ -307,30 +299,18 @@ def check_drift_condition(
 ) -> DriftReport:
     """Monte Carlo check of the negative-drift requirement.
 
-    Deterministic beta and zero eta are evaluated exactly (CI contribution 0);
-    everything else is estimated from n_mc draws of -kappa*beta + ||eta||^rho
-    with a 99% normal confidence interval.
+    The mean of n_mc draws of -kappa*beta + ||eta||_V1^rho, with a 99% normal
+    confidence interval.  Deterministic beta with a deterministic or zero
+    kick makes every term equal: the estimate is exact (CI halfwidth 0).
     """
     if n_mc < MIN_DRIFT_DRAWS:
         raise ConfigError(f"drift check needs n_mc >= {MIN_DRIFT_DRAWS}")
     rng_beta = derive_replicate_rng(cfg.master_seed, 0, 100)
     rng_eta = derive_replicate_rng(cfg.master_seed, 0, 101)
     exact = cfg.beta.is_deterministic and (cfg.eta.is_zero or cfg.eta.is_deterministic)
-    if cfg.beta.is_deterministic:
-        beta_terms = np.full(n_mc, -kappa * cfg.beta.value)
-    else:
-        beta_terms = -kappa * cfg.beta.sample_block(rng_beta, n_mc)
-    if cfg.eta.is_zero:
-        eta_terms = np.zeros(n_mc)
-    elif cfg.eta.kind == "scalar_constant":
-        eta_terms = np.full(n_mc, abs(cfg.eta.value) ** rho)
-    elif cfg.eta.kind == "scalar_uniform":
-        draws = rng_eta.uniform(-cfg.eta.amp, cfg.eta.amp, size=n_mc)
-        eta_terms = np.float_power(np.abs(draws), rho)
-    else:
-        norms = grid_kick_norms(cfg.eta, rng_eta, space, n_mc, "v1")
-        eta_terms = np.float_power(norms, rho)
-    terms = beta_terms + eta_terms
+    terms = -kappa * cfg.beta.sample_block(rng_beta, n_mc) + np.float_power(
+        kick_norms(cfg.eta, rng_eta, space, n_mc, "v1"), rho
+    )
     estimate = float(np.mean(terms))
     if exact:
         halfwidth = 0.0

@@ -10,15 +10,16 @@ piecewise power function and the integral is evaluated in closed form, split
 at the extinction time.  On the grid, adaptive composite Simpson is used,
 with interval bisection until the local Richardson error estimate is below
 ``QUAD_TOL``, within ``QUAD_MAX_EVALS`` evaluations per segment; breakpoints
-are placed at the time-step grid, where the trajectory has kinks, and at the
-extinction time when known.  The bisection tree is refined level by level;
-each level's nodes go to the segment flow's ``at_many`` first, which solves
-all of their partial implicit-Euler steps as one row-batched step.
+are placed at the time-step grid, where the trajectory has kinks (extinction
+comes at a full step, so it is one of them).  The bisection tree is refined
+level by level; each level's nodes go to the segment flow's ``at_many``
+first, which solves all of their partial implicit-Euler steps as one
+row-batched step.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -35,13 +36,6 @@ __all__ = [
     "SegmentIntegralResult",
     "integrate_segment",
 ]
-
-
-def _w_norm(value, space: Space) -> float:
-    """Norm of a W-value: |.| for scalars, the discrete Lq norm for arrays."""
-    if np.isscalar(value) or np.ndim(value) == 0:
-        return abs(float(value))
-    return space.lq_norm(np.asarray(value))
 
 
 class Functional:
@@ -62,7 +56,10 @@ class Functional:
         raise NotImplementedError
 
     def w_norm(self, value) -> float:
-        return _w_norm(value, self.space)
+        """Norm of a W-value: |.| for scalars, the discrete Lq norm for arrays."""
+        if np.ndim(value) == 0:
+            return abs(float(value))
+        return float(self.space.lq(value))
 
     def zero_value(self):
         if self.vector_valued:
@@ -82,9 +79,7 @@ class NormV2(Functional):
         self.c2 = 0.0
 
     def apply_values(self, values: np.ndarray) -> float:
-        if self.space.kind == "scalar":
-            return abs(float(values[0]))
-        return self.space.lq_norm(values)
+        return float(self.space.lq(values))
 
 
 class IdentityV2(Functional):
@@ -118,16 +113,10 @@ class Linear(Functional):
         if self.psi.shape != (space.dim,):
             raise ValueError("weight vector does not match the space")
         self.label = label
-        q = space.q
-        if space.kind == "scalar":
-            self.c1 = abs(float(self.psi[0]))
-        elif q == 1.0:
+        if space.q == 1.0:
             self.c1 = float(np.max(np.abs(self.psi)))
-        else:
-            q_dual = q / (q - 1.0)
-            self.c1 = float(
-                (np.sum(np.abs(self.psi) ** q_dual) * space.h) ** (1.0 / q_dual)
-            )
+        else:  # the dual Lq' norm, 1/q + 1/q' = 1
+            self.c1 = float(replace(space, q=space.q / (space.q - 1.0)).lq(self.psi))
         self.c2 = 0.0
 
     @classmethod
@@ -154,7 +143,7 @@ class AffineShift(Functional):
             self.w = float(w)
         self.label = label if label is not None else f"{base.label}+shift"
         self.c1 = base.c1
-        self.c2 = base.c2 + _w_norm(self.w, base.space)
+        self.c2 = base.c2 + base.w_norm(self.w)
 
     def apply_values(self, values: np.ndarray):
         return self.base.apply_values(values) + self.w
@@ -310,9 +299,6 @@ def integrate_segment(
     dt = sg.cfg.dt
     grid_times = [k * dt for k in range(1, int(delta / dt) + 1) if k * dt < delta]
     breaks = [0.0] + grid_times + [delta]
-    bp = flow.extinction_breakpoint(delta)
-    if bp is not None and bp not in breaks:
-        breaks = sorted(set(breaks + [bp]))
 
     def f(tau):
         return xi.apply_values(flow.at(tau))

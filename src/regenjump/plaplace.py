@@ -30,7 +30,8 @@ holds along every sampled trajectory.
 
 The semigroup composes full steps of size dt with one trailing partial step
 (the Crandall--Liggett exponential formula); ``_SegmentFlow`` is its one loop
-of full steps, and one discrete-L2 rule snaps states to zero in both kernels.
+of full steps, and the space's discrete L2 norm, ``Space.l2``, snaps states to
+zero in both kernels.
 """
 
 from __future__ import annotations
@@ -552,11 +553,6 @@ def _frozen(vals: np.ndarray) -> np.ndarray:
     return vals
 
 
-def _l2(vals: np.ndarray, h: float):
-    """Discrete L2 norm over the last axis: one per state in a stack of rows."""
-    return np.sqrt(np.sum(vals * vals, axis=-1) * h)
-
-
 class PLaplaceSemigroup:
     """Grid semigroup driven by implicit Euler steps with extinction snapping.
 
@@ -595,10 +591,9 @@ class PLaplaceSemigroup:
         # curvature powers divide by zero on flat edges and multiply that inf
         # by zero; the gradient masks those entries and every solve is guarded
         # by a finiteness check.
-        h = self.grid.h
         with np.errstate(divide="ignore", invalid="ignore"):
-            out = kernel(u, dt, self.cfg, h, self.weights.gamma)
-        out[_l2(out, h) < self.eps_ext] = 0.0
+            out = kernel(u, dt, self.cfg, self.grid.h, self.weights.gamma)
+        out[self.space.l2(out) < self.eps_ext] = 0.0
         return out
 
     def evolve(self, v: StateVector, t: float) -> StateVector:
@@ -618,14 +613,13 @@ class PLaplaceSemigroup:
         committed kappa-fit traces were written that way.
         """
         flow = _SegmentFlow(self, v.values)
-        h = self.grid.h
         t, times = 0.0, [0.0]
-        extinct = _l2(v.values, h) == 0.0
+        extinct = self.space.l2(v.values) == 0.0
         while not extinct and t < t_cap:
             t += self.cfg.dt
             times.append(t)
             extinct = not flow.full_state(len(times) - 1).any()
-        norms = _l2(np.stack(flow._states[: len(times)]), h)
+        norms = self.space.l2(np.stack(flow._states[: len(times)]))
         return np.asarray(times), norms, extinct
 
 
@@ -646,16 +640,12 @@ class _SegmentFlow:
         self._sg = sg
         self._states = [_frozen(start.copy())]
         self._at: dict[float, np.ndarray] = {}
-        self._extinct_index: int | None = 0 if not start.any() else None
 
     def full_state(self, k: int) -> np.ndarray:
         """The state after k full steps; once extinct it stays the zero state."""
         states = self._states
-        while len(states) <= k and self._extinct_index is None:
-            nxt = _frozen(self._sg._advance(states[-1], self._sg.cfg.dt))
-            states.append(nxt)
-            if not nxt.any():
-                self._extinct_index = len(states) - 1
+        while len(states) <= k and states[-1].any():
+            states.append(_frozen(self._sg._advance(states[-1], self._sg.cfg.dt)))
         return states[min(k, len(states) - 1)]
 
     def at(self, tau: float) -> np.ndarray:
@@ -685,15 +675,6 @@ class _SegmentFlow:
             times, states, rems = zip(*partial)
             rows = _frozen(self._sg._advance_rows(np.stack(states), np.array(rems)))
             self._at.update(zip(times, rows))
-
-    def extinction_breakpoint(self, horizon: float) -> float | None:
-        """First cached grid time at which the state is exactly zero."""
-        n_full, rem = _split_time(horizon, self._sg.cfg.dt)
-        self.full_state(n_full)
-        if self._extinct_index is None:
-            return None
-        t0 = self._extinct_index * self._sg.cfg.dt
-        return t0 if t0 < horizon else None
 
 
 @dataclass

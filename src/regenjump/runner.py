@@ -46,7 +46,7 @@ from .driver import (
     DriverConfig,
     check_drift_condition,
     derive_replicate_rng,
-    grid_kick_norms,
+    kick_norms,
 )
 from .errors import ConfigError, DriftViolated
 from .estimators import anscombe_check, clt_statistic, ks_test_normal, stats_from_moments
@@ -318,12 +318,8 @@ def validate_moment_sanity(setup: ExperimentSetup, n_draws: int = 100_000) -> di
     b12 = betas * betas
     b12 *= betas
     beta_m12 = float(np.mean(b12))
-    if setup.space.kind == "scalar":
-        draws = setup.driver.eta.sample_block(rng_e, 2048)
-        eta_m4 = float(np.mean(np.float_power(np.abs(draws), 4)))
-    else:
-        vals = grid_kick_norms(setup.driver.eta, rng_e, setup.space, 2048, "v2")
-        eta_m4 = float(np.mean(np.float_power(vals, 4)))
+    norms = kick_norms(setup.driver.eta, rng_e, setup.space, 2048, "v2")
+    eta_m4 = float(np.mean(np.float_power(norms, 4)))
     return {
         "beta_moment_12": beta_m12,
         "eta_v2_moment_4": eta_m4,

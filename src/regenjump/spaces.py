@@ -10,8 +10,10 @@ attached to the same value array:
 * ``norm_v2`` -- the norm entering sub-linear functionals
   (scalar: absolute value; grid: discrete Lq with configurable q).
 
-Discrete Lq norms use the cell width as quadrature weight, so they converge
-to the continuum norms under refinement.
+``Space.l1``, ``l2`` and ``lq`` are the one rule per norm, taken over the
+last axis of a state or of a stack of rows, so row norms equal state norms bit
+for bit; on the scalar space they are |x| (sqrt(x*x) is not, for subnormal or
+huge x).  Grid norms weight by the cell width, so they converge under refinement.
 """
 
 from __future__ import annotations
@@ -64,10 +66,26 @@ class Space:
         """Cell centres, (i + 1/2) h."""
         return (np.arange(self.dim) + 0.5) * self.h
 
-    def lq_norm(self, values) -> float:
-        """Discrete Lq norm of a grid array, with the cell width as weight."""
-        q = self.q
-        return float((np.sum(np.abs(values) ** q) * self.h) ** (1.0 / q))
+    def l1(self, values):
+        """Discrete L1 norm over the last axis; |x| on the scalar space, whose h is 1."""
+        return np.sum(np.abs(values), axis=-1) * self.h
+
+    def l2(self, values):
+        """Discrete L2 norm over the last axis: of a state, or per row of a stack."""
+        if self.kind == "scalar":
+            return np.abs(values[..., 0])
+        return np.sqrt(np.sum(values * values, axis=-1) * self.h)
+
+    def lq(self, values):
+        """Discrete Lq norm over the last axis.
+
+        The root is ``np.float_power``, which equals Python's float ``**``
+        (``np.power`` can differ in the last bits).
+        """
+        if self.kind == "scalar":
+            return np.abs(values[..., 0])
+        sums = np.sum(np.abs(values) ** self.q, axis=-1) * self.h
+        return np.float_power(sums, 1.0 / self.q)
 
     def zero(self) -> "StateVector":
         return StateVector(self, np.zeros(self.dim))
@@ -109,21 +127,15 @@ class StateVector:
 
     def norm_v(self) -> float:
         """Ambient norm: |x| for scalars, discrete L1 for grids."""
-        if self.space.kind == "scalar":
-            return abs(float(self.values[0]))
-        return float(np.sum(np.abs(self.values)) * self.space.h)
+        return float(self.space.l1(self.values))
 
     def norm_v1(self) -> float:
         """Extinction-space norm: |x| for scalars, discrete L2 for grids."""
-        if self.space.kind == "scalar":
-            return abs(float(self.values[0]))
-        return float(np.sqrt(np.sum(self.values**2) * self.space.h))
+        return float(self.space.l2(self.values))
 
     def norm_v2(self) -> float:
         """Functional-space norm: |x| for scalars, discrete Lq for grids."""
-        if self.space.kind == "scalar":
-            return abs(float(self.values[0]))
-        return self.space.lq_norm(self.values)
+        return float(self.space.lq(self.values))
 
     def mean(self) -> float:
         return float(np.mean(self.values))

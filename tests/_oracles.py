@@ -332,9 +332,6 @@ def grid_simpson_reference(xi, state, delta, sg, tol=1e-9):
 
     dt = sg.cfg.dt
     breaks = [0.0] + [k * dt for k in range(1, int(delta / dt) + 1) if k * dt < delta] + [delta]
-    t_ext = flow.extinction_breakpoint(delta)
-    if t_ext is not None and t_ext not in breaks:
-        breaks = sorted(set(breaks + [t_ext]))
     total, err_total = None, 0.0
     for a, b in zip(breaks[:-1], breaks[1:]):
         if b <= a:

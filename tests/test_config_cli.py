@@ -516,6 +516,31 @@ def test_cli_model_parameter_out_of_range_is_a_config_error(tmp_path, capsys, se
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize(
+    "section, line",
+    [
+        ("plaplace", "q = nan"),
+        ("plaplace", "q = inf"),
+        ("plaplace", "dt = nan"),
+        ("plaplace", "kappa_t_cap = inf"),
+        ("policy", "eps_ext = nan"),
+        ("run", "t_end = nan"),
+        ("run", "clt_t = -inf"),
+        ("eta", "amp = nan"),
+    ],
+)
+def test_cli_nonfinite_float_is_a_config_error(tmp_path, capsys, section, line):
+    # nan fails no `x <= 0` range check, so every float key refuses nan and
+    # inf as it is cast, naming its section and key
+    base = PLAPLACE_CFG if section == "plaplace" else SCALAR_CFG
+    cfg = write(tmp_path, with_key(base, section, line))
+    assert run_cli(["validate", "--config", cfg, "--out", tmp_path / "o"]) == 1
+    err = capsys.readouterr().err
+    key = line.split(" = ")[0]
+    assert f"config error: [{section}] {key} = " in err and "finite" in err
+    assert "Traceback" not in err
+
+
 def test_cli_config_error_in_the_setup_leaves_no_output_directory(tmp_path, capsys):
     # the model's parameters are checked as the set-up is built; a config
     # that fails there writes nothing, not even an empty directory

@@ -12,7 +12,7 @@ from regenjump.driver import (
     KICK_BLOCK_ROWS,
     check_drift_condition,
     derive_replicate_rng,
-    grid_kick_norms,
+    kick_norms,
 )
 from regenjump.errors import ConfigError
 from regenjump.plaplace import Grid1D, PLaplaceConfig, PLaplaceSemigroup, WeightField
@@ -193,11 +193,11 @@ def test_grid_kick_norms_match_state_norms(q):
     space = grid_space(16, q=q)
     rng = derive_replicate_rng(3, 0, 103)
     kicks = kicks_one_at_a_time(GRID_BUMPS, derive_replicate_rng(3, 0, 103), space, 1500)
-    v1 = grid_kick_norms(GRID_BUMPS, rng, space, 1500, "v1")
-    assert v1 == [space.state(k).norm_v1() for k in kicks]
+    v1 = kick_norms(GRID_BUMPS, rng, space, 1500, "v1")
+    assert v1.tolist() == [space.state(k).norm_v1() for k in kicks]
     rng = derive_replicate_rng(3, 0, 103)
-    v2 = grid_kick_norms(GRID_BUMPS, rng, space, 1500, "v2")
-    assert v2 == [space.state(k).norm_v2() for k in kicks]
+    v2 = kick_norms(GRID_BUMPS, rng, space, 1500, "v2")
+    assert v2.tolist() == [space.state(k).norm_v2() for k in kicks]
 
 
 def test_drift_grid_matches_one_at_a_time():
@@ -290,6 +290,53 @@ def test_drift_exact_cases():
     )
     assert bad.lhs_estimate == pytest.approx(0.5)
     assert not bad.ok
+
+
+NO_BUMPS = EtaLaw.grid_bumps(2, 0.0, (0.05, 0.2))
+
+
+@pytest.mark.parametrize(
+    "beta, eta, space",
+    [
+        (BetaLaw.deterministic(3.0), EtaLaw.scalar_constant(1.3), SCALAR),
+        (BetaLaw.deterministic(0.7), EtaLaw.scalar_constant(-0.3), SCALAR),
+        (BetaLaw.deterministic(3.0), EtaLaw.scalar_constant(0.0), SCALAR),
+        (BetaLaw.deterministic(3.0), EtaLaw.scalar_uniform(0.0), SCALAR),
+        (BetaLaw.deterministic(0.9), NO_BUMPS, grid_space(16)),
+        (BetaLaw.deterministic(0.9), GRID_BUMPS, grid_space(16)),
+        (BetaLaw.uniform(0.3, 0.7), EtaLaw.scalar_constant(0.4), SCALAR),
+        (BetaLaw.uniform(0.3, 0.7), EtaLaw.scalar_constant(0.0), SCALAR),
+        (BetaLaw.exponential(1.3), EtaLaw.scalar_uniform(0.0), SCALAR),
+        (BetaLaw.gamma(2.5, 0.4), NO_BUMPS, grid_space(16)),
+    ],
+    ids=lambda x: getattr(x, "kind", None),
+)
+def test_drift_deterministic_and_zero_terms_are_per_kind_terms(beta, eta, space):
+    # a deterministic beta term is -kappa * value, a constant kick's term is
+    # |value| ** rho and a zero kick's term is 0, bit for bit, and the
+    # estimate is exact when both are deterministic
+    cfg = DriverConfig(beta, eta, 20250811)
+    kappa, rho, n_mc = 1.7, 0.45, 10**4
+    report = check_drift_condition(cfg, kappa, rho, n_mc, space)
+    if beta.is_deterministic:
+        beta_terms = np.full(n_mc, -kappa * beta.value)
+    else:
+        beta_terms = -kappa * beta.sample_block(derive_replicate_rng(cfg.master_seed, 0, 100), n_mc)
+    if eta.is_zero:
+        eta_terms = np.zeros(n_mc)
+    elif eta.kind == "scalar_constant":
+        eta_terms = np.full(n_mc, abs(eta.value) ** rho)
+    else:
+        kicks = kicks_one_at_a_time(eta, derive_replicate_rng(cfg.master_seed, 0, 101), space, n_mc)
+        eta_terms = np.array([space.state(k).norm_v1() ** rho for k in kicks])
+    terms = beta_terms + eta_terms
+    exact = beta.is_deterministic and (eta.is_zero or eta.is_deterministic)
+    assert report.exact == exact
+    assert report.lhs_estimate == float(np.mean(terms))
+    if exact:
+        assert report.ci_halfwidth == 0.0
+    else:
+        assert report.ci_halfwidth == _Z99 * float(np.std(terms, ddof=1)) / math.sqrt(n_mc)
 
 
 def test_drift_monte_carlo():

@@ -257,7 +257,8 @@ def test_grid_quadrature_matches_depth_first_oracle(where, eps_reg):
     state = sg.space.state(profile(sg.space.centers()))
     if where == "extinct_tail":
         state = project_zero_mean(state)
-        assert sg.segment_flow(state).extinction_breakpoint(delta) is not None
+        times, _, extinct = sg.decay_trace(state, delta)
+        assert extinct and times[-1] < delta
     flow = sg.segment_flow(state)
     for xi in grid_functionals(sg.space):
         for length in (0.6 * delta, delta):

@@ -17,7 +17,6 @@ from regenjump.plaplace import (
     PLaplaceSemigroup,
     WeightField,
     _banded_system,
-    _l2,
     _merits,
     _newton_rows,
     _newton_step,
@@ -25,7 +24,7 @@ from regenjump.plaplace import (
     apply_discrete_operator,
     estimate_kappa,
 )
-from regenjump.spaces import project_zero_mean
+from regenjump.spaces import grid_space, project_zero_mean
 
 
 def make_problem(n_cells=16, length=1.0, p=1.5, dt=1e-2, seed=0, gamma=None, **cfg_kw):
@@ -214,6 +213,11 @@ def test_segment_flow_memoises_each_time(monkeypatch, where):
         "off_grid": 2.5 * cfg.dt,
         "extinct_tail": t_ext + 0.5 * cfg.dt,
     }[where]
+    n_full, rem = {
+        "on_grid": (3, 0.0),
+        "off_grid": (2, tau - 2 * cfg.dt),
+        "extinct_tail": (len(times) - 1, tau - (len(times) - 1) * cfg.dt),
+    }[where]
     steps = []
     advance = PLaplaceSemigroup._advance
 
@@ -223,7 +227,7 @@ def test_segment_flow_memoises_each_time(monkeypatch, where):
 
     monkeypatch.setattr(PLaplaceSemigroup, "_advance", counted)
     flow = sg.segment_flow(u)
-    flow.extinction_breakpoint(tau)  # fills the grid states up to tau
+    flow.full_state(n_full)  # fills the grid states up to tau
     steps.clear()
     first = flow.at(tau)
     assert steps == ([tau - 2 * cfg.dt] if where == "off_grid" else [])
@@ -232,11 +236,6 @@ def test_segment_flow_memoises_each_time(monkeypatch, where):
     assert steps == []
     monkeypatch.undo()
     # an independent loop: n full steps, then one partial step
-    n_full, rem = {
-        "on_grid": (3, 0.0),
-        "off_grid": (2, tau - 2 * cfg.dt),
-        "extinct_tail": (len(times) - 1, tau - (len(times) - 1) * cfg.dt),
-    }[where]
     ref = u.values
     for _ in range(n_full):
         ref = sg._advance(ref, cfg.dt)
@@ -265,9 +264,9 @@ def test_advance_rows_snaps_by_the_single_state_l2_bit_for_bit():
     rng = np.random.default_rng(41)
     for n in (2, 3, 7, 16, 31, 64, 128):
         rows = rng.normal(size=(500, n)) * 10.0 ** rng.uniform(-14, 2, size=(500, 1))
-        h = 1.0 / n
-        for row, norm in zip(rows, _l2(rows, h)):
-            assert norm == _l2(row, h) == math.sqrt(float(np.sum(row * row)) * h)
+        space, h = grid_space(n), 1.0 / n
+        for row, norm in zip(rows, space.l2(rows)):
+            assert norm == space.l2(row) == math.sqrt(float(np.sum(row * row)) * h)
     grid, weights, cfg = make_problem(n_cells=16, seed=8)
     sg = PLaplaceSemigroup(grid, weights, cfg)
     u = project_zero_mean(sine_state(grid)).values

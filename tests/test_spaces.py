@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
@@ -29,6 +31,30 @@ def test_norm_v2_uses_q():
     v = space.state([1.0, -2.0])
     expected = (0.5 * (1.0 + 16.0)) ** 0.25
     assert v.norm_v2() == pytest.approx(expected)
+
+
+@pytest.mark.parametrize("q", [1.5, 2.0, 3.0])
+def test_stack_row_norms_equal_single_state_norms_bit_for_bit(q):
+    rng = np.random.default_rng(23)
+    for n in (2, 3, 7, 8, 9, 16, 31, 64, 127, 128, 129, 1000, 4096):
+        space = grid_space(n, length=1.7, q=q)
+        rows = rng.normal(size=(30, n)) * 10.0 ** rng.uniform(-12, 3, size=(30, 1))
+        for rule, norm in ((space.l1, "norm_v"), (space.l2, "norm_v1"), (space.lq, "norm_v2")):
+            for row, got in zip(rows, rule(rows)):
+                assert got == rule(row) == getattr(space.state(row), norm)()
+
+
+@pytest.mark.parametrize("x", [0.0, -0.0, 5e-324, -2.2e-310, 1e-170, -3.7, 1e300, -1.7e308])
+def test_scalar_norms_are_abs_exactly(x):
+    # sqrt(x*x) loses subnormal and huge x: the scalar norms are |x| itself
+    space = scalar_space()
+    for rule in (space.l1, space.l2, space.lq):
+        assert rule(np.array([x])) == abs(x)
+        assert rule(np.array([[x], [-x]])).tolist() == [abs(x), abs(x)]
+    v = space.state([x])
+    assert v.norm_v() == v.norm_v1() == v.norm_v2() == abs(x)
+    if x in (5e-324, -2.2e-310, 1e-170, 1e300, -1.7e308):
+        assert math.sqrt(x * x) != abs(x)
 
 
 def test_zero_iff_norm_zero():
