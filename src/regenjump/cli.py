@@ -194,18 +194,20 @@ def _write_cycles_csv(cfg, setup, args, manifest):
         setup.functionals,
         replicate_index=ESTIMATION_SHARD_BASE,
     )
-    columns = ("m_start", "m_end", "t_start", "t_end", "tau", "steps")
-    rows = []
-    for n, values in enumerate(cycles):
-        row = {"n": n, "is_warmup": n == 0, **dict(zip(columns, values))}
-        for xi, value in zip(setup.functionals, values[len(columns) :]):
-            if np.ndim(value) == 0:
-                row[f"S_{xi.label}"] = value
-            else:  # row by row: a norm along axis 1 of the column may round differently
-                row[f"S_{xi.label}_norm"] = float(np.linalg.norm(np.asarray(value)))
-        rows.append(row)
-    header = sorted({k for row in rows for k in row})
-    report.write_csv(_output(args, manifest, "cycles.csv"), header, rows)
+    fields = ("m_start", "m_end", "t_start", "t_end", "tau", "steps")
+    # columns from the rows, the warm-up first: bench/trace.py passes rows on
+    cols = list(zip(*cycles))
+    n = np.arange(len(cols[0]))
+    columns = {"n": n, "is_warmup": n == 0, **dict(zip(fields, cols))}
+    for xi, s in zip(setup.functionals, cols[len(fields) :]):
+        if xi.vector_valued:  # row by row: a norm along axis 1 of a stack may round differently
+            columns[f"S_{xi.label}_norm"] = [float(np.linalg.norm(np.asarray(v))) for v in s]
+        else:
+            columns[f"S_{xi.label}"] = s
+    header = sorted(columns)
+    report.write_columns(
+        _output(args, manifest, "cycles.csv"), header, [columns[k] for k in header]
+    )
 
 
 def _cmd_clt(cfg, setup, args, manifest) -> int:
@@ -220,14 +222,21 @@ def _cmd_clt(cfg, setup, args, manifest) -> int:
             f"projection gap {summary['projection_gap']:.2e}"
         )
     elif summary["degenerate"]:
-        rows = enumerate(result["raw"].tolist())
-        report.write_csv(_output(args, manifest, "clt_samples.csv"), ["replicate", "raw"], rows)
+        raw = result["raw"]
+        report.write_columns(
+            _output(args, manifest, "clt_samples.csv"),
+            ["replicate", "raw"],
+            [np.arange(len(raw)), raw],
+        )
         print("deterministic configuration: CLT limit is the point mass at 0")
     else:
-        columns = [result[key].tolist() for key in ("raw", "standardized", "sum_s", "sum_tau")]
-        rows = zip(range(len(columns[0])), *columns)
+        columns = [result[key] for key in ("raw", "standardized", "sum_s", "sum_tau")]
         header = ["replicate", "raw", "standardized", "anscombe_sum_s", "anscombe_sum_tau"]
-        report.write_csv(_output(args, manifest, "clt_samples.csv"), header, rows)
+        report.write_columns(
+            _output(args, manifest, "clt_samples.csv"),
+            header,
+            [np.arange(len(columns[0])), *columns],
+        )
         report.histogram_svg(
             _output(args, manifest, "clt_hist.svg"),
             result["standardized"],

@@ -114,12 +114,14 @@ def build_functional(spec: str, space):
     if name == "affine_norm":
         if not arg:
             raise ConfigError("affine_norm needs a shift, e.g. affine_norm:0.5")
-        return AffineShift(NormV2(space), float(arg), label=f"affine_norm_{arg}")
+        shift = _checked("functionals", _finite, arg)
+        return AffineShift(NormV2(space), shift, label=f"affine_norm_{arg}")
     if name == "const":
         if not arg:
             raise ConfigError("const needs a value, e.g. const:1.0")
         zero = Linear(space, np.zeros(space.dim), label="zero")
-        return AffineShift(zero, float(arg), label=f"const_{arg}")
+        shift = _checked("functionals", _finite, arg)
+        return AffineShift(zero, shift, label=f"const_{arg}")
     raise ConfigError(f"unknown functional spec {spec!r}")
 
 

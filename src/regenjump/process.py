@@ -110,9 +110,10 @@ class Cycles:
         """Rows (m_start, m_end, t_start, t_end, tau, steps, *integrals) of Python
         scalars, the warm-up first; a vector integral is a list.
 
-        The only row view: ``cycles.csv`` is written from it, and the
-        benchmark's trace (``bench/trace.py``) drains ``simulate_cycles``
-        with ``list()`` to count its rows.
+        The only row view.  ``cli`` transposes it into the columns of
+        ``cycles.csv``, so that the file is the same under the benchmark's
+        trace (``bench/trace.py``), which drains ``simulate_cycles`` with
+        ``list()`` to count its rows and passes the rows on.
         """
         yield self.warmup
         cols = (self.m_start, self.m_end, self.t_start, self.t_end, self.tau, self.steps)

@@ -21,6 +21,7 @@ __all__ = [
     "to_jsonable",
     "write_json",
     "write_csv",
+    "write_columns",
     "RunManifest",
     "line_plot_svg",
     "histogram_svg",
@@ -63,15 +64,38 @@ def _format_cell(v):
 
 
 def write_csv(path, header, rows):
-    """rows: iterable of dicts keyed by header entries, or of sequences."""
+    """rows: iterable of dicts keyed by header entries; a missing key is an empty cell."""
     with open(path, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(header)
         for row in rows:
-            if isinstance(row, dict):
-                writer.writerow([_format_cell(row.get(k, "")) for k in header])
-            else:
-                writer.writerow([_format_cell(v) for v in row])
+            writer.writerow([_format_cell(row.get(k, "")) for k in header])
+
+
+_CHUNK_ROWS = 2048
+_BOOL = {True: "true", False: "false"}
+_KIND_FORMAT = {"b": _BOOL.__getitem__, "i": str, "f": repr}
+
+
+def _format_column(col) -> list:
+    """``_format_cell`` of each value, with the format picked once from the dtype."""
+    values = np.asarray(col)
+    return list(map(_KIND_FORMAT[values.dtype.kind], values.tolist()))
+
+
+def write_columns(path, header, columns):
+    """``write_csv`` of the rows of ``columns``, one column of numbers or bools
+    per header entry.
+
+    Rows are formatted and written in chunks of ``_CHUNK_ROWS``, each column
+    of a chunk at once; no chunk's strings outlive its write.
+    """
+    n = len(columns[0])
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(header)
+        for lo in range(0, n, _CHUNK_ROWS):
+            writer.writerows(zip(*(_format_column(col[lo : lo + _CHUNK_ROWS]) for col in columns)))
 
 
 @dataclass

@@ -17,6 +17,12 @@ and the horizon chunks together; ``anscombe`` sizes its horizons from the
 estimate, so it queues them after it.  The vector route of ``clt`` runs
 the shards alone, on a pool of no more workers than shards.
 
+The study pool is the package's only parallelism: importing ``regenjump``
+sets ``OPENBLAS_NUM_THREADS=1`` unless the caller set it (or loaded numpy
+first), so each process, the pool's forked workers included, runs one
+BLAS thread.  To give BLAS more threads, set the variable before the
+import, e.g. ``OPENBLAS_NUM_THREADS=2 regenjump ...``.
+
 There is one estimation route: every study reads its estimates off the
 merged cycle moments of ``run_cycle_estimation`` through
 ``stats_from_moments``, a vector-valued functional's as array sums.

@@ -541,6 +541,20 @@ def test_cli_nonfinite_float_is_a_config_error(tmp_path, capsys, section, line):
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize(
+    "spec",
+    ["affine_norm:nan", "affine_norm:inf", "affine_norm:abc", "const:nan", "const:-inf", "const:x"],
+)
+def test_cli_bad_functional_shift_is_a_config_error(tmp_path, capsys, spec):
+    # a shift is cast as a float key is: a nan one would pass validate, and a
+    # word would die in float() with a traceback
+    cfg = write(tmp_path, with_key(SCALAR_CFG, "functionals", f"specs = {spec}"))
+    assert run_cli(["validate", "--config", cfg, "--out", tmp_path / "o"]) == 1
+    err = capsys.readouterr().err
+    assert "config error: [functionals] " in err
+    assert "Traceback" not in err
+
+
 def test_cli_config_error_in_the_setup_leaves_no_output_directory(tmp_path, capsys):
     # the model's parameters are checked as the set-up is built; a config
     # that fails there writes nothing, not even an empty directory

@@ -191,3 +191,31 @@ def test_study_forks_one_pool_and_never_loads_scipy_stats(tmp_path, command):
     )
     # the pool, one collection each of the estimation and the replicates, the end
     assert json.loads(proc.stdout.splitlines()[-1]) == ["pool", False, False, False]
+
+
+_BLAS_PROBE = """
+import json, os
+import regenjump, scipy.linalg
+threads = [line.split()[1] for line in open("/proc/self/status") if line.startswith("Threads:")]
+print(json.dumps([os.environ.get("OPENBLAS_NUM_THREADS"), int(threads[0])]))
+"""
+
+
+@pytest.mark.skipif(not os.path.exists("/proc/self/status"), reason="needs /proc/self/status")
+@pytest.mark.parametrize("preset", [None, "2"], ids=["unset", "caller-set"])
+def test_package_pins_one_blas_thread_unless_the_caller_set_it(preset):
+    # numpy's OpenBLAS and scipy.linalg's copy each start a busy-waiting
+    # thread per spare core; the package sets one BLAS thread before either
+    # loads, and a value the caller set wins
+    env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"}
+    if preset is not None:
+        env["OPENBLAS_NUM_THREADS"] = preset
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-c", _BLAS_PROBE], env=env, capture_output=True, text=True, check=True
+    )
+    value, threads = json.loads(proc.stdout.splitlines()[-1])
+    if preset is None:
+        assert (value, threads) == ("1", 1)
+    else:
+        assert value == preset
