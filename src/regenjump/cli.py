@@ -83,6 +83,11 @@ def _output(args, manifest, name: str) -> str:
     return path
 
 
+def _write_csv(args, manifest, name: str, columns: dict):
+    """The output ``name``: a CSV table with a column per entry of ``columns``, in order."""
+    report.write_csv(_output(args, manifest, name), list(columns), list(columns.values()))
+
+
 def _cmd_validate(cfg, setup, args, manifest) -> int:
     result = run_validate(setup, cfg.plan)
     drift = result["drift"]
@@ -107,8 +112,8 @@ def _cmd_validate(cfg, setup, args, manifest) -> int:
 def _cmd_semigroup_check(cfg, setup, args, manifest) -> int:
     result = run_semigroup_check(setup)
     summary, rows = result["summary"], result["rows"]
-    header = sorted({k for row in rows for k in row})
-    report.write_csv(_output(args, manifest, "semigroup_residuals.csv"), header, rows)
+    columns = {k: [row[k] for row in rows] for k in sorted(rows[0])}
+    _write_csv(args, manifest, "semigroup_residuals.csv", columns)
     report.write_json(_output(args, manifest, "summary.json"), summary)
     for key, tol in summary["tolerances"].items():
         print(f"{key}: {summary[key]:.3e} (tol {tol:.1e})")
@@ -124,18 +129,16 @@ def _cmd_kappa_fit(cfg, setup, args, manifest) -> int:
         prior=setup.kappa_fit,  # the first kappa_samples states, fitted by build_setup
     )
     fit = result["fit"]
-    rows = []
-    series = []
-    for i, (times, gpow) in enumerate(fit.traces):
-        for t, g in zip(times, gpow):
-            rows.append({"sample": i, "t": float(t), "norm_pow_rho": float(g)})
-        series.append((f"sample {i}", times, gpow))
-    report.write_csv(
-        _output(args, manifest, "kappa_fit.csv"), ["sample", "t", "norm_pow_rho"], rows
-    )
+    times, gpow = zip(*fit.traces)
+    columns = {
+        "sample": np.repeat(np.arange(len(times)), [len(ts) for ts in times]),
+        "t": np.concatenate(times),
+        "norm_pow_rho": np.concatenate(gpow),
+    }
+    _write_csv(args, manifest, "kappa_fit.csv", columns)
     report.line_plot_svg(
         _output(args, manifest, "kappa_fit.svg"),
-        series[:8],
+        [(f"sample {i}", ts, gs) for i, (ts, gs) in enumerate(fit.traces[:8])],
         title=f"decay of ||u||^rho (kappa_emp = {fit.kappa_emp:.4g})",
         xlabel="t",
         ylabel="||u(t)||_2^rho",
@@ -150,14 +153,14 @@ def _cmd_kappa_fit(cfg, setup, args, manifest) -> int:
 
 def _cmd_slln(cfg, setup, args, manifest) -> int:
     result = run_slln(setup, cfg.plan, threads=args.threads)
-    curves = result["curves"]
-    header = sorted({k for row in curves for k in row})
-    report.write_csv(_output(args, manifest, "slln_curve.csv"), header, curves)
-    summary = result["summary"]
+    summary, reps = result["summary"], result["replicates"]
+    xs = reps.checkpoints
+    n = cfg.plan.n_replicates
+    columns = {f"avg_{lbl}": (reps.integrals[lbl] / xs).ravel() for lbl in summary["functionals"]}
+    columns.update(replicate=np.repeat(np.arange(n), len(xs)), t=np.tile(xs, n))
+    _write_csv(args, manifest, "slln_curve.csv", dict(sorted(columns.items())))
     label = next(iter(summary["functionals"]))
     info = summary["functionals"][label]
-    reps = result["replicates"]
-    xs = reps.checkpoints
     ys = reps.integrals[label][0] / xs
     nu = info["nu_hat"]
     half = 3.0 * info["combined_se"]
@@ -204,10 +207,7 @@ def _write_cycles_csv(cfg, setup, args, manifest):
             columns[f"S_{xi.label}_norm"] = [float(np.linalg.norm(np.asarray(v))) for v in s]
         else:
             columns[f"S_{xi.label}"] = s
-    header = sorted(columns)
-    report.write_columns(
-        _output(args, manifest, "cycles.csv"), header, [columns[k] for k in header]
-    )
+    _write_csv(args, manifest, "cycles.csv", dict(sorted(columns.items())))
 
 
 def _cmd_clt(cfg, setup, args, manifest) -> int:
@@ -222,21 +222,18 @@ def _cmd_clt(cfg, setup, args, manifest) -> int:
             f"projection gap {summary['projection_gap']:.2e}"
         )
     elif summary["degenerate"]:
-        raw = result["raw"]
-        report.write_columns(
-            _output(args, manifest, "clt_samples.csv"),
-            ["replicate", "raw"],
-            [np.arange(len(raw)), raw],
-        )
+        columns = {"replicate": np.arange(len(result["raw"])), "raw": result["raw"]}
+        _write_csv(args, manifest, "clt_samples.csv", columns)
         print("deterministic configuration: CLT limit is the point mass at 0")
     else:
-        columns = [result[key] for key in ("raw", "standardized", "sum_s", "sum_tau")]
-        header = ["replicate", "raw", "standardized", "anscombe_sum_s", "anscombe_sum_tau"]
-        report.write_columns(
-            _output(args, manifest, "clt_samples.csv"),
-            header,
-            [np.arange(len(columns[0])), *columns],
-        )
+        columns = {
+            "replicate": np.arange(len(result["raw"])),
+            "raw": result["raw"],
+            "standardized": result["standardized"],
+            "anscombe_sum_s": result["sum_s"],
+            "anscombe_sum_tau": result["sum_tau"],
+        }
+        _write_csv(args, manifest, "clt_samples.csv", columns)
         report.histogram_svg(
             _output(args, manifest, "clt_hist.svg"),
             result["standardized"],
@@ -260,7 +257,8 @@ def _cmd_anscombe(cfg, setup, args, manifest) -> int:
         print("deterministic configuration: random-index limit is a point mass")
         return EXIT_OK
     header = ["theta", "t", "ks_statistic", "p_value", "passed"]
-    report.write_csv(_output(args, manifest, "anscombe_table.csv"), header, summary["table"])
+    columns = {k: [row[k] for row in summary["table"]] for k in header}
+    _write_csv(args, manifest, "anscombe_table.csv", columns)
     for row in summary["table"]:
         print(f"theta = {row['theta']:g}: KS p = {row['p_value']:.4g}")
     return EXIT_OK if summary["pass"] else EXIT_STATS
@@ -306,6 +304,9 @@ def main(argv=None) -> int:
         code = handler(cfg, setup, args, manifest)
     except (ConfigError, InsufficientCycles) as exc:
         print(f"config error: {exc}", file=sys.stderr)
+        return EXIT_CONFIG
+    except OSError as exc:
+        print(f"cannot write outputs: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except DriftViolated as exc:
         print(f"drift violation: {exc}", file=sys.stderr)

@@ -64,9 +64,6 @@ __all__ = [
     "cycle_moments",
 ]
 
-_BLOCK = 4096
-
-
 @dataclass(frozen=True)
 class ExtinctionPolicy:
     """Extinction threshold on the ambient norm and the per-cycle step cap."""
@@ -592,12 +589,6 @@ class _ScalarChain:
         return window
 
 
-def _one_at_a_time(sample_block):
-    """Values of successive ``sample_block(_BLOCK)`` draws, one float at a time."""
-    while True:
-        yield from sample_block(_BLOCK).tolist()
-
-
 class _StepChain:
     """The grid chain of one replicate stream, a cycle at a time.
 
@@ -606,14 +597,13 @@ class _StepChain:
     integrates every functional over the step through ``integrate_segment``
     and snaps an extinct pre-kick state to zero.  A window is one cycle, so
     a run takes no step past the cycle that ends it; it keeps each step's
-    (state, flow) for ``partial`` and each step's values.  Betas are drawn
-    in blocks and kicks one at a time; draws do not depend on the block size.
+    (state, flow) for ``partial`` and each step's values.  Betas and kicks
+    are drawn one at a time from the replicate's streams.
     """
 
     def __init__(self, x0, driver, sg, policy, functionals, replicate_index):
         streams = driver.streams(replicate_index)
-        betas = _one_at_a_time(partial(driver.beta.sample_block, streams.beta_rng))
-        self._next_beta = betas.__next__
+        self._next_beta = partial(driver.beta.sample, streams.beta_rng)
         self._next_eta = partial(driver.eta.sample_values, streams.eta_rng, sg.space)
         self._sg, self._policy = sg, policy
         self.functionals = list(functionals)

@@ -1,10 +1,12 @@
 """Output emission: CSV tables, JSON summaries, SVG plots, run manifests.
 
-CSV is RFC-4180 style with a header row, '.' decimal separator, and LF line
-endings.  JSON is UTF-8 with a stable key order.  SVG plots are generated
-directly as line paths and histogram rectangles; CSV remains the canonical
-output, the plots are conveniences.  The manifest is written atomically at
-the end of a run.
+There is one writer per format.  ``write_csv`` writes a table from its
+columns, RFC-4180 style with a header row, '.' decimal separator and LF line
+endings: floats as ``repr``, ints as ``str``, bools as ``true``/``false``.
+``write_json`` writes UTF-8 with a stable key order, atomically (a temporary
+file, then a rename); the run manifest goes through it.  SVG plots are
+generated directly as line paths and histogram rectangles; CSV remains the
+canonical output, the plots are conveniences.
 """
 
 from __future__ import annotations
@@ -21,7 +23,6 @@ __all__ = [
     "to_jsonable",
     "write_json",
     "write_csv",
-    "write_columns",
     "RunManifest",
     "line_plot_svg",
     "histogram_svg",
@@ -46,30 +47,12 @@ def to_jsonable(obj):
 
 
 def write_json(path, obj):
-    with open(path, "w", encoding="utf-8") as fh:
+    """``obj`` as sorted, indented JSON, written to a temporary file and renamed onto ``path``."""
+    tmp = f"{path}.tmp"
+    with open(tmp, "w", encoding="utf-8") as fh:
         json.dump(to_jsonable(obj), fh, sort_keys=True, indent=2)
         fh.write("\n")
-
-
-def _format_cell(v):
-    if isinstance(v, (np.floating,)):
-        v = float(v)
-    if isinstance(v, float):
-        return repr(v)
-    if isinstance(v, (np.integer,)):
-        return str(int(v))
-    if isinstance(v, (np.bool_, bool)):
-        return "true" if v else "false"
-    return v
-
-
-def write_csv(path, header, rows):
-    """rows: iterable of dicts keyed by header entries; a missing key is an empty cell."""
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(header)
-        for row in rows:
-            writer.writerow([_format_cell(row.get(k, "")) for k in header])
+    os.replace(tmp, path)
 
 
 _CHUNK_ROWS = 2048
@@ -78,14 +61,14 @@ _KIND_FORMAT = {"b": _BOOL.__getitem__, "i": str, "f": repr}
 
 
 def _format_column(col) -> list:
-    """``_format_cell`` of each value, with the format picked once from the dtype."""
+    """Each value's cell, with the format picked once from the dtype."""
     values = np.asarray(col)
     return list(map(_KIND_FORMAT[values.dtype.kind], values.tolist()))
 
 
-def write_columns(path, header, columns):
-    """``write_csv`` of the rows of ``columns``, one column of numbers or bools
-    per header entry.
+def write_csv(path, header, columns):
+    """A header row, then the rows of ``columns``: one column of numbers or
+    bools per header entry.
 
     Rows are formatted and written in chunks of ``_CHUNK_ROWS``, each column
     of a chunk at once; no chunk's strings outlive its write.
@@ -100,7 +83,7 @@ def write_columns(path, header, columns):
 
 @dataclass
 class RunManifest:
-    """Provenance record for one CLI run; written atomically at run end."""
+    """Provenance record for one CLI run; written at run end."""
 
     command: str
     config_hash: str
@@ -124,13 +107,7 @@ class RunManifest:
             "wall_time_seconds": time.time() - self.started_at,
         }
         os.makedirs(out_dir, exist_ok=True)  # a run that failed early made no directory yet
-        final = os.path.join(out_dir, "manifest.json")
-        tmp = final + ".tmp"
-        with open(tmp, "w", encoding="utf-8") as fh:
-            json.dump(to_jsonable(payload), fh, sort_keys=True, indent=2)
-            fh.write("\n")
-        os.replace(tmp, final)
-        return final
+        write_json(os.path.join(out_dir, "manifest.json"), payload)
 
 
 # ---------------------------------------------------------------------------

@@ -450,19 +450,11 @@ def run_slln(setup: ExperimentSetup, plan: RunPlan, threads: int = 1) -> dict:
             setup, plan.t_end, checkpoints, plan.n_replicates, pool=pool
         )
         moments, reps = estimate(), replicates()
-    labels = moments.labels
-    times = reps.checkpoints.tolist()
-    averages = {label: (reps.integrals[label] / reps.checkpoints).tolist() for label in labels}
-    curves = [
-        {"replicate": i, "t": t, **{f"avg_{label}": averages[label][i][j] for label in labels}}
-        for i in range(plan.n_replicates)
-        for j, t in enumerate(times)
-    ]
     summary = {"n_replicates": plan.n_replicates, "t_end": plan.t_end, "functionals": {}}
     if skipped:
         summary["skipped_vector_functionals"] = skipped
     suite_pass = True
-    for label in labels:
+    for label in moments.labels:
         st = stats_from_moments(moments, label)
         finals = reps.integrals[label][:, -1] / plan.t_end
         se_time_avg = math.sqrt(max(st.sigma2_hat, 0.0) / plan.t_end)
@@ -481,7 +473,7 @@ def run_slln(setup: ExperimentSetup, plan: RunPlan, threads: int = 1) -> dict:
             "two_route_agree": agree,
         }
     summary["pass"] = suite_pass
-    return {"summary": summary, "curves": curves, "replicates": reps}
+    return {"summary": summary, "replicates": reps}
 
 
 def two_route_agreement(st, time_averages: np.ndarray, t_end: float, n_se: float = 3.0):

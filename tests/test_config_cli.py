@@ -9,7 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from regenjump import runner
+from regenjump import report, runner
 from regenjump.cli import main
 from regenjump.config import _KEYS, build_functional, config_hash, load_config, parse_config_text
 from regenjump.errors import ConfigError
@@ -565,6 +565,19 @@ def test_cli_config_error_in_the_setup_leaves_no_output_directory(tmp_path, caps
     assert not out.exists()
 
 
+def test_cli_out_that_is_a_file_is_an_error(tmp_path, capsys):
+    # an --out that names a file cannot hold the outputs: an error that says
+    # so, as an unreadable config is, and the file is left as it was
+    cfg = write(tmp_path, SCALAR_CFG)
+    out = tmp_path / "o"
+    out.write_text("kept")
+    assert run_cli(["validate", "--config", cfg, "--out", out]) == 1
+    err = capsys.readouterr().err
+    assert "cannot write outputs: " in err
+    assert "Traceback" not in err
+    assert out.read_text() == "kept"
+
+
 @pytest.mark.parametrize(
     "base, kind",
     [(PLAPLACE_CFG, "kind = value\nvalue = 0.5"), (SCALAR_CFG, "kind = sine")],
@@ -838,6 +851,26 @@ def test_ks_studies_integrate_their_functional_alone(tmp_path, monkeypatch, comm
     if command == "clt":  # cycles.csv keeps a column for every configured functional
         with open(tmp_path / "both" / "cycles.csv", newline="") as fh:
             assert {"S_mass", "S_norm_v2"} <= set(next(csv.reader(fh)))
+
+
+def test_every_study_csv_goes_through_write_csv(tmp_path, monkeypatch):
+    # report.write_csv is the one CSV writer: it receives exactly the .csv
+    # files each study's manifest lists
+    written = []
+    write_csv = report.write_csv
+
+    def recorded(path, header, columns):
+        written.append(Path(path))
+        return write_csv(path, header, columns)
+
+    monkeypatch.setattr(report, "write_csv", recorded)
+    cfg = write(tmp_path, SCALAR_CFG)
+    for command in ("clt", "slln", "anscombe", "semigroup-check"):
+        out = tmp_path / command
+        written.clear()
+        assert run_cli([command, "--config", cfg, "--out", out]) == 0
+        listed = [out / n for n in read_json(out / "manifest.json")["outputs"] if n.endswith(".csv")]
+        assert listed and sorted(written) == sorted(listed), command
 
 
 def test_cli_outputs_thread_invariant(tmp_path):
