@@ -63,6 +63,8 @@ class ExperimentConfig:
     def __post_init__(self):
         if self.kappa_samples < 1:
             raise ConfigError("[plaplace] kappa_samples must be at least 1")
+        if self.kappa_t_cap <= 0:
+            raise ConfigError("[plaplace] kappa_t_cap must be positive")
 
     def hash(self) -> str:
         return config_hash(self.raw_items)
@@ -72,7 +74,8 @@ class ExperimentConfig:
 
         That is the edge weights, the semigroup, the functionals and, for the
         grid backend, the empirical decay rate, which validation needs before
-        any simulation.
+        any simulation.  A fit that finds no decay (no nonzero sample, or a
+        rate that is not positive) is a config error of ``[plaplace]``.
         """
         if self.backend == "scalar":
             sg = ScalarPowerLaw(self.scalar_params, scalar_space())
@@ -86,7 +89,8 @@ class ExperimentConfig:
             initial_spec=self.initial,
         )
         if self.backend == "plaplace":
-            fit = run_kappa_fit(setup, n_samples=self.kappa_samples, t_cap=self.kappa_t_cap)
+            n, t_cap = self.kappa_samples, self.kappa_t_cap
+            fit = _checked("plaplace", run_kappa_fit, setup, n_samples=n, t_cap=t_cap)
             setup.kappa_fit = fit["fit"]
         return setup
 

@@ -13,10 +13,15 @@ of the strictly convex per-step energy
     ``E(w) = 1/2 sum_i (w_i - u_i)^2 h
              + (dt/p) sum_e gamma_e (|D_e w|^2 + eps^2)^(p/2) h``,
 
-found by damped Newton with Armijo backtracking (gradient fallback if the
-tridiagonal solve goes bad).  The stationarity condition is
-``w + dt * A_h w = u``; convergence is declared when that residual is below
-``newton_tol`` in the sup norm.
+found by damped Newton with Armijo backtracking, a Picard (lagged-
+diffusivity) sweep where Newton makes poor progress, and a gradient fallback
+if both go bad.  The stationarity condition is ``w + dt * A_h w = u``;
+convergence is declared when that residual is below ``newton_tol`` in the
+sup norm.  Two kernels run this solver, ``_newton_step`` on one state and
+``_newton_rows`` on a stack of rows; they share every primitive (the edge
+conductivity, the one tridiagonal solve ``_solve``, the Picard sweep, the
+energy and its gradient) and differ only in their state machine and their
+backtracking loop.
 
 Because every edge contribution to the Hessian has zero column sum, Newton
 iterations conserve the mean exactly (up to rounding): the discrete flow
@@ -161,8 +166,9 @@ class PLaplaceConfig:
         return 1e-12 * math.sqrt(grid.length)
 
 
-def _flux(d: np.ndarray, gamma: np.ndarray, p: float, eps_reg: float) -> np.ndarray:
-    return gamma * (d * d + eps_reg * eps_reg) ** ((p - 2.0) / 2.0) * d
+def _conductivity(d, gamma, p, eps2):
+    """Edge conductivity gamma_e * (d_e^2 + eps^2)^((p-2)/2); the flux is it times d_e."""
+    return gamma * (d * d + eps2) ** ((p - 2.0) / 2.0)
 
 
 def apply_discrete_operator(
@@ -176,7 +182,7 @@ def apply_discrete_operator(
     h = grid.h
     d = np.diff(vals) / h
     with np.errstate(divide="ignore", invalid="ignore"):  # eps_reg = 0: 0 * inf, masked below
-        flux = _flux(d, weights.gamma, p, eps_reg)
+        flux = _conductivity(d, weights.gamma, p, eps_reg * eps_reg) * d
     flux = np.where(d == 0.0, 0.0, flux)  # phi(0) = 0 even for eps_reg = 0
     out = np.zeros_like(vals)
     out[:-1] -= flux / h
@@ -193,7 +199,7 @@ def _energy(w, u, gamma, h, dt, p, eps2):
 
 def _gradient(w, u, gamma, h, dt, p, eps2) -> np.ndarray:
     d = np.diff(w) / h
-    flux = gamma * (d * d + eps2) ** ((p - 2.0) / 2.0) * d
+    flux = _conductivity(d, gamma, p, eps2) * d
     if eps2 == 0.0:
         flux = np.where(d == 0.0, 0.0, flux)
     g = h * (w - u)
@@ -210,43 +216,58 @@ def _curvature(w, gamma, h, dt, p, eps2) -> np.ndarray:
     return dt * gamma * phi_prime / h
 
 
-def _banded_system(edge_coeff: np.ndarray, h: float, n: int) -> np.ndarray:
-    """Upper-banded form of h*I + tridiagonal edge coupling."""
-    ab = np.zeros((2, n))
-    ab[1, :] = h
-    ab[1, :-1] += edge_coeff
-    ab[1, 1:] += edge_coeff
-    ab[0, 1:] = -edge_coeff
-    return ab
+def _solve(coeff, rhs, h):
+    """Solve (h*I + tridiagonal edge coupling ``coeff``) x = ``rhs``, for one
+    system or for each row of a stack.
+
+    A system whose coupling is not finite, or that is not positive definite,
+    comes back as NaN.  A stack is solved in one banded call, as the diagonal
+    blocks of one system with zero coupling between blocks.  That keeps each
+    block's arithmetic that of its own solve, except that an overflowing row
+    spreads 0 * inf into its neighbours, so rows that come out non-finite,
+    or all rows if the stack is not positive definite, are solved again one
+    by one.  ``rhs`` may be overwritten.
+    """
+    ab = np.zeros((2,) + rhs.shape)
+    ab[1] = h
+    ab[1, ..., :-1] += coeff
+    ab[1, ..., 1:] += coeff
+    ab[0, ..., 1:] = -coeff
+    ok = np.isfinite(coeff).all(axis=-1)
+    if rhs.ndim == 1:
+        if ok:
+            try:
+                return solveh_banded(ab, rhs, **_SOLVE_OPTS)
+            except np.linalg.LinAlgError:
+                pass
+        return np.full_like(rhs, np.nan)
+    x = np.full_like(rhs, np.nan)
+    rows = np.flatnonzero(ok)
+    if rows.size:
+        try:  # fancy indexing copies, so the redo below still reads the rows' rhs
+            x[rows] = solveh_banded(
+                ab[:, rows].reshape(2, -1), rhs[rows].reshape(-1), **_SOLVE_OPTS
+            ).reshape(rows.size, -1)
+        except np.linalg.LinAlgError:
+            pass
+    for r in rows[~np.isfinite(x[rows]).all(axis=1)]:
+        x[r] = _solve(coeff[r], rhs[r], h)
+    return x
 
 
-def _newton_direction(g, edge_curv, h):
-    ab = _banded_system(edge_curv, h, g.shape[0])
-    return solveh_banded(ab, -g, **_SOLVE_OPTS)
-
-
-def _lagged_diffusivity_sweep(w, u, gamma, h, dt, p, eps2):
+def _picard(w, u, gamma, h, dt, p, eps2):
     """One Picard update: solve the step equation with frozen conductivities.
 
     The true stationarity condition is h(w - u) + dt * div-form with flux
     gamma * a(d) * d, a(d) = (d^2 + eps^2)^((p-2)/2); freezing a at the
     current iterate makes the system linear tridiagonal.  For exponents in
     (1, 2) this iteration is robust precisely where the Newton model degrades
-    (flat regions, where the energy's curvature varies fastest).
+    (flat regions, where the energy's curvature varies fastest).  ``w`` is
+    one state or a stack of rows, with ``dt`` then a column; a row whose
+    conductivities or solution are not finite comes back non-finite.
     """
-    d = np.diff(w) / h
-    a = gamma * (d * d + eps2) ** ((p - 2.0) / 2.0)
-    if not np.all(np.isfinite(a)):
-        return None
-    c = dt * a / h
-    ab = _banded_system(c, h, w.shape[0])
-    try:
-        out = solveh_banded(ab, h * u, **_SOLVE_OPTS)
-    except np.linalg.LinAlgError:
-        return None
-    if not np.all(np.isfinite(out)):
-        return None
-    return out
+    a = _conductivity(np.diff(w) / h, gamma, p, eps2)
+    return _solve(dt * a / h, h * u, h)
 
 
 def _merit_backtrack(w, delta, merit, u, gamma, h, dt, p, eps2):
@@ -275,7 +296,6 @@ def _newton_step(u, dt, cfg, h, gamma):
     w = u.copy()
     g = _gradient(w, u, gamma, h, dt, p, eps2)
     merit = float(np.dot(g, g))
-    e_w = None  # energy of w, computed only when the Picard test needs it
     residual = math.inf
     stall = 0
     merit_mark = math.inf
@@ -294,47 +314,37 @@ def _newton_step(u, dt, cfg, h, gamma):
             merit_mark = merit
         # damped Newton attempt (descent direction for the merit: H is SPD)
         newton = None
-        edge_curv = _curvature(w, gamma, h, dt, p, eps2)
-        if np.all(np.isfinite(edge_curv)):
-            try:
-                delta = _newton_direction(g, edge_curv, h)
-            except np.linalg.LinAlgError:
-                delta = None
-            if delta is not None and np.all(np.isfinite(delta)):
-                newton = _merit_backtrack(w, delta, merit, u, gamma, h, dt, p, eps2)
-                if newton[0] is None:
-                    newton = None
+        delta = _solve(_curvature(w, gamma, h, dt, p, eps2), -g, h)
+        if np.all(np.isfinite(delta)):
+            newton = _merit_backtrack(w, delta, merit, u, gamma, h, dt, p, eps2)
+            if newton[0] is None:
+                newton = None
         if newton is not None:
             res_newton = float(np.max(np.abs(newton[1]))) / h
             if res_newton <= 0.5 * residual:
                 w, g, merit = newton
-                e_w = None
                 continue
-        # Newton made poor progress: lagged-diffusivity sweep, accepted on
-        # either merit decrease (endgame) or strict energy decrease (far field)
-        w_picard = _lagged_diffusivity_sweep(w, u, gamma, h, dt, p, eps2)
-        if w_picard is not None:
+        # Newton made poor progress: Picard sweep, accepted on either merit
+        # decrease (endgame) or strict energy decrease (far field)
+        w_picard = _picard(w, u, gamma, h, dt, p, eps2)
+        if np.all(np.isfinite(w_picard)):
             g_picard = _gradient(w_picard, u, gamma, h, dt, p, eps2)
             m_picard = float(np.dot(g_picard, g_picard))
             if m_picard < merit:
-                w, g, merit, e_w = w_picard, g_picard, m_picard, None
+                w, g, merit = w_picard, g_picard, m_picard
                 continue
-            if e_w is None:
-                e_w = _energy(w, u, gamma, h, dt, p, eps2)
             e_picard = _energy(w_picard, u, gamma, h, dt, p, eps2)
-            if e_picard < e_w:
-                w, g, merit, e_w = w_picard, g_picard, m_picard, e_picard
+            if e_picard < _energy(w, u, gamma, h, dt, p, eps2):
+                w, g, merit = w_picard, g_picard, m_picard
                 continue
         if newton is not None:
             w, g, merit = newton
-            e_w = None
             continue
         # last resort: gradient direction in state units
         grad_step = _merit_backtrack(w, -g / h, merit, u, gamma, h, dt, p, eps2)
         if grad_step[0] is None:
             break  # merit differences below rounding: stagnation
         w, g, merit = grad_step
-        e_w = None
     return _settle(w, g, dt, cfg, h, gamma)
 
 
@@ -347,60 +357,24 @@ def _settle(w, g, dt, cfg, h, gamma):
     # one ulp of a stiff coordinate can move it by more than newton_tol.  The
     # Newton correction length is a rigorous error proxy without that floor,
     # so a stalled iterate whose correction is at rounding level is converged.
-    edge_curv = _curvature(w, gamma, h, dt, cfg.p, cfg.eps_reg * cfg.eps_reg)
-    if np.all(np.isfinite(edge_curv)):
-        try:
-            delta = _newton_direction(g, edge_curv, h)
-        except np.linalg.LinAlgError:
-            delta = None
-        if delta is not None and np.all(np.isfinite(delta)):
-            w_scale = max(1.0, float(np.max(np.abs(w))))
-            if float(np.max(np.abs(delta))) <= 1e-12 * w_scale:
-                return w
+    delta = _solve(_curvature(w, gamma, h, dt, cfg.p, cfg.eps_reg * cfg.eps_reg), -g, h)
+    w_scale = max(1.0, float(np.max(np.abs(w))))
+    if float(np.max(np.abs(delta))) <= 1e-12 * w_scale:  # false where delta is not finite
+        return w
     raise NonConvergence(residual, cfg.newton_max_iter)
 
 
 # Row kernels: ``_newton_step`` on a stack of states, one state per row.
-# They repeat its arithmetic operation for operation, so each row's result is
-# the single-state result bit for bit; single states stay on the scalar path,
-# which is about three times faster for one row.
+# They call its primitives on the stack and repeat its state machine
+# operation for operation, so each row's result is the single-state result
+# bit for bit; single states stay on the scalar path, which is about three
+# times faster for one row.
 
 
 def _merits(g):
     """Row-wise ``np.dot(g_i, g_i)``; stacked matmul keeps dot's arithmetic,
     which einsum and row sums do not."""
     return (g[:, None, :] @ g[:, :, None])[:, 0, 0]
-
-
-def _solve_rows(coeff, rhs, h):
-    """Solve (h*I + edge coupling ``coeff[i]``) x_i = ``rhs[i]`` for every row i.
-
-    A row whose system is not positive definite comes back as NaN.  One
-    banded call solves all rows as the diagonal blocks of one system (each
-    block as ``_banded_system`` builds it, with zero coupling between
-    blocks), which keeps every block's arithmetic that of its own solve,
-    except that an overflowing row spreads 0 * inf into its neighbours; so
-    rows that come out non-finite, or all rows if the stack is not positive
-    definite, are solved again one by one.  ``rhs`` is overwritten.
-    """
-    n_rows, n = rhs.shape
-    ab = np.zeros((2, n_rows, n))
-    ab[1] = h
-    ab[1, :, :-1] += coeff
-    ab[1, :, 1:] += coeff
-    ab[0, :, 1:] = -coeff
-    try:
-        x = solveh_banded(ab.reshape(2, -1), rhs.flatten(), **_SOLVE_OPTS).reshape(rhs.shape)
-        redo = np.flatnonzero(~np.isfinite(x).all(axis=1))
-    except np.linalg.LinAlgError:
-        x = np.empty_like(rhs)
-        redo = range(n_rows)
-    for r in redo:
-        try:
-            x[r] = solveh_banded(_banded_system(coeff[r], h, n), rhs[r], **_SOLVE_OPTS)
-        except np.linalg.LinAlgError:
-            x[r] = np.nan
-    return x
 
 
 def _backtrack_rows(w, delta, merit, u, gamma, h, dt, p, eps2):
@@ -422,17 +396,6 @@ def _backtrack_rows(w, delta, merit, u, gamma, h, dt, p, eps2):
     return found, w_out, g_out, m_out
 
 
-def _picard_rows(w, u, gamma, h, dt, p, eps2):
-    """``_lagged_diffusivity_sweep`` per row; NaN rows where it gives None."""
-    d = np.diff(w) / h
-    a = gamma * (d * d + eps2) ** ((p - 2.0) / 2.0)
-    out = np.full_like(w, np.nan)
-    ok = np.isfinite(a).all(axis=1)
-    if ok.any():
-        out[ok] = _solve_rows(dt[ok] * a[ok] / h, h * u[ok], h)
-    return out
-
-
 def _newton_rows(u, dts, cfg, h, gamma):
     """``_newton_step`` on each row of ``u``, row i with step ``dts[i]``.
 
@@ -451,8 +414,6 @@ def _newton_rows(u, dts, cfg, h, gamma):
     w = u.copy()
     g = _gradient(w, u, gamma, h, dt, p, eps2)
     merit = _merits(g)
-    e_w = np.zeros(n_rows)  # energy of w where ``known``, as the Picard test needs it
-    known = np.zeros(n_rows, dtype=bool)
     stall = np.zeros(n_rows, dtype=int)
     mark = np.full(n_rows, math.inf)
     broke = np.zeros(n_rows, dtype=bool)  # the gradient fallback found no step
@@ -468,22 +429,19 @@ def _newton_rows(u, dts, cfg, h, gamma):
             out[idx[j]] = _settle(w[j], g[j], dt[j, 0], cfg, h, gamma)
         keep = ~(done | quit)
         if not keep.all():
-            idx, u, w, g, merit, dt, residual, e_w, known, stall, mark = (
-                a[keep] for a in (idx, u, w, g, merit, dt, residual, e_w, known, stall, mark)
+            idx, u, w, g, merit, dt, residual, stall, mark = (
+                a[keep] for a in (idx, u, w, g, merit, dt, residual, stall, mark)
             )
             if not idx.size:
                 return out
         # damped Newton attempt
         have = np.zeros(len(idx), dtype=bool)
         w_n, g_n, m_n = np.empty_like(w), np.empty_like(g), np.empty_like(merit)
-        curv = _curvature(w, gamma, h, dt, p, eps2)
-        rows = np.flatnonzero(np.isfinite(curv).all(axis=1))
+        delta = _solve(_curvature(w, gamma, h, dt, p, eps2), -g, h)
+        rows = np.flatnonzero(np.isfinite(delta).all(axis=1))
         if rows.size:
-            delta = _solve_rows(curv[rows], -g[rows], h)
-            ok = np.isfinite(delta).all(axis=1)
-            rows, delta = rows[ok], delta[ok]
             found, w_t, g_t, m_t = _backtrack_rows(
-                w[rows], delta, merit[rows], u[rows], gamma, h, dt[rows], p, eps2
+                w[rows], delta[rows], merit[rows], u[rows], gamma, h, dt[rows], p, eps2
             )
             rows = rows[found]
             have[rows] = True
@@ -491,34 +449,25 @@ def _newton_rows(u, dts, cfg, h, gamma):
         good = np.zeros(len(idx), dtype=bool)
         good[have] = np.max(np.abs(g_n[have]), axis=1) / h <= 0.5 * residual[have]
         w[good], g[good], merit[good] = w_n[good], g_n[good], m_n[good]
-        known[good] = False
-        # Newton made poor progress: lagged-diffusivity sweep, accepted on
-        # either merit decrease or strict energy decrease
+        # Newton made poor progress: Picard sweep, accepted on either merit
+        # decrease or strict energy decrease
         rest = np.flatnonzero(~good)
-        w_p = _picard_rows(w[rest], u[rest], gamma, h, dt[rest], p, eps2)
+        w_p = _picard(w[rest], u[rest], gamma, h, dt[rest], p, eps2)
         ok = np.isfinite(w_p).all(axis=1)
         rest, w_p = rest[ok], w_p[ok]
         g_p = _gradient(w_p, u[rest], gamma, h, dt[rest], p, eps2)
         m_p = _merits(g_p)
-        by_merit = m_p < merit[rest]
-        fresh = rest[~by_merit & ~known[rest]]
-        e_w[fresh] = _energy(w[fresh], u[fresh], gamma, h, dt[fresh, 0], p, eps2)
-        known[fresh] = True
-        tried = rest[~by_merit]
-        e_p = _energy(w_p[~by_merit], u[tried], gamma, h, dt[tried, 0], p, eps2)
-        lower = e_p < e_w[tried]
-        take = by_merit.copy()
-        take[~by_merit] = lower
+        take = m_p < merit[rest]
+        tried = rest[~take]
+        e_p = _energy(w_p[~take], u[tried], gamma, h, dt[tried, 0], p, eps2)
+        take[~take] = e_p < _energy(w[tried], u[tried], gamma, h, dt[tried, 0], p, eps2)
         rows = rest[take]
         w[rows], g[rows], merit[rows] = w_p[take], g_p[take], m_p[take]
-        known[rows] = ~by_merit[take]
-        e_w[tried[lower]] = e_p[lower]
         # no sweep either: the Newton step if there was one, else a gradient step
         left = ~good
         left[rows] = False
         use_n = left & have
         w[use_n], g[use_n], merit[use_n] = w_n[use_n], g_n[use_n], m_n[use_n]
-        known[use_n] = False
         grad = np.flatnonzero(left & ~have)
         broke = np.zeros(len(idx), dtype=bool)
         if grad.size:
@@ -528,7 +477,6 @@ def _newton_rows(u, dts, cfg, h, gamma):
             broke[grad[~found]] = True
             rows = grad[found]
             w[rows], g[rows], merit[rows] = w_t[found], g_t[found], m_t[found]
-            known[rows] = False
     for j in range(len(idx)):
         out[idx[j]] = _settle(w[j], g[j], dt[j, 0], cfg, h, gamma)
     return out

@@ -505,6 +505,7 @@ def with_key(text, section, line):
         ("plaplace", "q = 0.5"),
         ("plaplace", "gamma = uniform:2.0,0.5"),
         ("plaplace", "kappa_samples = 0"),
+        ("plaplace", "kappa_t_cap = 0"),
     ],
 )
 def test_cli_model_parameter_out_of_range_is_a_config_error(tmp_path, capsys, section, line):
@@ -514,6 +515,19 @@ def test_cli_model_parameter_out_of_range_is_a_config_error(tmp_path, capsys, se
     err = capsys.readouterr().err
     assert "config error" in err and f"[{section}]" in err
     assert "Traceback" not in err
+
+
+def test_cli_kappa_fit_that_finds_no_decay_is_a_config_error(tmp_path, capsys):
+    # amp_max = 0 is allowed, but zero kicks leave the kappa fit no nonzero
+    # sample: that is reported before any output directory is made
+    text = (REPO / "configs" / "plaplace_small.ini").read_text()
+    cfg = write(tmp_path, with_key(text, "eta", "amp_max = 0"))
+    out = tmp_path / "o"
+    assert run_cli(["validate", "--config", cfg, "--out", out]) == 1
+    err = capsys.readouterr().err
+    assert "config error: [plaplace] no nonzero samples to fit" in err
+    assert "Traceback" not in err
+    assert not out.exists()
 
 
 @pytest.mark.parametrize(

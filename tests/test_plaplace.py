@@ -16,11 +16,11 @@ from regenjump.plaplace import (
     PLaplaceConfig,
     PLaplaceSemigroup,
     WeightField,
-    _banded_system,
     _merits,
     _newton_rows,
     _newton_step,
-    _solve_rows,
+    _picard,
+    _solve,
     apply_discrete_operator,
     estimate_kappa,
 )
@@ -378,8 +378,8 @@ def newton_batch(p, eps_reg, gamma_ratio, n, max_iter, seed, n_rows):
 
 # source lines of _newton_step / _settle whose execution marks a branch
 BRANCH_LINES = {
-    "picard_on_merit": ("_newton_step", "w, g, merit, e_w = w_picard, g_picard, m_picard, None"),
-    "picard_on_energy": ("_newton_step", "w, g, merit, e_w = w_picard, g_picard, m_picard, e_picard"),
+    "picard_on_merit": ("_newton_step", "if m_picard < merit:"),
+    "picard_on_energy": ("_newton_step", "if e_picard < _energy(w, u, gamma, h, dt, p, eps2):"),
     "gradient_fallback": ("_newton_step", "grad_step = _merit_backtrack("),
     "stall_break": ("_newton_step", "if stall >= 10:"),
     "rounding_floor": ("_settle", "if float(np.max(np.abs(delta))) <= 1e-12 * w_scale:"),
@@ -507,16 +507,100 @@ def test_stacked_solve_failure_falls_back_to_row_solves(monkeypatch):
         assert row.tobytes() == expected.tobytes()
 
 
+def banded(coeff, h):
+    """Upper-banded h*I + edge coupling, summed in ``_solve``'s order."""
+    return np.stack([np.r_[0.0, -coeff], h + np.r_[coeff, 0.0] + np.r_[0.0, coeff]])
+
+
 def test_solve_rows_keeps_finite_rows_beside_an_overflowing_one():
+    # the stacked call spreads an overflowing row into its neighbours; those
+    # rows are solved again on their own, from right-hand sides the stacked
+    # call must not have overwritten, and equal scipy on this test's matrices
     rng = np.random.default_rng(3)
     coeff = rng.uniform(0.1, 2.0, size=(4, 7))
     rhs = rng.normal(size=(4, 8))
     rhs[1, 3] = np.inf
-    got = _solve_rows(coeff, rhs.copy(), 0.125)
+    got = _solve(coeff, rhs.copy(), 0.125)
     assert not np.isfinite(got[1]).all()
     for r in (0, 2, 3):
-        alone = solveh_banded(_banded_system(coeff[r], 0.125, 8), rhs[r])
+        alone = solveh_banded(banded(coeff[r], 0.125), rhs[r])
         assert got[r].tobytes() == alone.tobytes()
+        assert _solve(coeff[r], rhs[r].copy(), 0.125).tobytes() == alone.tobytes()
+
+
+def test_solve_of_a_system_it_cannot_solve_is_nan():
+    # not positive definite (row 1) or with a coupling that is not finite
+    # (row 3): NaN for that system alone, or that row of a stack, no raise
+    rng = np.random.default_rng(4)
+    coeff = rng.uniform(0.1, 2.0, size=(4, 5))
+    coeff[1, 2] = -3.0  # h + 2c < 0 along that edge's difference vector
+    coeff[3, 0] = np.inf
+    rhs = rng.normal(size=(4, 6))
+    with pytest.raises(np.linalg.LinAlgError):
+        solveh_banded(banded(coeff[1], 0.125), rhs[1])
+    for r in (1, 3):
+        assert np.isnan(_solve(coeff[r], rhs[r].copy(), 0.125)).all()
+    got = _solve(coeff, rhs.copy(), 0.125)  # the stack is refused, rows go alone
+    assert np.isnan(got[[1, 3]]).all()
+    for r in (0, 2):
+        assert got[r].tobytes() == solveh_banded(banded(coeff[r], 0.125), rhs[r]).tobytes()
+
+
+def dense_picard(w, u, gamma, h, dt, p, eps2):
+    """The frozen-conductivity step equation as a dense matrix, solved by numpy."""
+    n = len(w)
+    d = np.diff(w) / h
+    c = dt * gamma * (d * d + eps2) ** ((p - 2.0) / 2.0) / h
+    a = h * np.eye(n)
+    for e in range(n - 1):
+        a[e : e + 2, e : e + 2] += c[e] * np.array([[1.0, -1.0], [-1.0, 1.0]])
+    return np.linalg.solve(a, h * u)
+
+
+def test_picard_matches_a_dense_solve_of_the_frozen_system():
+    rng = np.random.default_rng(5)
+    n, h, p, eps2 = 9, 1.0 / 9, 1.4, 1e-16
+    gamma = rng.uniform(0.5, 2.0, size=n - 1)
+    w, u = rng.normal(size=(2, 4, n))
+    dts = np.array([1e-3, 1e-2, 0.1, 1.0])
+    w[3, 4:6] = 0.0  # a flat edge: infinite conductivity at eps_reg = 0
+    expected = [dense_picard(w[i], u[i], gamma, h, dts[i], p, eps2) for i in range(4)]
+    one = _picard(w[0], u[0], gamma, h, dts[0], p, eps2)
+    np.testing.assert_allclose(one, expected[0], rtol=1e-12, atol=0)
+    rows = _picard(w, u, gamma, h, dts[:, None], p, eps2)
+    np.testing.assert_allclose(rows, np.stack(expected), rtol=1e-12, atol=0)
+    with np.errstate(divide="ignore"):
+        rows = _picard(w, u, gamma, h, dts[:, None], p, 0.0)
+        flat = _picard(w[3], u[3], gamma, h, dts[3], p, 0.0)
+    assert np.isnan(rows[3]).all() and np.isnan(flat).all()
+    for i in range(3):
+        dense = dense_picard(w[i], u[i], gamma, h, dts[i], p, 0.0)
+        np.testing.assert_allclose(rows[i], dense, rtol=1e-12, atol=0)
+
+
+def test_every_banded_solve_goes_through_solve(monkeypatch):
+    # one solve entry, which a package-owned solve span can wrap
+    grid, weights, cfg = make_problem(n_cells=12)
+    n = grid.n_cells
+    u = project_zero_mean(grid.space().state(np.sin(np.linspace(0.0, 5.0, n))))
+    sg = PLaplaceSemigroup(grid, weights, cfg)
+    callers, refused, refuse_stacks = [], [], False
+
+    def recorder(ab, b, **kw):
+        callers.append(sys._getframe(1).f_code)
+        if refuse_stacks and b.shape[0] > n:
+            refused.append(b.shape[0])
+            raise np.linalg.LinAlgError("stack refused")
+        return solveh_banded(ab, b, **kw)
+
+    monkeypatch.setattr(plaplace, "solveh_banded", recorder)
+    sg.evolve(u, 2.5 * cfg.dt)
+    stack = np.stack([u.values, 0.5 * u.values, -u.values])
+    sg._advance_rows(stack, np.array([cfg.dt, 0.3 * cfg.dt, 0.7 * cfg.dt]))
+    sg.decay_trace(u, 1.0)
+    refuse_stacks = True
+    sg._advance_rows(stack, np.array([0.2 * cfg.dt, 0.4 * cfg.dt, 0.6 * cfg.dt]))
+    assert refused and set(callers) == {plaplace._solve.__code__}
 
 
 def test_unregularised_kernels_do_not_warn_on_flat_edges():
