@@ -12,10 +12,10 @@ import os
 
 # One OpenBLAS thread per process, set before any submodule loads numpy (a
 # value the caller set wins; numpy loaded earlier keeps its own).  numpy's
-# OpenBLAS, and on the grid scipy.linalg's second copy, each start a
-# busy-waiting thread per spare core that no call here is large enough to
-# use: on 2 cores, 0.2-0.3 s of CPU at import and about a quarter of a small
-# grid slln's CPU time.  The study pool is the only parallelism.
+# OpenBLAS starts a busy-waiting thread per spare core that no call here is
+# large enough to use: on 2 cores, idle BLAS threads cost 0.2-0.3 s of CPU at
+# import and up to a quarter of a small grid slln's CPU time.  The study pool
+# is the only parallelism.
 os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 
 from .driver import BetaLaw, DriverConfig, EtaLaw, check_drift_condition, derive_replicate_rng

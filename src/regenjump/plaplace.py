@@ -21,7 +21,9 @@ sup norm.  Two kernels run this solver, ``_newton_step`` on one state and
 ``_newton_rows`` on a stack of rows; they share every primitive (the edge
 conductivity, the one tridiagonal solve ``_solve``, the Picard sweep, the
 energy and its gradient) and differ only in their state machine and their
-backtracking loop.
+backtracking loop.  Every solve is LAPACK ``dptsv``'s recurrence, written
+here as ``solveh_banded``, so the grid needs no scipy and its results are
+LAPACK's bit for bit.
 
 Because every edge contribution to the Hessian has zero column sum, Newton
 iterations conserve the mean exactly (up to rounding): the discrete flow
@@ -41,7 +43,6 @@ zero in both kernels.
 
 from __future__ import annotations
 
-import importlib
 import math
 from dataclasses import dataclass
 
@@ -62,22 +63,34 @@ __all__ = [
 
 _ARMIJO_C = 1e-4
 _PARTIAL_STEP_SKIP = 1e-14
-# Every banded solve gets a freshly built matrix and right-hand side, and its
-# callers check the matrix before and the solution after it, so scipy's
-# copies and finiteness checks are waste.
-_SOLVE_OPTS = {"check_finite": False, "overwrite_ab": True, "overwrite_b": True}
+# ``_solve`` takes a stack of at most this many rows a row at a time in Python
+# floats, a taller one in numpy columns.  On 16-cell systems (2-core x86-64
+# VM, Python 3.11, numpy 2.4) the float form cost 3 us plus 7 us a row and
+# the column form 72-76 us at 2 to 20 rows, so the two cross at 10 rows.
+_FLOAT_ROWS = 10
 
 
-def solveh_banded(ab, b, **opts):
-    """``scipy.linalg.solveh_banded``, imported on use.
+def solveh_banded(d, e, x):
+    """LAPACK ``dptsv``: solve the symmetric tridiagonal system with diagonal
+    ``d`` and off-diagonal ``e`` for the right-hand side ``x``, in place.
 
-    Only the grid backend solves, and its semigroup loads ``scipy.linalg``
-    when it is built, so the scalar commands never import it.  Callers go
-    through this module global.
+    ``dpttrf``'s factorisation and ``dptts2``'s two sweeps, operation for
+    operation, so the solution is LAPACK's bit for bit.  The arguments are
+    lists of floats (one system) or of numpy rows (one system per column).
+    ``d`` is left holding the pivots, which the caller checks; LAPACK stops
+    at the first one that is not positive, this goes on.  In floats a zero
+    pivot raises ZeroDivisionError.  ``_solve`` is the only caller.
     """
-    from scipy.linalg import solveh_banded as solve
-
-    return solve(ab, b, **opts)
+    n = len(d)
+    for i in range(n - 1):
+        q = e[i] / d[i]
+        d[i + 1] -= q * e[i]  # before e[i] is replaced, which may be a view
+        e[i] = q
+        x[i + 1] -= x[i] * q
+    x[n - 1] /= d[n - 1]
+    for i in range(n - 2, -1, -1):
+        x[i] = x[i] / d[i] - x[i + 1] * e[i]
+    return x
 
 
 @dataclass(frozen=True)
@@ -220,39 +233,35 @@ def _solve(coeff, rhs, h):
     """Solve (h*I + tridiagonal edge coupling ``coeff``) x = ``rhs``, for one
     system or for each row of a stack.
 
-    A system whose coupling is not finite, or that is not positive definite,
-    comes back as NaN.  A stack is solved in one banded call, as the diagonal
-    blocks of one system with zero coupling between blocks.  That keeps each
-    block's arithmetic that of its own solve, except that an overflowing row
-    spreads 0 * inf into its neighbours, so rows that come out non-finite,
-    or all rows if the stack is not positive definite, are solved again one
-    by one.  ``rhs`` may be overwritten.
+    Each system goes through ``solveh_banded`` on its own: one system, or a
+    stack of at most ``_FLOAT_ROWS`` rows, a row at a time in Python floats,
+    a taller stack in numpy with one system per column, so no row's
+    arithmetic touches another's.  A system that is not positive definite
+    comes back as NaN, and so does one whose coupling is not finite: an
+    infinite or NaN coupling leaves a pivot that is NaN or not positive.
     """
-    ab = np.zeros((2,) + rhs.shape)
-    ab[1] = h
-    ab[1, ..., :-1] += coeff
-    ab[1, ..., 1:] += coeff
-    ab[0, ..., 1:] = -coeff
-    ok = np.isfinite(coeff).all(axis=-1)
-    if rhs.ndim == 1:
-        if ok:
-            try:
-                return solveh_banded(ab, rhs, **_SOLVE_OPTS)
-            except np.linalg.LinAlgError:
-                pass
-        return np.full_like(rhs, np.nan)
-    x = np.full_like(rhs, np.nan)
-    rows = np.flatnonzero(ok)
-    if rows.size:
-        try:  # fancy indexing copies, so the redo below still reads the rows' rhs
-            x[rows] = solveh_banded(
-                ab[:, rows].reshape(2, -1), rhs[rows].reshape(-1), **_SOLVE_OPTS
-            ).reshape(rows.size, -1)
-        except np.linalg.LinAlgError:
-            pass
-    for r in rows[~np.isfinite(x[rows]).all(axis=1)]:
-        x[r] = _solve(coeff[r], rhs[r], h)
-    return x
+    shape, n = rhs.shape, rhs.shape[-1]
+    if rhs.ndim == 2 and len(rhs) > _FLOAT_ROWS:
+        # lists of cell rows: the sweeps rebind their entries, not copy them
+        d = np.full((n, len(rhs)), h)
+        x = list(rhs.T.copy())
+        with np.errstate(all="ignore"):  # inf - inf, overflow: LAPACK does not warn
+            d[:-1] += coeff.T
+            d[1:] += coeff.T
+            solveh_banded(list(d), list(-coeff.T), x)
+        x = np.stack(x, axis=1)
+        x[~(d > 0.0).all(axis=0)] = np.nan  # a NaN pivot fails too
+        return x
+    rows = []
+    for c, b in zip(coeff.reshape(-1, n - 1).tolist(), rhs.reshape(-1, n).tolist()):
+        d = [(h + ci) + cj for ci, cj in zip(c + [0.0], [0.0] + c)]  # summed as in columns
+        try:
+            solveh_banded(d, [-ci for ci in c], b)
+            good = all(pivot > 0.0 for pivot in d)  # a NaN pivot fails too
+        except ZeroDivisionError:
+            good = False
+        rows.append(b if good else [math.nan] * n)
+    return np.reshape(rows, shape)
 
 
 def _picard(w, u, gamma, h, dt, p, eps2):
@@ -449,9 +458,12 @@ def _newton_rows(u, dts, cfg, h, gamma):
         good = np.zeros(len(idx), dtype=bool)
         good[have] = np.max(np.abs(g_n[have]), axis=1) / h <= 0.5 * residual[have]
         w[good], g[good], merit[good] = w_n[good], g_n[good], m_n[good]
+        broke = np.zeros(len(idx), dtype=bool)
+        rest = np.flatnonzero(~good)
+        if not rest.size:
+            continue
         # Newton made poor progress: Picard sweep, accepted on either merit
         # decrease or strict energy decrease
-        rest = np.flatnonzero(~good)
         w_p = _picard(w[rest], u[rest], gamma, h, dt[rest], p, eps2)
         ok = np.isfinite(w_p).all(axis=1)
         rest, w_p = rest[ok], w_p[ok]
@@ -459,8 +471,9 @@ def _newton_rows(u, dts, cfg, h, gamma):
         m_p = _merits(g_p)
         take = m_p < merit[rest]
         tried = rest[~take]
-        e_p = _energy(w_p[~take], u[tried], gamma, h, dt[tried, 0], p, eps2)
-        take[~take] = e_p < _energy(w[tried], u[tried], gamma, h, dt[tried, 0], p, eps2)
+        if tried.size:
+            e_p = _energy(w_p[~take], u[tried], gamma, h, dt[tried, 0], p, eps2)
+            take[~take] = e_p < _energy(w[tried], u[tried], gamma, h, dt[tried, 0], p, eps2)
         rows = rest[take]
         w[rows], g[rows], merit[rows] = w_p[take], g_p[take], m_p[take]
         # no sweep either: the Newton step if there was one, else a gradient step
@@ -469,7 +482,6 @@ def _newton_rows(u, dts, cfg, h, gamma):
         use_n = left & have
         w[use_n], g[use_n], merit[use_n] = w_n[use_n], g_n[use_n], m_n[use_n]
         grad = np.flatnonzero(left & ~have)
-        broke = np.zeros(len(idx), dtype=bool)
         if grad.size:
             found, w_t, g_t, m_t = _backtrack_rows(
                 w[grad], -g[grad] / h, merit[grad], u[grad], gamma, h, dt[grad], p, eps2
@@ -523,9 +535,6 @@ class PLaplaceSemigroup:
         self.cfg = cfg
         self.space = grid.space(q=q)
         self.eps_ext = cfg.extinction_threshold(grid)
-        # loaded before any grid work: imported at the first solve, in the
-        # middle of the kappa fit, it left grid `slln` runs about 5% slower
-        importlib.import_module("scipy.linalg")
 
     def _advance(self, vals: np.ndarray, dt: float) -> np.ndarray:
         return self._step(_newton_step, vals, dt)

@@ -482,29 +482,30 @@ def test_newton_rows_match_newton_step_bit_for_bit():
     @example((1.08, 0.0, 1.0, 11, 200, 466, 3))  # stall break
     @example((1.47, 1e-8, 10000.0, 7, 20, 278, 3))  # rounding-floor acceptance
     @example((1.25, 1e-8, 1.0, 7, 3, 873, 3))  # NonConvergence
+    @example((1.5, 1e-8, 100.0, 16, 200, 11, 20))  # solves in numpy columns
+    @example((1.61, 0.0, 1000.0, 19, 20, 775, 24))  # the same at eps_reg = 0
     def check(case):
         check_rows_match_reference(case, counts)
 
+    assert 20 > plaplace._FLOAT_ROWS  # the 20- and 24-row examples solve in columns
     check()
     assert set(counts) == set(BRANCH_LINES) | {"nonconvergence"}, counts
 
 
-def test_stacked_solve_failure_falls_back_to_row_solves(monkeypatch):
-    u, dts, cfg, h, gamma = newton_batch(1.5, 1e-8, 100.0, 16, 200, 11, 5)
-    ref = reference_rows(u, dts, cfg, h, gamma, {})
-    failed = []
+def test_newton_rows_hands_no_empty_stack_to_picard_or_energy(monkeypatch):
+    # rows that need no sweep, or take it on merit, cost no call; these
+    # batches make both functions run
+    sizes = {"_picard": [], "_energy": []}
+    for name, sizes_of in sizes.items():
+        def counted(w, *args, _fn=getattr(plaplace, name), _sizes=sizes_of):
+            _sizes.append(len(w))
+            return _fn(w, *args)
 
-    def fail_stacks(ab, b, **kw):
-        if ab.shape[1] > u.shape[1]:
-            failed.append(ab.shape[1])
-            raise np.linalg.LinAlgError("stack refused")
-        return solveh_banded(ab, b, **kw)
-
-    monkeypatch.setattr(plaplace, "solveh_banded", fail_stacks)
-    got = rows_or_none(u, dts, cfg, h, gamma)
-    assert failed
-    for row, expected in zip(got, ref):
-        assert row.tobytes() == expected.tobytes()
+        monkeypatch.setattr(plaplace, name, counted)
+    for case in [(1.61, 0.0, 1000.0, 19, 20, 775, 3), (1.5, 0.0, 1000.0, 16, 200, 0, 20)]:
+        assert rows_or_none(*newton_batch(*case)) is not None
+    assert sizes["_picard"] and sizes["_energy"]
+    assert min(sizes["_picard"]) > 0 and min(sizes["_energy"]) > 0, sizes
 
 
 def banded(coeff, h):
@@ -512,16 +513,71 @@ def banded(coeff, h):
     return np.stack([np.r_[0.0, -coeff], h + np.r_[coeff, 0.0] + np.r_[0.0, coeff]])
 
 
+def lapack(coeff, rhs, h):
+    """``scipy.linalg.solveh_banded`` (LAPACK ``dptsv``) of each row alone; NaN
+    where the coupling is not finite or LAPACK finds no positive pivot."""
+    out = np.full(rhs.shape, np.nan)
+    for r in np.ndindex(rhs.shape[:-1]):
+        if np.isfinite(coeff[r]).all():
+            try:
+                with np.errstate(all="ignore"):
+                    out[r] = solveh_banded(banded(coeff[r], h), rhs[r], check_finite=False)
+            except np.linalg.LinAlgError:
+                pass
+    return out
+
+
+def solve_cases(n_rows, seed):
+    """Random stacks over 24 decades of coupling, with rows that are not
+    positive definite, have a coupling that is not finite, or overflow."""
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(2, 40))
+    h = 1.0 / n
+    coeff = rng.uniform(0.0, 1.0, size=(n_rows, n - 1)) * 10.0 ** rng.uniform(-12, 12, (n_rows, 1))
+    rhs = rng.normal(size=(n_rows, n)) * 10.0 ** rng.uniform(-5, 5, (n_rows, 1))
+    r = rng.integers(0, n_rows, size=4)
+    coeff[r[0], rng.integers(n - 1)] = -3.0 * max(h, coeff[r[0]].max())
+    coeff[r[1], rng.integers(n - 1)] = rng.choice([np.inf, -np.inf, np.nan])
+    rhs[r[2], rng.integers(n)] = 1e306
+    rhs[r[3], rng.integers(n)] = -np.inf
+    return coeff, rhs, h
+
+
+@pytest.mark.parametrize("n_rows", [1, 2, plaplace._FLOAT_ROWS, plaplace._FLOAT_ROWS + 1, 40])
+def test_solve_matches_lapack_bit_for_bit(n_rows):
+    # one system and stacks on both sides of the float/column cut, against
+    # scipy's LAPACK dptsv, failing and overflowing rows included
+    for seed in range(40):
+        coeff, rhs, h = solve_cases(n_rows, seed)
+        expected = lapack(coeff, rhs, h)
+        assert _solve(coeff, rhs.copy(), h).tobytes() == expected.tobytes()
+        for r in range(n_rows):
+            assert _solve(coeff[r], rhs[r].copy(), h).tobytes() == expected[r].tobytes()
+
+
+def test_stacked_solve_equals_each_row_solved_alone():
+    # no row's arithmetic touches another's, above and below the cut: each
+    # row of a stack is bit for bit the row solved alone, beside an
+    # overflowing row or one that cannot be solved
+    for n_rows in (plaplace._FLOAT_ROWS, plaplace._FLOAT_ROWS + 1):
+        for seed in range(20):
+            coeff, rhs, h = solve_cases(n_rows, seed)
+            got = _solve(coeff, rhs.copy(), h)
+            assert not np.isfinite(got).all()
+            for r in range(n_rows):
+                assert got[r].tobytes() == _solve(coeff[r], rhs[r].copy(), h).tobytes()
+
+
 def test_solve_rows_keeps_finite_rows_beside_an_overflowing_one():
-    # the stacked call spreads an overflowing row into its neighbours; those
-    # rows are solved again on their own, from right-hand sides the stacked
-    # call must not have overwritten, and equal scipy on this test's matrices
+    # each row is its own system: an overflowing row leaves its neighbours
+    # as scipy solves them alone, and the right-hand side is not written
     rng = np.random.default_rng(3)
     coeff = rng.uniform(0.1, 2.0, size=(4, 7))
     rhs = rng.normal(size=(4, 8))
     rhs[1, 3] = np.inf
-    got = _solve(coeff, rhs.copy(), 0.125)
-    assert not np.isfinite(got[1]).all()
+    before = rhs.copy()
+    got = _solve(coeff, rhs, 0.125)
+    assert not np.isfinite(got[1]).all() and rhs.tobytes() == before.tobytes()
     for r in (0, 2, 3):
         alone = solveh_banded(banded(coeff[r], 0.125), rhs[r])
         assert got[r].tobytes() == alone.tobytes()
@@ -529,21 +585,30 @@ def test_solve_rows_keeps_finite_rows_beside_an_overflowing_one():
 
 
 def test_solve_of_a_system_it_cannot_solve_is_nan():
-    # not positive definite (row 1) or with a coupling that is not finite
-    # (row 3): NaN for that system alone, or that row of a stack, no raise
+    # not positive definite (row 1), with a zero pivot (row 2) or with a
+    # coupling that is not finite (row 3): NaN for that system alone, or that
+    # row of a stack, no raise
     rng = np.random.default_rng(4)
     coeff = rng.uniform(0.1, 2.0, size=(4, 5))
     coeff[1, 2] = -3.0  # h + 2c < 0 along that edge's difference vector
+    coeff[2, :] = [-0.125, 0.0, 0.0, 0.0, 0.0]  # first pivot h + c = 0
     coeff[3, 0] = np.inf
     rhs = rng.normal(size=(4, 6))
-    with pytest.raises(np.linalg.LinAlgError):
-        solveh_banded(banded(coeff[1], 0.125), rhs[1])
-    for r in (1, 3):
+    for c in (-np.inf, np.nan):  # the other couplings that are not finite
+        for k in (0, 2, 4):
+            bad = coeff[0].copy()
+            bad[k] = c
+            assert np.isnan(_solve(bad, rhs[0].copy(), 0.125)).all()
+    for r in (1, 2):
+        with pytest.raises(np.linalg.LinAlgError):
+            solveh_banded(banded(coeff[r], 0.125), rhs[r])
+    for r in (1, 2, 3):
         assert np.isnan(_solve(coeff[r], rhs[r].copy(), 0.125)).all()
-    got = _solve(coeff, rhs.copy(), 0.125)  # the stack is refused, rows go alone
-    assert np.isnan(got[[1, 3]]).all()
-    for r in (0, 2):
-        assert got[r].tobytes() == solveh_banded(banded(coeff[r], 0.125), rhs[r]).tobytes()
+    got = _solve(coeff, rhs.copy(), 0.125)
+    assert np.isnan(got[1:]).all()
+    assert got[0].tobytes() == solveh_banded(banded(coeff[0], 0.125), rhs[0]).tobytes()
+    tall = _solve(np.tile(coeff, (5, 1)), np.tile(rhs, (5, 1)), 0.125)  # numpy columns
+    assert tall.tobytes() == np.tile(got, (5, 1)).tobytes()
 
 
 def dense_picard(w, u, gamma, h, dt, p, eps2):
@@ -581,26 +646,23 @@ def test_picard_matches_a_dense_solve_of_the_frozen_system():
 def test_every_banded_solve_goes_through_solve(monkeypatch):
     # one solve entry, which a package-owned solve span can wrap
     grid, weights, cfg = make_problem(n_cells=12)
-    n = grid.n_cells
-    u = project_zero_mean(grid.space().state(np.sin(np.linspace(0.0, 5.0, n))))
+    u = project_zero_mean(grid.space().state(np.sin(np.linspace(0.0, 5.0, grid.n_cells))))
     sg = PLaplaceSemigroup(grid, weights, cfg)
-    callers, refused, refuse_stacks = [], [], False
+    callers = []
+    recurrence = plaplace.solveh_banded
 
-    def recorder(ab, b, **kw):
+    def recorder(d, e, x):
         callers.append(sys._getframe(1).f_code)
-        if refuse_stacks and b.shape[0] > n:
-            refused.append(b.shape[0])
-            raise np.linalg.LinAlgError("stack refused")
-        return solveh_banded(ab, b, **kw)
+        return recurrence(d, e, x)
 
     monkeypatch.setattr(plaplace, "solveh_banded", recorder)
     sg.evolve(u, 2.5 * cfg.dt)
     stack = np.stack([u.values, 0.5 * u.values, -u.values])
     sg._advance_rows(stack, np.array([cfg.dt, 0.3 * cfg.dt, 0.7 * cfg.dt]))
+    tall = np.outer(np.linspace(-1.0, 1.0, plaplace._FLOAT_ROWS + 2), u.values)
+    sg._advance_rows(tall, np.full(len(tall), 0.5 * cfg.dt))  # numpy columns
     sg.decay_trace(u, 1.0)
-    refuse_stacks = True
-    sg._advance_rows(stack, np.array([0.2 * cfg.dt, 0.4 * cfg.dt, 0.6 * cfg.dt]))
-    assert refused and set(callers) == {plaplace._solve.__code__}
+    assert callers and set(callers) == {plaplace._solve.__code__}
 
 
 def test_unregularised_kernels_do_not_warn_on_flat_edges():
