@@ -235,13 +235,21 @@ def _kolmogorov_sf(n: int, d: float) -> float:
     return 1.0 - _durbin_cdf(n, d)
 
 
+MIN_KS_REPLICATES = 100  # the fewest samples a KS test of a study takes
+
+
+def check_ks_replicates(n: int):
+    """Raise InsufficientCycles if n samples are too few for a KS test."""
+    if n < MIN_KS_REPLICATES:
+        raise InsufficientCycles(
+            f"the KS tests need at least {MIN_KS_REPLICATES} replicates, got {n}"
+        )
+
+
 def ks_test_normal(samples, sigma: float, alpha: float = 0.01) -> TestReport:
     """One-sample Kolmogorov-Smirnov test against N(0, sigma^2)."""
     samples = np.asarray(samples, dtype=float)
-    if samples.shape[0] < 100:
-        raise InsufficientCycles(
-            f"the KS tests need at least 100 replicates, got {samples.shape[0]}"
-        )
+    check_ks_replicates(samples.shape[0])
     if sigma <= 0:
         raise DegenerateSigma(
             "sigma <= 0: the limit is a point mass at 0, no distribution to test"

@@ -12,9 +12,11 @@ with interval bisection until the local Richardson error estimate is below
 ``QUAD_TOL``, within ``QUAD_MAX_EVALS`` evaluations per segment; breakpoints
 are placed at the time-step grid, where the trajectory has kinks (extinction
 comes at a full step, so it is one of them).  The bisection tree is refined
-level by level; each level's nodes go to the segment flow's ``at_many``
+a level at a time, and ``integrate_segments`` runs many segments in
+lockstep: each level's nodes of every segment go to the flows' ``at_many``
 first, which solves all of their partial implicit-Euler steps as one
-row-batched step.
+row-batched step, and each result is memoised on its flow, where
+``integrate_segment`` reads it back.
 """
 
 from __future__ import annotations
@@ -208,21 +210,21 @@ def _charge(used: int, n: int, cap: int) -> int:
     return used
 
 
-def _adaptive_simpson(f, breakpoints, tol, xi, max_evals, prefetch):
+def _adaptive_simpson(f, breakpoints, tol, xi, max_evals):
     """Adaptive Simpson over each piece between breakpoints, a level at a time.
 
     An interval is accepted once its Richardson error estimate is within its
     tolerance (halved per bisection) or at depth 48, and values and errors
     add over the bisection tree (left + right, pieces in order), exactly as
-    the depth-first recursion would.  Each level's nodes are known before any
-    is evaluated, so ``prefetch`` receives them all at once.  The
-    budget counts every evaluation and is charged a level ahead, so it is
-    exceeded exactly when the full tree would exceed it.
-    Returns (value, error estimate, evaluations).
+    the depth-first recursion would.  A generator: it yields each level's
+    nodes before it evaluates any of them, so that a caller can solve the
+    nodes of many segments at once, and returns (value, error estimate,
+    evaluations).  The budget counts every evaluation and is charged a level
+    ahead, so it is exceeded exactly when the full tree would exceed it.
     """
     pieces = [(a, b) for a, b in zip(breakpoints[:-1], breakpoints[1:]) if b > a]
     used = _charge(0, 3 * len(pieces), max_evals)
-    prefetch([t for a, b in pieces for t in (a, b, 0.5 * (a + b))])
+    yield [t for a, b in pieces for t in (a, b, 0.5 * (a + b))]
     span = breakpoints[-1] - breakpoints[0]
     level = []  # open intervals: (node, a, b, fa, fm, fb, whole, tol)
     for node, (a, b) in enumerate(pieces):
@@ -237,7 +239,7 @@ def _adaptive_simpson(f, breakpoints, tol, xi, max_evals, prefetch):
         used = _charge(used, 2 * len(level), max_evals)
         halves = [(0.5 * (a + b), a, b) for _, a, b, *_ in level]
         halves = [(m, 0.5 * (a + m), 0.5 * (m + b)) for m, a, b in halves]
-        prefetch([t for _, lm, rm in halves for t in (lm, rm)])
+        yield [t for _, lm, rm in halves for t in (lm, rm)]
         next_level = []
         for (node, a, b, fa, fm, fb, whole, piece_tol), (m, lm, rm) in zip(level, halves):
             flm, frm = f(lm), f(rm)
@@ -269,6 +271,40 @@ def _adaptive_simpson(f, breakpoints, tol, xi, max_evals, prefetch):
     return total, err_total, used
 
 
+def integrate_segments(segments, sg) -> None:
+    """The grid rule of ``integrate_segment`` for many (functional, length, flow)
+    segments of ``sg`` at once, a Simpson level at a time across all of them.
+
+    Every level's nodes of every open segment go to one ``at_many`` call, so
+    their partial steps are one row-batched step; each segment keeps its own
+    nodes, acceptance, summation order and budget, so its result equals the
+    one it gets alone, bit for bit.  Results are memoised on their flows, by
+    (functional, length), where ``integrate_segment`` reads them back.  A
+    failure raises the first one met, which need not be the error of the
+    first failing segment alone.
+    """
+    dt, runs = sg.cfg.dt, []
+    for xi, delta, flow in segments:
+        if delta > 0.0 and (xi, delta) not in flow.integrals:
+            breaks = [0.0] + [k * dt for k in range(1, int(delta / dt) + 1) if k * dt < delta]
+            simpson = _adaptive_simpson(_along(xi, flow), breaks + [delta], QUAD_TOL, xi,
+                                        QUAD_MAX_EVALS)
+            runs.append((xi, delta, flow, simpson, next(simpson)))
+    while runs:
+        type(runs[0][2]).at_many([(flow, t) for _, _, flow, _, nodes in runs for t in nodes])
+        level, runs = runs, []
+        for xi, delta, flow, simpson, _ in level:
+            try:
+                runs.append((xi, delta, flow, simpson, simpson.send(None)))
+            except StopIteration as done:
+                flow.integrals[xi, delta] = SegmentIntegralResult(*done.value)
+
+
+def _along(xi, flow):
+    """Xi of the flow's state, as a function of time."""
+    return lambda tau: xi.apply_values(flow.at(tau))
+
+
 def integrate_segment(
     xi: Functional,
     state: StateVector,
@@ -281,7 +317,8 @@ def integrate_segment(
     On the scalar power law this is the closed form, and a functional without
     one is rejected; on the grid a precomputed segment flow (from
     ``sg.segment_flow``) may be passed in so that several functionals
-    integrated over the same segment share the cached trajectory.
+    integrated over the same segment share the cached trajectory, and a
+    result ``integrate_segments`` left on it is returned as it is.
     """
     if delta < 0:
         raise ValueError("segment length must be nonnegative")
@@ -296,12 +333,5 @@ def integrate_segment(
 
     if flow is None:
         flow = sg.segment_flow(state)
-    dt = sg.cfg.dt
-    grid_times = [k * dt for k in range(1, int(delta / dt) + 1) if k * dt < delta]
-    breaks = [0.0] + grid_times + [delta]
-
-    def f(tau):
-        return xi.apply_values(flow.at(tau))
-
-    value, err, used = _adaptive_simpson(f, breaks, QUAD_TOL, xi, QUAD_MAX_EVALS, flow.at_many)
-    return SegmentIntegralResult(value, err, used)
+    integrate_segments([(xi, delta, flow)], sg)
+    return flow.integrals[xi, delta]

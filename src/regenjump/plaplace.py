@@ -587,16 +587,20 @@ class _SegmentFlow:
     times are reached by a single partial step from the cached grid state,
     and each time's state is memoised, so every functional, checkpoint
     sub-segment and end-of-segment lookup shares one solve per time.
-    ``at_many`` fills the memo for many times at once: the quadrature hands
-    it each refinement level's nodes, and all their partial steps are solved
-    as one row-batched step.  ``full_state`` is the grid's only loop of full
-    steps.  Returned states are shared and therefore read-only.
+    ``at_many`` fills the memos of many flows at once: the quadrature hands
+    it each refinement level's nodes of every segment it integrates, and
+    all their partial steps are solved as one row-batched step.
+    ``integrals`` memoises finished segment integrals by (functional,
+    length) for ``functionals.integrate_segment``.  ``full_state`` is the
+    grid's only loop of full steps.  Returned states are shared and
+    therefore read-only.
     """
 
     def __init__(self, sg: PLaplaceSemigroup, start: np.ndarray):
         self._sg = sg
         self._states = [_frozen(start.copy())]
         self._at: dict[float, np.ndarray] = {}
+        self.integrals: dict = {}
 
     def full_state(self, k: int) -> np.ndarray:
         """The state after k full steps; once extinct it stays the zero state."""
@@ -608,30 +612,41 @@ class _SegmentFlow:
     def at(self, tau: float) -> np.ndarray:
         state = self._at.get(tau)
         if state is None:
-            self.at_many((tau,))
+            _SegmentFlow.at_many([(self, tau)])
             state = self._at[tau]
         return state
 
-    def at_many(self, taus) -> None:
-        """Memoise the state at every time in ``taus`` that is not yet known."""
-        dt = self._sg.cfg.dt
-        split = {tau: _split_time(tau, dt) for tau in taus if tau not in self._at}
-        if not split:
-            return
-        partial = []
-        for tau, (n_full, rem) in split.items():
-            state = self.full_state(n_full)
+    @staticmethod
+    def at_many(requests) -> None:
+        """Memoise the state of every (flow, time) request not yet known.
+
+        The flows share one semigroup.  Each takes its own full steps, and
+        the partial steps left over are one ``_advance_rows`` stack across
+        all of them (one ``_advance`` if there is only one).  Rows do not
+        depend on the rows beside them, so every state is the one ``at``
+        computes alone, bit for bit.
+        """
+        partial = {}
+        for flow, tau in requests:
+            if tau in flow._at or (flow, tau) in partial:
+                continue
+            n_full, rem = _split_time(tau, flow._sg.cfg.dt)
+            state = flow.full_state(n_full)
             if rem != 0.0 and state.any():
-                partial.append((tau, state, rem))
+                partial[flow, tau] = state, rem
             else:
-                self._at[tau] = state
+                flow._at[tau] = state
+        if not partial:
+            return
+        sg = next(iter(partial))[0]._sg
         if len(partial) == 1:
-            tau, state, rem = partial[0]
-            self._at[tau] = _frozen(self._sg._advance(state, rem))
-        elif partial:
-            times, states, rems = zip(*partial)
-            rows = _frozen(self._sg._advance_rows(np.stack(states), np.array(rems)))
-            self._at.update(zip(times, rows))
+            ((flow, tau), (state, rem)), = partial.items()
+            flow._at[tau] = _frozen(sg._advance(state, rem))
+            return
+        states, rems = zip(*partial.values())
+        rows = _frozen(sg._advance_rows(np.stack(states), np.array(rems)))
+        for (flow, tau), row in zip(partial, rows):
+            flow._at[tau] = row
 
 
 @dataclass

@@ -25,19 +25,21 @@ tau over the cycles up to the one reaching past it, one row per replicate.
 Each backend has one chain, and every chain has one interface: ``advance``
 returns the next window of the run's cycles (a ``_Window``),
 ``advance_block`` the next window of each chain of a block, and ``partial``
-integrates every functional over the start of one step of a window.  On the
-scalar power-law backend the chain is a regeneration table
-(``_ScalarChain``), a numpy kernel with the closed-form flow whose windows
-hold many cycles: each lane is stepped once, logging its states, and the
-path's states, read off that log, give each step's segment values and each
-cycle's sums in one place.  A block's windows share one table, so many
-short horizon replicates cost one kernel call, not one each; ``advance`` is
-a block of one.  On the grid the chain is a stepper (``_StepChain``) whose
-windows hold one cycle, and a block runs its chains in turn.  ``_chain``
-picks one, and each driver has one reader over its windows.  Both chains
-give, bit for bit, what a plain loop over the chain's steps gives, whatever
-the block; the tests' per-step oracle is that loop and the reference for
-every driver.
+integrates every functional over the start of one step of a window.  A
+window holds many cycles, and a cycle still open at its end goes on in the
+next.  On the scalar power-law backend the chain is a regeneration table
+(``_ScalarChain``), a numpy kernel with the closed-form flow: each lane is
+stepped once, logging its states, and the path's states, read off that log,
+give each step's segment values and each cycle's sums in one place.  A
+block's windows share one table, so many short horizon replicates cost one
+kernel call, not one each.  On the grid the chain is a stepper
+(``_StepChain``): a block's chains take their windows' steps in turn, and
+then the quadrature of all those steps runs together, one Simpson level of
+every segment in one row-batched implicit-Euler step.  ``advance`` is a
+block of one.  ``_chain`` picks a chain, and each driver has one reader over
+its windows.  Both chains give, bit for bit, what a plain loop over the
+chain's steps gives, whatever the window and the block; the tests' per-step
+oracle is that loop and the reference for every driver.
 """
 
 from __future__ import annotations
@@ -50,7 +52,13 @@ import numpy as np
 
 from .driver import DriverConfig
 from .errors import CycleCapExceeded, NonConvergence, QuadratureBudgetExceeded
-from .functionals import abs_flow_integral, closed_form_value, has_closed_form, integrate_segment
+from .functionals import (
+    abs_flow_integral,
+    closed_form_value,
+    has_closed_form,
+    integrate_segment,
+    integrate_segments,
+)
 from .semigroup import ScalarPowerLaw
 from .spaces import StateVector
 
@@ -231,7 +239,20 @@ class _Window:
     values: list
 
 
-class _ScalarChain:
+class _Chain:
+    """What both chains share."""
+
+    def advance(self, cycles: float, until: float = 0.0, last: int | None = None) -> _Window:
+        """The next window, for about ``cycles`` more cycles and the time up to
+        ``until``, and through cycle ``last`` at most: ``advance_block`` on a
+        block of one, whose error is raised."""
+        (window,) = self.advance_block([self], [(cycles, until, last)])
+        if isinstance(window, Exception):
+            raise window
+        return window
+
+
+class _ScalarChain(_Chain):
     """The scalar power-law chain of one replicate stream, a window at a time.
 
     Each window draws (beta, eta) pairs through the replicate's streams and
@@ -305,12 +326,12 @@ class _ScalarChain:
         i_abs = self.abs_integral(x, dt)
         return [closed_form_value(xi, x, i_abs, dt)[0] for xi in self.functionals]
 
-    def _size(self, cycles: float, time: float):
+    def _size(self, cycles: float, until: float):
         """Lanes n and lane steps k of the next window, with its n + k inputs drawn.
 
-        The window covers about ``cycles`` more cycles and ``time`` more time.
+        The window covers about ``cycles`` more cycles and the time up to ``until``.
         """
-        steps = cycles * self.per_cycle() + max(time, 0.0) / self._mean_beta
+        steps = cycles * self.per_cycle() + max(until - self.alpha, 0.0) / self._mean_beta
         n = min(_WINDOW, int(1.1 * steps) + 64)
         # a lane started inside a cycle is wasted work, so long cycles are
         # cheaper stepped alone
@@ -438,36 +459,25 @@ class _ScalarChain:
         bounds[keep:] = reach  # the open cycle's steps stop where the window does
         return starts[:n_path], bounds, keep, m_end[:keep], fresh, x_last, reach - o
 
-    def advance(self, cycles: float, time: float = 0.0, last: int | None = None) -> _Window:
-        """Tabulate lanes for about ``cycles`` more cycles and ``time`` more time.
-
-        Reads the true chain's cycles off the table.  The window stops after
-        cycle ``last`` closes, or before a cycle longer than the step cap,
-        which the next call raises for; inputs past the point the chain
-        reached are kept for the next call.
-        """
-        (window,) = self.advance_block([self], [(cycles, time, last)])
-        if isinstance(window, CycleCapExceeded):
-            raise window
-        return window
-
     @staticmethod
     def advance_block(chains, asks):
-        """Yield the next window of each chain, asked as ``advance``'s (cycles, time, last).
+        """Yield the next window of each chain, asked as ``advance``'s (cycles, until, last).
 
         Chains are tabulated together, in order, in tables of at most
         ``_WINDOW`` lanes, each made once the last one's windows are taken,
-        so a block holds one table at a time.  A chain whose open cycle has
-        passed the step cap yields its CycleCapExceeded in place of a window.
+        so a block holds one table at a time.  A window stops after cycle
+        ``last`` closes, or before a cycle longer than the step cap, which
+        the next call yields its CycleCapExceeded for in place of a window;
+        inputs past the point a chain reached are kept for its next window.
         """
         block, lanes = [], 0
-        for chain, (cycles, time, last) in zip(chains, asks):
+        for chain, (cycles, until, last) in zip(chains, asks):
             if chain.m - chain._m_start > chain._m_cap:
                 yield from _ScalarChain._table(block)
                 block, lanes = [], 0
                 yield CycleCapExceeded(f"cycle {chain.closed} exceeded {chain._m_cap} chain steps")
                 continue
-            n, k = chain._size(cycles, time)
+            n, k = chain._size(cycles, until)
             if lanes + n > _WINDOW:
                 yield from _ScalarChain._table(block)
                 block, lanes = [], 0
@@ -589,16 +599,52 @@ class _ScalarChain:
         return window
 
 
-class _StepChain:
-    """The grid chain of one replicate stream, a cycle at a time.
+# Most chain steps a block's grid windows hold at once, for memory: until its
+# window is read, each step keeps its flow's full states and every quadrature
+# node's state, and the block's integration solves each Simpson level of all
+# its steps as one stack of rows.  On configs/plaplace.ini (16 cells,
+# identity_v2 and norm_v2) that peaks at about 0.58 MB a step (stacks of up to
+# about 2,900 rows at 32 steps), while a window of 32 steps costs within 5% of
+# the CPU of one of 128.
+_GRID_STEPS = 32
 
-    Each step draws (beta, eta), makes one segment flow from the current
-    state (the integrals and the pre-kick state then share its solves),
-    integrates every functional over the step through ``integrate_segment``
-    and snaps an extinct pre-kick state to zero.  A window is one cycle, so
-    a run takes no step past the cycle that ends it; it keeps each step's
-    (state, flow) for ``partial`` and each step's values.  Betas and kicks
-    are drawn one at a time from the replicate's streams.
+
+@dataclass
+class _Walk:
+    """A grid window's steps before their integrals.
+
+    Each step's (state, flow); the jump times after 0, 1, ... steps; the
+    window positions where its closed cycles end; the (beta, kick) inputs
+    drawn, one a step; the state after the last step; each step's values if
+    it was integrated as it was taken; and the error that stopped the steps.
+    """
+
+    steps: list
+    alpha: list
+    ends: list
+    draws: list
+    x: StateVector
+    values: list | None
+    error: Exception | None = None
+
+
+class _StepChain(_Chain):
+    """The grid chain of one replicate stream, a window of steps at a time.
+
+    A window first takes its steps (``_walk``): each draws (beta, eta) one
+    at a time from the replicate's streams, makes one segment flow from the
+    current state, takes it to the pre-kick state at beta, snaps an extinct
+    one to zero and kicks.  These are the steps a step-at-a-time chain takes,
+    and none past the cycle that ends the run.  Then ``advance_block``
+    integrates every functional over every step of its block's windows
+    together (``functionals.integrate_segments``, one Simpson level at a
+    time across all of them), and each window reads its values back through
+    ``integrate_segment``, once per (step, functional).  A window keeps each
+    step's (state, flow) for ``partial``; a cycle still open when a window
+    is full is carried into the next one with its integrals so far.  If a
+    window's steps or its block's integrals fail, the window is stepped again
+    from its start on the same inputs, integrating each step as it is taken,
+    so that the error raised is the one a step-at-a-time chain raises.
     """
 
     def __init__(self, x0, driver, sg, policy, functionals, replicate_index):
@@ -607,63 +653,155 @@ class _StepChain:
         self._next_eta = partial(driver.eta.sample_values, streams.eta_rng, sg.space)
         self._sg, self._policy = sg, policy
         self.functionals = list(functionals)
+        # the open cycle: current state, integrals so far, first step, start time
         self._x = x0
+        self._acc = [xi.zero_value() for xi in self.functionals]
+        self._m_start = 0
+        self._t_start = 0.0
         self.m = 0
         self.alpha = 0.0
         self.closed = 0
 
-    def advance(self, cycles=1, time=0.0, last=None) -> _Window:
-        """Step to the end of the open cycle: here a window is one cycle.
-
-        The table's sizing arguments (cycles, time, last) do not apply.
-        """
-        sg, fns, policy, space = self._sg, self.functionals, self._policy, self._sg.space
-        state, m_start, alpha = self._x, self.m, [self.alpha]
-        acc = [xi.zero_value() for xi in fns]
-        steps, values = [], []
-        extinct = False
-        while not extinct:
-            beta = self._next_beta()
-            eta_vals = self._next_eta()
-            flow = sg.segment_flow(state)
-            vals = [integrate_segment(xi, state, beta, sg, flow=flow).value for xi in fns]
-            acc = [a + v for a, v in zip(acc, vals)]
-            pre = StateVector(space, flow.at(beta))
-            extinct = pre.norm_v() <= policy.eps_ext
-            self.m += 1
-            if self.m - m_start > policy.m_cap:
-                raise CycleCapExceeded(f"cycle {self.closed} exceeded {policy.m_cap} chain steps")
-            alpha.append(alpha[-1] + beta)
-            steps.append((state, flow))
-            values.append(vals)
-            state = StateVector(space, eta_vals if extinct else pre.values + eta_vals)
-        t_start, t_end = self.alpha, alpha[-1]
-        window = _Window(
-            first=self.closed,
-            ends=np.array([self.m - m_start]),
-            m_end=np.array([self.m]),
-            t_end=np.array([t_end]),
-            tau=np.array([t_end - t_start]),
-            integrals=[np.array([a]) for a in acc],
-            alpha=np.array(alpha),
-            states=steps,
-            values=[np.array(v) for v in zip(*values)],
-        )
-        self._x, self.alpha, self.closed = state, t_end, self.closed + 1
-        return window
-
     @staticmethod
     def advance_block(chains, asks):
-        """Yield the next window of each chain, one chain after another.
+        """Yield the next window of each chain, asked as ``advance``'s (cycles, until, last).
 
-        A chain whose cycle exceeds the step cap, or whose solver or
-        quadrature fails, yields that error in place of a window.
+        Chains take their steps in order, each window at most the room left
+        of ``_GRID_STEPS``; once the room is used, those windows are
+        integrated together and yielded, and the next chains start afresh.  A
+        chain whose cycle exceeds the step cap, or whose solver or quadrature
+        fails, yields that error in place of a window.
         """
+        group, room = [], _GRID_STEPS
         for chain, ask in zip(chains, asks):
-            try:
-                yield chain.advance(*ask)
-            except (CycleCapExceeded, NonConvergence, QuadratureBudgetExceeded) as exc:
-                yield exc
+            walk = chain._walk(*ask, room)
+            group.append((chain, ask, walk))
+            room -= len(walk.draws)
+            if room <= 0:
+                yield from _StepChain._integrate(group)
+                group, room = [], _GRID_STEPS
+        yield from _StepChain._integrate(group)
+
+    def _walk(self, cycles, until, last, room, draws=None) -> _Walk:
+        """The steps of this chain's next window, at most ``room`` of them; the
+        chain itself does not move.
+
+        The window goes on with its open cycle, and it starts cycle j only
+        if j is at most ``last`` (when given) and j is among its first
+        ``cycles`` cycles or cycle j - 1 started before time ``until``.  A
+        run to a horizon asks for 2 cycles and its horizon while the horizon
+        is ahead of the chain, and then for the cycles through ``last``, so
+        no step past its last cycle is taken: a cycle that starts before the
+        horizon is not its last one.  An error stops the steps and is kept.
+        With ``draws``, the steps take those inputs and integrate each step
+        before its pre-kick state, as a step-at-a-time chain does, and an
+        error is raised.
+        """
+        sg, fns, policy, space = self._sg, self.functionals, self._policy, self._sg.space
+        replay = draws is not None
+        walk = _Walk([], [self.alpha], [], draws or [], self._x, [] if replay else None)
+        state, m, m_start, first = self._x, self.m, self._m_start, self.closed
+        started = self._t_start  # when the cycle last begun started
+        try:
+            while len(walk.steps) < room:
+                k = len(walk.steps)
+                if walk.ends and walk.ends[-1] == k:  # step k starts cycle j
+                    j = first + len(walk.ends)
+                    if (last is not None and j > last) or (j - first >= cycles and previous >= until):
+                        break
+                if not replay:
+                    walk.draws.append((self._next_beta(), self._next_eta()))
+                beta, eta_vals = walk.draws[k]
+                flow = sg.segment_flow(state)
+                if replay:
+                    walk.values.append(
+                        [integrate_segment(xi, state, beta, sg, flow=flow).value for xi in fns]
+                    )
+                pre = StateVector(space, flow.at(beta))
+                extinct = pre.norm_v() <= policy.eps_ext
+                m += 1
+                if m - m_start > policy.m_cap:
+                    cycle = first + len(walk.ends)
+                    raise CycleCapExceeded(f"cycle {cycle} exceeded {policy.m_cap} chain steps")
+                walk.alpha.append(walk.alpha[-1] + beta)
+                walk.steps.append((state, flow))
+                state = StateVector(space, eta_vals if extinct else pre.values + eta_vals)
+                if extinct:
+                    walk.ends.append(k + 1)
+                    previous, started, m_start = started, walk.alpha[-1], m
+        except (CycleCapExceeded, NonConvergence) as exc:
+            if replay:
+                raise
+            walk.error = exc
+        walk.x = state
+        return walk
+
+    @staticmethod
+    def _integrate(group):
+        """Integrate the walked windows of a group of (chain, ask, walk) together,
+        and yield each chain's window (or error) in turn."""
+        segments = [
+            (xi, beta, flow)
+            for chain, _, walk in group
+            if walk.error is None
+            for (_, flow), (beta, _) in zip(walk.steps, walk.draws)
+            for xi in chain.functionals
+        ]
+        try:
+            if segments:
+                integrate_segments(segments, group[0][0]._sg)
+            failed = False
+        except (NonConvergence, QuadratureBudgetExceeded):
+            failed = True
+        for chain, ask, walk in group:
+            if failed or walk.error is not None:
+                try:
+                    walk = chain._walk(*ask, len(walk.draws), walk.draws)
+                except (CycleCapExceeded, NonConvergence, QuadratureBudgetExceeded) as exc:
+                    yield exc
+                    continue
+            yield chain._close(walk)
+
+    def _close(self, walk: _Walk) -> _Window:
+        """This chain's window off its walked, integrated steps; moves the chain past it."""
+        sg, fns = self._sg, self.functionals
+        values = walk.values
+        if values is None:  # what the block's integration left on each flow
+            values = [
+                [integrate_segment(xi, state, beta, sg, flow=flow).value for xi in fns]
+                for (state, flow), (beta, _) in zip(walk.steps, walk.draws)
+            ]
+        acc, sums, ends = self._acc, [], set(walk.ends)
+        for k, vals in enumerate(values, start=1):  # as a loop adds, from each cycle's start
+            acc = [a + v for a, v in zip(acc, vals)]
+            if k in ends:
+                sums.append(acc)
+                acc = [xi.zero_value() for xi in fns]
+        ends = np.array(walk.ends, dtype=np.int64)
+        alpha = np.array(walk.alpha)
+        t_end = alpha[ends]
+        m_end = self.m + ends
+        window = _Window(
+            first=self.closed,
+            ends=ends,
+            m_end=m_end,
+            t_end=t_end,
+            tau=t_end - np.concatenate(([self._t_start], t_end[:-1])),
+            integrals=[
+                np.reshape([s[f] for s in sums], (len(sums), *np.shape(xi.zero_value())))
+                for f, xi in enumerate(fns)
+            ],
+            alpha=alpha,
+            states=walk.steps,
+            values=[np.array(v) for v in zip(*values)],
+        )
+        if ends.size:
+            self._m_start, self._t_start = int(m_end[-1]), float(t_end[-1])
+        self._x, self._acc = walk.x, acc
+        self.m += len(walk.steps)
+        self.alpha = float(alpha[-1])
+        self.closed += ends.size
+        return window
 
     def partial(self, window: _Window, i: int, dt: float) -> list:
         """Each functional's integral over the first dt of step i of a window."""
@@ -733,10 +871,10 @@ class _Reader:
         return self.last is not None and self.chain.closed > self.last
 
     def ask(self) -> tuple:
-        """The next window's (cycles, time, last), as the chain's ``advance`` takes them."""
+        """The next window's (cycles, until, last), as the chain's ``advance`` takes them."""
         chain = self.chain
         if self.last is None:
-            return 2, self.cps[-1] - chain.alpha, None
+            return 2, self.cps[-1], None
         return self.last + 1 - chain.closed, 0.0, self.last
 
     def read(self, w: _Window):

@@ -55,7 +55,13 @@ from .driver import (
     kick_norms,
 )
 from .errors import ConfigError, DriftViolated
-from .estimators import anscombe_check, clt_statistic, ks_test_normal, stats_from_moments
+from .estimators import (
+    anscombe_check,
+    check_ks_replicates,
+    clt_statistic,
+    ks_test_normal,
+    stats_from_moments,
+)
 from .plaplace import PLaplaceSemigroup, estimate_kappa
 from .process import (
     CycleMoments,
@@ -598,6 +604,7 @@ def run_anscombe(
             summary["note"] = "zero fluctuation variance: random-index limit is a point mass"
             summary["pass"] = True
             return {"summary": summary}
+        check_ks_replicates(plan.n_replicates)  # before the horizons, the study's costly part
         horizons = [theta * st.mean_tau for theta in theta_schedule]
         reps = run_horizon_replicates(
             setup, max(horizons), sorted(horizons), plan.n_replicates, pool=pool

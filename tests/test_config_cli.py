@@ -732,6 +732,20 @@ def test_cli_ks_with_too_few_replicates_is_a_config_error(tmp_path, capsys, comm
     assert "config error" in err and "at least 100 replicates" in err
 
 
+def test_grid_anscombe_with_too_few_replicates_fails_before_its_horizons(tmp_path, capsys,
+                                                                           monkeypatch):
+    # the replicate count is known before the horizon phase, the study's
+    # costly part (minutes on a grid), so the config error comes first
+    def horizon(*args, **kwargs):
+        raise AssertionError("the horizon replicates were simulated")
+
+    monkeypatch.setattr(runner, "simulate_until_time", horizon)
+    cfg = write(tmp_path, PLAPLACE_CFG.replace("n_cycles = 40", "n_cycles = 4"))
+    assert run_cli(["anscombe", "--config", cfg, "--out", tmp_path / "o"]) == 1
+    err = capsys.readouterr().err
+    assert "config error" in err and "at least 100 replicates, got 4" in err
+
+
 class InlineExecutor:
     """Stands in for ``ProcessPoolExecutor``: records each pool's worker count
     and runs the tasks in this process when their results are collected."""

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from regenjump.driver import BetaLaw, DriverConfig, EtaLaw
-from regenjump.errors import CycleCapExceeded
+from regenjump.errors import CycleCapExceeded, NonConvergence, QuadratureBudgetExceeded
 from regenjump.functionals import (
     AffineShift,
     Functional,
@@ -26,7 +26,7 @@ from regenjump.process import (
     simulate_cycles,
     simulate_until_time,
 )
-from regenjump import process
+from regenjump import functionals, process
 from regenjump.runner import ESTIMATION_SHARD_BASE, run_cycle_estimation
 from regenjump.semigroup import ExtinctionParams, ScalarPowerLaw
 from regenjump.spaces import scalar_space
@@ -465,7 +465,8 @@ def horizon_tuple(res):
 def oracle_moments(records, fns):
     ref = CycleMoments(labels=[xi.label for xi in fns])
     for rec in records[1:]:  # the warm-up is not a cycle; the loop's order of additions
-        add_cycle(ref, rec[5], {label: np.frombuffer(s)[0] for label, s in rec[7].items()})
+        values = {label: np.frombuffer(s) for label, s in rec[7].items()}
+        add_cycle(ref, rec[5], {label: v if v.size > 1 else v[0] for label, v in values.items()})
     return ref
 
 
@@ -1057,3 +1058,196 @@ def test_grid_drivers_match_the_per_step_oracle():
     assert horizon_tuple(got) == horizon_tuple(ref)
     assert list(got.counts) == [1, 2, 2]
     assert got.integrals["identity_v2"].shape == (3, 12)
+
+
+# --- grid windows of many cycles: a step-at-a-time chain's results, whatever the window
+
+
+def grid_chain_setup(**solver):
+    """A 12-cell grid whose cycles take one to five steps of about 0.1."""
+    grid = Grid1D(12, 1.0)
+    weights = WeightField.uniform(grid, 0.5, 2.0, np.random.default_rng(3))
+    sg = PLaplaceSemigroup(grid, weights, PLaplaceConfig(p=1.5, dt=1e-2, **solver))
+    driver = DriverConfig(BetaLaw.uniform(0.05, 0.15), EtaLaw.grid_bumps(2, 0.6, (0.05, 0.2)), 61)
+    return sg, driver
+
+
+@lru_cache(maxsize=None)
+def grid_window_references():
+    """The per-step oracle's records, moments and horizon rows (replicates 0-2)."""
+    sg, driver = grid_chain_setup()
+    fns = [IdentityV2(sg.space), NormV2(sg.space)]
+    x0 = sg.space.zero()
+    steps = list(islice(chain_by_steps(x0, driver, sg, 1e-10, []), 5))
+    assert [s[4] for s in steps] == [True, False, True, False, True]
+    # a plain jump time, a regeneration time, a time inside a step, and the
+    # horizon inside the next: replicate 0 runs on through its 5-step cycle 3
+    cps = [steps[1][2], steps[2][2], 0.5 * (steps[3][1] + steps[3][2]),
+           0.3 * steps[4][1] + 0.7 * steps[4][2]]
+    records = records_by_steps(x0, driver, sg, 1e-10, fns, 3)
+    rows = [horizon_by_steps(x0, driver, sg, 1e-10, fns, cps, replicate_index=i) for i in range(3)]
+    return records, oracle_moments(records, fns), cps, rows
+
+
+@pytest.mark.parametrize("cap", [1, 2, None])
+def test_grid_windows_match_the_per_step_oracle_at_every_cap(monkeypatch, cap):
+    # windows of one step, of two (cycles carried from one window into the
+    # next), and at the default cap (the whole run, a block of chains together)
+    if cap is not None:
+        monkeypatch.setattr(process, "_GRID_STEPS", cap)
+    records, moments, cps, rows = grid_window_references()
+    sg, driver = grid_chain_setup()
+    fns = [IdentityV2(sg.space), NormV2(sg.space)]
+    x0 = sg.space.zero()
+    policy = ExtinctionPolicy(eps_ext=1e-10, m_cap=10_000)
+    assert max(r[6] for r in records) >= 3  # cycles longer than a window of two
+    assert record_tuples(simulate_cycles(x0, driver, sg, policy, 3, fns)) == records
+    got = cycle_moments(x0, driver, sg, policy, 3, fns)
+    assert moments_tuple(got) == moments_tuple(moments)
+    block = simulate_until_time([x0] * 3, driver, sg, policy, cps[-1], fns, cps, [0, 1, 2])
+    for r, ref in enumerate(rows):
+        assert horizon_tuple(horizon_row(block, r)) == horizon_tuple(ref), r
+    assert list(rows[0].counts) == [1, 2, 2, 2] and records[3][6] == 5
+    # replicate 0 alone steps through its cycle 3 (the one after the cycle
+    # open at the horizon) and not one step further: one flow a step
+    flows = []
+    segment_flow = PLaplaceSemigroup.segment_flow
+    monkeypatch.setattr(PLaplaceSemigroup, "segment_flow",
+                        lambda self, v: flows.append(1) or segment_flow(self, v))
+    horizon_of_one(x0, driver, sg, policy, cps[-1], fns, cps)
+    assert len(flows) == records[3][2]
+
+
+def grid_failure(kind, monkeypatch):
+    """A grid setup, policy and functionals whose runs fail with ``kind``, at a
+    step after the first few; returns them with the error class."""
+    solver = {"newton_max_iter": 11} if kind == "nonconvergence" else {}
+    sg, driver = grid_chain_setup(**solver)
+    if kind == "budget":  # the first segments take at most 255 evaluations, the 8th 302
+        monkeypatch.setattr(functionals, "QUAD_MAX_EVALS", 260)
+    policy = ExtinctionPolicy(eps_ext=1e-10, m_cap=3 if kind == "cap" else 10_000)
+    errors = {"nonconvergence": NonConvergence, "budget": QuadratureBudgetExceeded,
+              "cap": CycleCapExceeded}
+    return sg, driver, policy, [IdentityV2(sg.space), NormV2(sg.space)], errors[kind]
+
+
+@pytest.mark.parametrize("kind", ["nonconvergence", "budget", "cap"])
+def test_grid_errors_come_from_the_step_a_one_step_window_fails_at(monkeypatch, kind):
+    sg, driver, policy, fns, error = grid_failure(kind, monkeypatch)
+    x0 = sg.space.zero()
+    # the oracle's steps up to its error (the cap checked as the chain checks it)
+    done, cycle, length = [], 0, 0
+    with pytest.raises(error) as info:
+        for step in chain_by_steps(x0, driver, sg, policy.eps_ext, fns):
+            length += 1
+            if length > policy.m_cap:
+                raise CycleCapExceeded(f"cycle {cycle} exceeded {policy.m_cap} chain steps")
+            done.append(step)
+            if step[4]:
+                cycle, length = cycle + 1, 0
+    oracle_message = str(info.value)
+    calls = []  # (segment length, label) of each integrate_segment call
+
+    def recorded(xi, state, delta, sg, flow=None):
+        calls.append((delta, xi.label))
+        return integrate_segment(xi, state, delta, sg, flow=flow)
+
+    monkeypatch.setattr(process, "integrate_segment", recorded)
+    runs = [
+        lambda: simulate_cycles(x0, driver, sg, policy, 20, fns),
+        lambda: cycle_moments(x0, driver, sg, policy, 20, fns),
+        lambda: horizon_of_one(x0, driver, sg, policy, 3.0, fns, [0.25, 3.0]),
+    ]
+    block = [x0] * 3, driver, sg, policy, 3.0, fns, [0.25], [1, 0, 2]
+    outcomes = {}
+    for cap in (1, process._GRID_STEPS):
+        monkeypatch.setattr(process, "_GRID_STEPS", cap)
+        outcomes[cap] = []
+        for run in runs:
+            calls.clear()
+            with pytest.raises(error) as info:
+                run()
+            outcomes[cap].append((str(info.value), calls[-1]))
+        # a block's error is that of its first failing replicate, replicate 1
+        with pytest.raises(error) as info:
+            simulate_until_time(*block)
+        outcomes[cap].append(str(info.value))
+    assert outcomes[1] == outcomes[process._GRID_STEPS]
+    # the message is the oracle's, and the last segment integrated before it
+    # is the failing step's: its length is a beta no earlier step drew
+    assert all(message == oracle_message for message, _ in outcomes[1][:3])
+    betas = [t_end - t for _, t, t_end, *_ in done]
+    assert len(done) >= 4 and outcomes[1][0][1][0] not in betas
+
+
+def test_grid_window_memory_is_bounded_by_the_cap(monkeypatch):
+    # until a window is read, each step keeps its flow's states and every
+    # quadrature node's state, so the cap on a window's steps bounds memory
+    import tracemalloc
+
+    monkeypatch.setattr(process, "_GRID_STEPS", 6)
+    sg, driver = grid_chain_setup()
+    fns = [IdentityV2(sg.space), NormV2(sg.space)]
+    policy = ExtinctionPolicy(eps_ext=1e-10, m_cap=10_000)
+    steps = []
+    close = process._StepChain._close
+
+    def counted(chain, walk):
+        steps.append(len(walk.steps))
+        return close(chain, walk)
+
+    monkeypatch.setattr(process._StepChain, "_close", counted)
+    tracemalloc.start()
+    try:
+        cycle_moments(sg.space.zero(), driver, sg, policy, 4, fns)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # about 1.6 MB at a cap of 6 steps; the same 24 steps in one window take 4.1 MB
+    assert peak < 2_500_000, f"peak {peak} bytes"
+    assert steps == [6, 6, 6, 6]  # four windows at the cap
+
+
+def test_grid_window_solves_each_simpson_level_of_its_segments_as_one_stack(monkeypatch):
+    # deterministic counts: each block integration stacks every segment's
+    # partial steps of a Simpson level into at most one _advance_rows call
+    sg, driver = grid_chain_setup()
+    fns = [IdentityV2(sg.space), NormV2(sg.space)]
+    policy = ExtinctionPolicy(eps_ext=1e-10, m_cap=10_000)
+    passes = []  # per integrate_segments call: segments, levels, levels summed over segments, stacks
+    integrate, simpson = functionals.integrate_segments, functionals._adaptive_simpson
+    advance_rows = PLaplaceSemigroup._advance_rows
+
+    def counted_integrate(segments, sg):
+        passes.append({"segments": len(segments), "levels": 0, "summed": 0, "stacks": 0})
+        return integrate(segments, sg)
+
+    def counted_simpson(*args):
+        run, levels = simpson(*args), 0
+        try:
+            nodes = next(run)
+            while True:
+                levels += 1
+                passes[-1]["levels"] = max(passes[-1]["levels"], levels)
+                passes[-1]["summed"] += 1
+                yield nodes
+                nodes = run.send(None)
+        except StopIteration as done:
+            return done.value
+
+    def counted_rows(self, rows, dts):
+        passes[-1]["stacks"] += 1
+        return advance_rows(self, rows, dts)
+
+    monkeypatch.setattr(process, "integrate_segments", counted_integrate)
+    monkeypatch.setattr(functionals, "integrate_segments", counted_integrate)
+    monkeypatch.setattr(functionals, "_adaptive_simpson", counted_simpson)
+    monkeypatch.setattr(PLaplaceSemigroup, "_advance_rows", counted_rows)
+    x0 = sg.space.zero()
+    simulate_until_time([x0] * 3, driver, sg, policy, 0.8, fns, [0.3], [0, 1, 2])
+    assert all(p["stacks"] <= p["levels"] for p in passes)
+    # the block's passes (checkpoints integrate one segment a pass): a stack
+    # per level and segment, as one segment at a time takes, would be 20x more
+    block = [p for p in passes if p["segments"] > 1]
+    assert max(p["segments"] for p in block) == 2 * process._GRID_STEPS
+    assert sum(p["summed"] for p in block) > 20 * sum(p["stacks"] for p in block)
