@@ -2,7 +2,9 @@
 
 Every functional carries explicit constants (c1, c2) certifying
 ``||Xi(v)||_W <= c1 ||v||_V2 + c2``; only this built-in family is exposed, so
-the constants are always known and checkable on random states.
+the constants are always known and checkable on random states.  Each applies
+to one state (``apply_values``) or to a stack of them (``apply_rows``), and
+the stacked form equals the one-state form row by row, bit for bit.
 
 ``integrate_segment`` computes ``int_0^delta Xi(T(tau) v) dtau`` by one rule
 per backend.  On the exact scalar power-law semigroup the integrand is a
@@ -13,10 +15,11 @@ with interval bisection until the local Richardson error estimate is below
 are placed at the time-step grid, where the trajectory has kinks (extinction
 comes at a full step, so it is one of them).  The bisection tree is refined
 a level at a time, and ``integrate_segments`` runs many segments in
-lockstep: each level's nodes of every segment go to the flows' ``at_many``
-first, which solves all of their partial implicit-Euler steps as one
-row-batched step, and each result is memoised on its flow, where
-``integrate_segment`` reads it back.
+lockstep: each level's nodes of every segment go to the flows' ``at_many``,
+which solves all of their partial implicit-Euler steps as one row-batched
+step and returns the level's states as one stack, and each functional is
+applied once per level, to the rows of the segments that use it.  Each
+result is memoised on its flow, where ``integrate_segment`` reads it back.
 """
 
 from __future__ import annotations
@@ -57,6 +60,10 @@ class Functional:
     def apply_values(self, values: np.ndarray):
         raise NotImplementedError
 
+    def apply_rows(self, rows: np.ndarray) -> list:
+        """``apply_values`` of each row of a stack, as a list, bit for bit."""
+        raise NotImplementedError
+
     def w_norm(self, value) -> float:
         """Norm of a W-value: |.| for scalars, the discrete Lq norm for arrays."""
         if np.ndim(value) == 0:
@@ -83,6 +90,9 @@ class NormV2(Functional):
     def apply_values(self, values: np.ndarray) -> float:
         return float(self.space.lq(values))
 
+    def apply_rows(self, rows: np.ndarray) -> list:
+        return self.space.lq(rows).tolist()
+
 
 class IdentityV2(Functional):
     """Xi(v) = v into W = V2 (a float for scalar states, an array for grids)."""
@@ -98,6 +108,13 @@ class IdentityV2(Functional):
         if self.space.kind == "scalar":
             return float(values[0])
         return values.copy()
+
+    def apply_rows(self, rows: np.ndarray) -> list:
+        """Scalars as floats; grid rows as views of ``rows``, which the caller
+        keeps read-only."""
+        if self.space.kind == "scalar":
+            return rows[:, 0].tolist()
+        return list(rows)
 
 
 class Linear(Functional):
@@ -129,6 +146,10 @@ class Linear(Functional):
     def apply_values(self, values: np.ndarray) -> float:
         return float(np.dot(values, self.psi)) * self.space.h
 
+    def apply_rows(self, rows: np.ndarray) -> list:
+        # stacked matmul keeps np.dot's arithmetic per row; rows @ psi does not
+        return ((rows[:, None, :] @ self.psi[:, None])[:, 0, 0] * self.space.h).tolist()
+
 
 class AffineShift(Functional):
     """Xi(v) = base(v) + w for a fixed W-element w."""
@@ -149,6 +170,9 @@ class AffineShift(Functional):
 
     def apply_values(self, values: np.ndarray):
         return self.base.apply_values(values) + self.w
+
+    def apply_rows(self, rows: np.ndarray) -> list:
+        return [value + self.w for value in self.base.apply_rows(rows)]
 
 
 # Per-segment Simpson tolerance and evaluation cap on the grid.
@@ -210,25 +234,26 @@ def _charge(used: int, n: int, cap: int) -> int:
     return used
 
 
-def _adaptive_simpson(f, breakpoints, tol, xi, max_evals):
+def _adaptive_simpson(breakpoints, tol, xi, max_evals):
     """Adaptive Simpson over each piece between breakpoints, a level at a time.
 
     An interval is accepted once its Richardson error estimate is within its
     tolerance (halved per bisection) or at depth 48, and values and errors
     add over the bisection tree (left + right, pieces in order), exactly as
-    the depth-first recursion would.  A generator: it yields each level's
-    nodes before it evaluates any of them, so that a caller can solve the
-    nodes of many segments at once, and returns (value, error estimate,
+    the depth-first recursion would.  A coroutine: it yields each level's
+    nodes and is sent the integrand's values at them, in the same order
+    (``values = yield nodes``), so that a caller can solve and evaluate the
+    nodes of many segments at once; it returns (value, error estimate,
     evaluations).  The budget counts every evaluation and is charged a level
     ahead, so it is exceeded exactly when the full tree would exceed it.
     """
     pieces = [(a, b) for a, b in zip(breakpoints[:-1], breakpoints[1:]) if b > a]
     used = _charge(0, 3 * len(pieces), max_evals)
-    yield [t for a, b in pieces for t in (a, b, 0.5 * (a + b))]
+    values = yield [t for a, b in pieces for t in (a, b, 0.5 * (a + b))]
     span = breakpoints[-1] - breakpoints[0]
     level = []  # open intervals: (node, a, b, fa, fm, fb, whole, tol)
     for node, (a, b) in enumerate(pieces):
-        fa, fb, fm = f(a), f(b), f(0.5 * (a + b))
+        fa, fb, fm = values[3 * node : 3 * node + 3]
         piece_tol = tol * max((b - a) / span, 1e-3)
         level.append((node, a, b, fa, fm, fb, _simpson(fa, fm, fb, b - a), piece_tol))
     n_nodes = len(pieces)
@@ -239,10 +264,11 @@ def _adaptive_simpson(f, breakpoints, tol, xi, max_evals):
         used = _charge(used, 2 * len(level), max_evals)
         halves = [(0.5 * (a + b), a, b) for _, a, b, *_ in level]
         halves = [(m, 0.5 * (a + m), 0.5 * (m + b)) for m, a, b in halves]
-        yield [t for _, lm, rm in halves for t in (lm, rm)]
+        values = yield [t for _, lm, rm in halves for t in (lm, rm)]
         next_level = []
-        for (node, a, b, fa, fm, fb, whole, piece_tol), (m, lm, rm) in zip(level, halves):
-            flm, frm = f(lm), f(rm)
+        for (node, a, b, fa, fm, fb, whole, piece_tol), (m, _, _), flm, frm in zip(
+            level, halves, values[::2], values[1::2]
+        ):
             left = _simpson(fa, flm, fm, m - a)
             right = _simpson(fm, frm, fb, b - m)
             refined = left + right
@@ -276,33 +302,36 @@ def integrate_segments(segments, sg) -> None:
     segments of ``sg`` at once, a Simpson level at a time across all of them.
 
     Every level's nodes of every open segment go to one ``at_many`` call, so
-    their partial steps are one row-batched step; each segment keeps its own
-    nodes, acceptance, summation order and budget, so its result equals the
-    one it gets alone, bit for bit.  Results are memoised on their flows, by
-    (functional, length), where ``integrate_segment`` reads them back.  A
-    failure raises the first one met, which need not be the error of the
-    first failing segment alone.
+    their partial steps are one row-batched step, and the states come back
+    as one stack, ordered so that the rows of each functional's segments are
+    one slice of it: each functional is applied once per level, to that
+    slice.  Each segment keeps its own nodes, values, acceptance, summation
+    order and budget, so its result equals the one it gets alone, bit for
+    bit.  Results are memoised on their flows, by (functional, length),
+    where ``integrate_segment`` reads them back.  A failure raises the first
+    one met, which need not be the error of the first failing segment alone.
     """
-    dt, runs = sg.cfg.dt, []
+    dt, runs = sg.cfg.dt, {}  # functional -> its open segments' (flow, length, simpson, nodes)
     for xi, delta, flow in segments:
         if delta > 0.0 and (xi, delta) not in flow.integrals:
             breaks = [0.0] + [k * dt for k in range(1, int(delta / dt) + 1) if k * dt < delta]
-            simpson = _adaptive_simpson(_along(xi, flow), breaks + [delta], QUAD_TOL, xi,
-                                        QUAD_MAX_EVALS)
-            runs.append((xi, delta, flow, simpson, next(simpson)))
+            simpson = _adaptive_simpson(breaks + [delta], QUAD_TOL, xi, QUAD_MAX_EVALS)
+            runs.setdefault(xi, []).append((flow, delta, simpson, next(simpson)))
     while runs:
-        type(runs[0][2]).at_many([(flow, t) for _, _, flow, _, nodes in runs for t in nodes])
-        level, runs = runs, []
-        for xi, delta, flow, simpson, _ in level:
-            try:
-                runs.append((xi, delta, flow, simpson, simpson.send(None)))
-            except StopIteration as done:
-                flow.integrals[xi, delta] = SegmentIntegralResult(*done.value)
-
-
-def _along(xi, flow):
-    """Xi of the flow's state, as a function of time."""
-    return lambda tau: xi.apply_values(flow.at(tau))
+        requests = [(run[0], t) for group in runs.values() for run in group for t in run[-1]]
+        states = type(requests[0][0]).at_many(requests)
+        level, runs, lo = runs, {}, 0
+        for xi, group in level.items():
+            values, at = xi.apply_rows(states[lo : lo + sum(len(run[-1]) for run in group)]), 0
+            for flow, delta, simpson, nodes in group:
+                sent, at = values[at : at + len(nodes)], at + len(nodes)
+                try:
+                    nodes = simpson.send(sent)
+                except StopIteration as done:
+                    flow.integrals[xi, delta] = SegmentIntegralResult(*done.value)
+                else:
+                    runs.setdefault(xi, []).append((flow, delta, simpson, nodes))
+            lo += at
 
 
 def integrate_segment(

@@ -494,18 +494,23 @@ def _newton_rows(u, dts, cfg, h, gamma):
     return out
 
 
-def _split_time(t: float, dt: float) -> tuple[int, float]:
-    """Number of full steps and the trailing partial step length."""
-    if t < 0:
-        raise ValueError("time must be nonnegative")
-    n = int(round(t / dt))
-    if abs(t - n * dt) <= 1e-12 * max(1.0, abs(t)):
-        return n, 0.0
-    n = int(t / dt)
-    rem = t - n * dt
-    if rem < _PARTIAL_STEP_SKIP:
-        rem = 0.0
-    return n, rem
+def _split_times(taus, dt: float) -> tuple[list, list]:
+    """Numbers of full steps and trailing partial step lengths of many times.
+
+    A time within ``1e-12`` (relative, for times above 1) of a full step is
+    that step, and a partial step shorter than ``_PARTIAL_STEP_SKIP`` is
+    dropped; the arithmetic is elementwise, so each time splits as it does
+    alone.
+    """
+    t = np.asarray(taus, dtype=float)
+    if not (t >= 0.0).all() or not np.isfinite(t).all():
+        raise ValueError("time must be finite and nonnegative")
+    near = np.round(t / dt)
+    on_grid = np.abs(t - near * dt) <= 1e-12 * np.maximum(1.0, t)
+    n = np.where(on_grid, near, np.trunc(t / dt))
+    rem = np.where(on_grid, 0.0, t - n * dt)
+    rem[rem < _PARTIAL_STEP_SKIP] = 0.0
+    return n.astype(np.int64).tolist(), rem.tolist()
 
 
 def _frozen(vals: np.ndarray) -> np.ndarray:
@@ -586,27 +591,33 @@ class _SegmentFlow:
     States at integer multiples of dt are computed once and reused; arbitrary
     times are reached by a single partial step from the cached grid state,
     and each time's state is memoised, so every functional, checkpoint
-    sub-segment and end-of-segment lookup shares one solve per time.
-    ``at_many`` fills the memos of many flows at once: the quadrature hands
-    it each refinement level's nodes of every segment it integrates, and
-    all their partial steps are solved as one row-batched step.
-    ``integrals`` memoises finished segment integrals by (functional,
-    length) for ``functionals.integrate_segment``.  ``full_state`` is the
-    grid's only loop of full steps.  Returned states are shared and
-    therefore read-only.
+    sub-segment and end-of-segment lookup shares one solve per time.  A full
+    step's state is memoised at its time ``k * dt`` as it is taken, so those
+    times need no ``_split_times``.  ``at_many`` serves many flows at once:
+    the quadrature hands it each refinement level's nodes of every segment it
+    integrates, all their partial steps are solved as one row-batched step,
+    and the level's states come back as one stack.  ``integrals`` memoises
+    finished segment integrals by (functional, length) for
+    ``functionals.integrate_segment``.  ``full_state`` is the grid's only
+    loop of full steps.  Returned states are shared and therefore read-only.
     """
 
     def __init__(self, sg: PLaplaceSemigroup, start: np.ndarray):
         self._sg = sg
         self._states = [_frozen(start.copy())]
-        self._at: dict[float, np.ndarray] = {}
+        self._at: dict[float, np.ndarray] = {0.0: self._states[0]}
+        self._zero_from = math.inf if start.any() else 0  # index of the first zero full state
         self.integrals: dict = {}
 
     def full_state(self, k: int) -> np.ndarray:
         """The state after k full steps; once extinct it stays the zero state."""
-        states = self._states
-        while len(states) <= k and states[-1].any():
-            states.append(_frozen(self._sg._advance(states[-1], self._sg.cfg.dt)))
+        states, dt = self._states, self._sg.cfg.dt
+        while len(states) <= k and len(states) <= self._zero_from:
+            state = _frozen(self._sg._advance(states[-1], dt))
+            self._at[len(states) * dt] = state
+            if not state.any():
+                self._zero_from = len(states)
+            states.append(state)
         return states[min(k, len(states) - 1)]
 
     def at(self, tau: float) -> np.ndarray:
@@ -617,8 +628,9 @@ class _SegmentFlow:
         return state
 
     @staticmethod
-    def at_many(requests) -> None:
-        """Memoise the state of every (flow, time) request not yet known.
+    def at_many(requests) -> np.ndarray:
+        """The states of (flow, time) requests, as one read-only stack of rows
+        in request order; each is memoised on its flow.
 
         The flows share one semigroup.  Each takes its own full steps, and
         the partial steps left over are one ``_advance_rows`` stack across
@@ -626,27 +638,25 @@ class _SegmentFlow:
         depend on the rows beside them, so every state is the one ``at``
         computes alone, bit for bit.
         """
-        partial = {}
-        for flow, tau in requests:
-            if tau in flow._at or (flow, tau) in partial:
-                continue
-            n_full, rem = _split_time(tau, flow._sg.cfg.dt)
-            state = flow.full_state(n_full)
-            if rem != 0.0 and state.any():
-                partial[flow, tau] = state, rem
-            else:
-                flow._at[tau] = state
-        if not partial:
-            return
-        sg = next(iter(partial))[0]._sg
-        if len(partial) == 1:
-            ((flow, tau), (state, rem)), = partial.items()
-            flow._at[tau] = _frozen(sg._advance(state, rem))
-            return
-        states, rems = zip(*partial.values())
-        rows = _frozen(sg._advance_rows(np.stack(states), np.array(rems)))
-        for (flow, tau), row in zip(partial, rows):
-            flow._at[tau] = row
+        new = {(flow, tau): None for flow, tau in requests if tau not in flow._at}
+        if new:
+            sg = next(iter(new))[0]._sg
+            partial, splits = {}, _split_times([tau for _, tau in new], sg.cfg.dt)
+            for (flow, tau), n_full, rem in zip(new, *splits):
+                state = flow.full_state(n_full)
+                if rem != 0.0 and n_full < flow._zero_from:
+                    partial[flow, tau] = state, rem
+                else:
+                    flow._at[tau] = state
+            if len(partial) == 1:
+                ((flow, tau), (state, rem)), = partial.items()
+                flow._at[tau] = _frozen(sg._advance(state, rem))
+            elif partial:
+                states, rems = zip(*partial.values())
+                rows = _frozen(sg._advance_rows(np.array(states), np.array(rems)))
+                for (flow, tau), row in zip(partial, rows):
+                    flow._at[tau] = row
+        return _frozen(np.array([flow._at[tau] for flow, tau in requests]))
 
 
 @dataclass

@@ -804,10 +804,20 @@ class _StepChain(_Chain):
         return window
 
     def partial(self, window: _Window, i: int, dt: float) -> list:
-        """Each functional's integral over the first dt of step i of a window."""
+        """Each functional's integral over the first dt of step i of a window.
+
+        The functionals are integrated together, sharing each Simpson level's
+        stack, and read back one at a time; if that fails, the read-back
+        integrates them one at a time and raises what a step-at-a-time chain
+        raises.
+        """
         state, flow = window.states[i]
-        sg = self._sg
-        return [integrate_segment(xi, state, dt, sg, flow=flow).value for xi in self.functionals]
+        sg, fns = self._sg, self.functionals
+        try:
+            integrate_segments([(xi, dt, flow) for xi in fns], sg)
+        except (NonConvergence, QuadratureBudgetExceeded):
+            pass
+        return [integrate_segment(xi, state, dt, sg, flow=flow).value for xi in fns]
 
 
 def _check_functionals(sg, functionals):

@@ -6,6 +6,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from _oracles import grid_simpson_reference, quad_segment_integral
 from regenjump import functionals as functionals_module
+from regenjump.config import build_functional
 from regenjump.errors import QuadratureBudgetExceeded
 from regenjump.functionals import AffineShift, IdentityV2, Linear, NormV2, integrate_segment
 from regenjump.plaplace import Grid1D, PLaplaceConfig, PLaplaceSemigroup, WeightField
@@ -66,6 +67,36 @@ def test_sublinearity_q1_dual_norm():
     for _ in range(100):
         v = grid.state(rng.normal(size=4))
         assert sublinearity_violation(xi, v) <= 1e-12
+
+
+def stacked_functionals():
+    """Every built-in functional on 16-cell grids, as (name, functional)."""
+    rng = np.random.default_rng(6)
+    out = [(f"norm_q{q}", NormV2(grid_space(16, 1.3, q=q))) for q in (1.5, 2.0, 3.0)]
+    grid = grid_space(16, 1.3)
+    out += [
+        ("linear", Linear(grid, rng.normal(size=16))),
+        ("mass", Linear.mass(grid)),
+        ("identity", IdentityV2(grid)),
+        ("affine_norm", AffineShift(NormV2(grid), -0.37)),
+        ("const", build_functional("const:1.5", grid)),
+    ]
+    return out
+
+
+@pytest.mark.parametrize("xi", [pytest.param(xi, id=name) for name, xi in stacked_functionals()])
+def test_stacked_apply_equals_one_state_apply_bit_for_bit(xi):
+    rng = np.random.default_rng(7)
+    # 3000 rows over many scales, enough that a gemv pairing (rows @ psi) differs
+    big = rng.normal(size=(3000, 16)) * np.exp(rng.uniform(-8.0, 8.0, size=(3000, 1)))
+    big[::97, 3:9] = 0.0
+    stacks = [big, np.zeros((5, 16)), big[:1], big[7:1500:3], big[100:200], big[:0]]
+    for rows in stacks:
+        got, want = xi.apply_rows(rows), [xi.apply_values(row) for row in rows]
+        assert len(got) == len(want) == len(rows)
+        for g, w in zip(got, want):
+            assert type(g) is type(w)
+            assert np.asarray(g).tobytes() == np.asarray(w).tobytes()
 
 
 def test_segment_closed_form_examples():

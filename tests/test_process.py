@@ -26,7 +26,7 @@ from regenjump.process import (
     simulate_cycles,
     simulate_until_time,
 )
-from regenjump import functionals, process
+from regenjump import functionals, plaplace, process
 from regenjump.runner import ESTIMATION_SHARD_BASE, run_cycle_estimation
 from regenjump.semigroup import ExtinctionParams, ScalarPowerLaw
 from regenjump.spaces import scalar_space
@@ -1135,16 +1135,18 @@ def grid_failure(kind, monkeypatch):
 def test_grid_errors_come_from_the_step_a_one_step_window_fails_at(monkeypatch, kind):
     sg, driver, policy, fns, error = grid_failure(kind, monkeypatch)
     x0 = sg.space.zero()
-    # the oracle's steps up to its error (the cap checked as the chain checks it)
+    # the oracle's steps up to its error (the cap checked as the chain checks it);
+    # the chain has no end, so a setup that never fails is a failure, not a hang
     done, cycle, length = [], 0, 0
     with pytest.raises(error) as info:
-        for step in chain_by_steps(x0, driver, sg, policy.eps_ext, fns):
+        for step in islice(chain_by_steps(x0, driver, sg, policy.eps_ext, fns), 2000):
             length += 1
             if length > policy.m_cap:
                 raise CycleCapExceeded(f"cycle {cycle} exceeded {policy.m_cap} chain steps")
             done.append(step)
             if step[4]:
                 cycle, length = cycle + 1, 0
+        pytest.fail(f"no {error.__name__} in the oracle's first 2000 steps")
     oracle_message = str(info.value)
     calls = []  # (segment length, label) of each integrate_segment call
 
@@ -1210,7 +1212,8 @@ def test_grid_window_memory_is_bounded_by_the_cap(monkeypatch):
 
 def test_grid_window_solves_each_simpson_level_of_its_segments_as_one_stack(monkeypatch):
     # deterministic counts: each block integration stacks every segment's
-    # partial steps of a Simpson level into at most one _advance_rows call
+    # partial steps of a Simpson level into at most one _advance_rows call,
+    # and applies each functional to the level's stack, never to one node
     sg, driver = grid_chain_setup()
     fns = [IdentityV2(sg.space), NormV2(sg.space)]
     policy = ExtinctionPolicy(eps_ext=1e-10, m_cap=10_000)
@@ -1218,9 +1221,16 @@ def test_grid_window_solves_each_simpson_level_of_its_segments_as_one_stack(monk
     integrate, simpson = functionals.integrate_segments, functionals._adaptive_simpson
     advance_rows = PLaplaceSemigroup._advance_rows
 
+    def one_node(*args):
+        raise AssertionError("the quadrature evaluated a node on its own")
+
     def counted_integrate(segments, sg):
         passes.append({"segments": len(segments), "levels": 0, "summed": 0, "stacks": 0})
-        return integrate(segments, sg)
+        # every node's state and value come from its level's stack
+        with monkeypatch.context() as alone:
+            alone.setattr(NormV2, "apply_values", one_node)
+            alone.setattr(plaplace._SegmentFlow, "at", one_node)
+            return integrate(segments, sg)
 
     def counted_simpson(*args):
         run, levels = simpson(*args), 0
@@ -1230,8 +1240,8 @@ def test_grid_window_solves_each_simpson_level_of_its_segments_as_one_stack(monk
                 levels += 1
                 passes[-1]["levels"] = max(passes[-1]["levels"], levels)
                 passes[-1]["summed"] += 1
-                yield nodes
-                nodes = run.send(None)
+                values = yield nodes
+                nodes = run.send(values)
         except StopIteration as done:
             return done.value
 
@@ -1246,8 +1256,12 @@ def test_grid_window_solves_each_simpson_level_of_its_segments_as_one_stack(monk
     x0 = sg.space.zero()
     simulate_until_time([x0] * 3, driver, sg, policy, 0.8, fns, [0.3], [0, 1, 2])
     assert all(p["stacks"] <= p["levels"] for p in passes)
-    # the block's passes (checkpoints integrate one segment a pass): a stack
-    # per level and segment, as one segment at a time takes, would be 20x more
-    block = [p for p in passes if p["segments"] > 1]
+    # the block's passes (a checkpoint integrates its step's functionals in
+    # one pass): a stack per level and segment, as one segment at a time
+    # takes, would be 20x more
+    block = [p for p in passes if p["segments"] > len(fns)]
+    # each of the 3 replicates' checkpoints (0.3 and the horizon 0.8)
+    # integrates both functionals in one pass
+    assert [p["segments"] for p in passes if p["levels"] and p not in block] == [len(fns)] * 6
     assert max(p["segments"] for p in block) == 2 * process._GRID_STEPS
     assert sum(p["summed"] for p in block) > 20 * sum(p["stacks"] for p in block)
