@@ -19,11 +19,13 @@ if both go bad.  The stationarity condition is ``w + dt * A_h w = u``;
 convergence is declared when that residual is below ``newton_tol`` in the
 sup norm.  Two kernels run this solver, ``_newton_step`` on one state and
 ``_newton_rows`` on a stack of rows; they share every primitive (the edge
-conductivity, the one tridiagonal solve ``_solve``, the Picard sweep, the
-energy and its gradient) and differ only in their state machine and their
-backtracking loop.  Every solve is LAPACK ``dptsv``'s recurrence, written
-here as ``solveh_banded``, so the grid needs no scipy and its results are
-LAPACK's bit for bit.
+differences ``_edges``, the one tridiagonal solve ``_solve``, the Picard
+sweep, the energy and its gradient) and differ only in their state machine
+and their backtracking loop.  ``_newton_step`` carries each iterate's edge
+differences from its gradient to its curvature instead of recomputing them.
+Every solve is LAPACK ``dptsv``'s recurrence, written here as
+``solveh_banded``, so the grid needs no scipy and its results are LAPACK's
+bit for bit.
 
 Because every edge contribution to the Hessian has zero column sum, Newton
 iterations conserve the mean exactly (up to rounding): the discrete flow
@@ -65,8 +67,8 @@ _ARMIJO_C = 1e-4
 _PARTIAL_STEP_SKIP = 1e-14
 # ``_solve`` takes a stack of at most this many rows a row at a time in Python
 # floats, a taller one in numpy columns.  On 16-cell systems (2-core x86-64
-# VM, Python 3.11, numpy 2.4) the float form cost 3 us plus 7 us a row and
-# the column form 72-76 us at 2 to 20 rows, so the two cross at 10 rows.
+# VM, Python 3.11, numpy 2.4) the float form cost 7 us a row and the column
+# form 67-87 us at 2 to 20 rows, so the two cross at 10 rows.
 _FLOAT_ROWS = 10
 
 
@@ -179,9 +181,15 @@ class PLaplaceConfig:
         return 1e-12 * math.sqrt(grid.length)
 
 
-def _conductivity(d, gamma, p, eps2):
-    """Edge conductivity gamma_e * (d_e^2 + eps^2)^((p-2)/2); the flux is it times d_e."""
-    return gamma * (d * d + eps2) ** ((p - 2.0) / 2.0)
+def _edges(w, h, eps2):
+    """Edge slopes d_e = D_e w and s2_e = d_e^2 + eps^2, per row of a stack."""
+    d = (w[..., 1:] - w[..., :-1]) / h
+    return d, d * d + eps2
+
+
+def _conductivity(s2, gamma, p):
+    """Edge conductivity gamma_e * s2_e^((p-2)/2); the flux is it times d_e."""
+    return gamma * s2 ** ((p - 2.0) / 2.0)
 
 
 def apply_discrete_operator(
@@ -193,9 +201,9 @@ def apply_discrete_operator(
     if vals.shape != (grid.n_cells,):
         raise DimensionMismatch("state does not match the grid")
     h = grid.h
-    d = np.diff(vals) / h
+    d, s2 = _edges(vals, h, eps_reg * eps_reg)
     with np.errstate(divide="ignore", invalid="ignore"):  # eps_reg = 0: 0 * inf, masked below
-        flux = _conductivity(d, weights.gamma, p, eps_reg * eps_reg) * d
+        flux = _conductivity(s2, weights.gamma, p) * d
     flux = np.where(d == 0.0, 0.0, flux)  # phi(0) = 0 even for eps_reg = 0
     out = np.zeros_like(vals)
     out[:-1] -= flux / h
@@ -204,27 +212,27 @@ def apply_discrete_operator(
 
 
 def _energy(w, u, gamma, h, dt, p, eps2):
-    d = np.diff(w) / h
     quad = 0.5 * h * np.sum((w - u) ** 2, axis=-1)
-    reg = (dt / p) * h * np.sum(gamma * (d * d + eps2) ** (p / 2.0), axis=-1)
+    reg = (dt / p) * h * np.sum(gamma * _edges(w, h, eps2)[1] ** (p / 2.0), axis=-1)
     return quad + reg
 
 
-def _gradient(w, u, gamma, h, dt, p, eps2) -> np.ndarray:
-    d = np.diff(w) / h
-    flux = _conductivity(d, gamma, p, eps2) * d
+def _gradient(w, u, gamma, h, dt, p, eps2):
+    """The energy's gradient at w, and the ``_edges`` of w it used, for ``_curvature``."""
+    edges = d, s2 = _edges(w, h, eps2)
+    flux = dt * (_conductivity(s2, gamma, p) * d)
     if eps2 == 0.0:
         flux = np.where(d == 0.0, 0.0, flux)
     g = h * (w - u)
-    g[..., :-1] -= dt * flux
-    g[..., 1:] += dt * flux
-    return g
+    g[..., :-1] -= flux
+    g[..., 1:] += flux
+    return g, edges
 
 
-def _curvature(w, gamma, h, dt, p, eps2) -> np.ndarray:
-    """Per-edge second derivative weights dt * gamma_e * phi'(d_e) / h."""
-    d = np.diff(w) / h
-    s2 = d * d + eps2
+def _curvature(edges, gamma, h, dt, p, eps2) -> np.ndarray:
+    """Per-edge second derivative weights dt * gamma_e * phi'(d_e) / h, from
+    the ``_edges`` pair ``(d, s2)`` of the iterate."""
+    d, s2 = edges
     phi_prime = s2 ** ((p - 4.0) / 2.0) * ((p - 1.0) * d * d + eps2)
     return dt * gamma * phi_prime / h
 
@@ -240,7 +248,7 @@ def _solve(coeff, rhs, h):
     comes back as NaN, and so does one whose coupling is not finite: an
     infinite or NaN coupling leaves a pivot that is NaN or not positive.
     """
-    shape, n = rhs.shape, rhs.shape[-1]
+    n = rhs.shape[-1]
     if rhs.ndim == 2 and len(rhs) > _FLOAT_ROWS:
         # lists of cell rows: the sweeps rebind their entries, not copy them
         d = np.full((n, len(rhs)), h)
@@ -253,7 +261,8 @@ def _solve(coeff, rhs, h):
         x[~(d > 0.0).all(axis=0)] = np.nan  # a NaN pivot fails too
         return x
     rows = []
-    for c, b in zip(coeff.reshape(-1, n - 1).tolist(), rhs.reshape(-1, n).tolist()):
+    one = rhs.ndim == 1  # one system: no stack to unpack or to build
+    for c, b in [(coeff.tolist(), rhs.tolist())] if one else zip(coeff.tolist(), rhs.tolist()):
         d = [(h + ci) + cj for ci, cj in zip(c + [0.0], [0.0] + c)]  # summed as in columns
         try:
             solveh_banded(d, [-ci for ci in c], b)
@@ -261,7 +270,7 @@ def _solve(coeff, rhs, h):
         except ZeroDivisionError:
             good = False
         rows.append(b if good else [math.nan] * n)
-    return np.reshape(rows, shape)
+    return np.array(rows[0] if one else rows)
 
 
 def _picard(w, u, gamma, h, dt, p, eps2):
@@ -275,7 +284,7 @@ def _picard(w, u, gamma, h, dt, p, eps2):
     one state or a stack of rows, with ``dt`` then a column; a row whose
     conductivities or solution are not finite comes back non-finite.
     """
-    a = _conductivity(np.diff(w) / h, gamma, p, eps2)
+    a = _conductivity(_edges(w, h, eps2)[1], gamma, p)
     return _solve(dt * a / h, h * u, h)
 
 
@@ -284,17 +293,18 @@ def _merit_backtrack(w, delta, merit, u, gamma, h, dt, p, eps2):
 
     The merit ||grad E||^2 keeps full floating-point resolution arbitrarily
     close to the minimizer, where energy differences fall below the rounding
-    granularity of E itself.
+    granularity of E itself.  Returns the accepted (w, g, edges, merit), or
+    None if no step does.
     """
     step = 1.0
     while step >= 1e-16:
-        w_try = w + step * delta
-        g_try = _gradient(w_try, u, gamma, h, dt, p, eps2)
+        w_try = w + delta if step == 1.0 else w + step * delta  # 1.0 * delta is delta
+        g_try, edges = _gradient(w_try, u, gamma, h, dt, p, eps2)
         m_try = float(np.dot(g_try, g_try))
         if m_try <= (1.0 - _ARMIJO_C * step) * merit:
-            return w_try, g_try, m_try
+            return w_try, g_try, edges, m_try
         step *= 0.5
-    return None, None, None
+    return None
 
 
 def _newton_step(u, dt, cfg, h, gamma):
@@ -303,13 +313,13 @@ def _newton_step(u, dt, cfg, h, gamma):
     eps2 = cfg.eps_reg * cfg.eps_reg
     tol = cfg.newton_tol
     w = u.copy()
-    g = _gradient(w, u, gamma, h, dt, p, eps2)
+    g, edges = _gradient(w, u, gamma, h, dt, p, eps2)
     merit = float(np.dot(g, g))
     residual = math.inf
     stall = 0
     merit_mark = math.inf
     for _ in range(cfg.newton_max_iter):
-        residual = float(np.max(np.abs(g))) / h
+        residual = float(abs(g).max()) / h
         if residual <= tol:
             return w
         # give up once the merit stops moving: the iterate is at the
@@ -323,52 +333,51 @@ def _newton_step(u, dt, cfg, h, gamma):
             merit_mark = merit
         # damped Newton attempt (descent direction for the merit: H is SPD)
         newton = None
-        delta = _solve(_curvature(w, gamma, h, dt, p, eps2), -g, h)
-        if np.all(np.isfinite(delta)):
+        delta = _solve(_curvature(edges, gamma, h, dt, p, eps2), -g, h)
+        if np.isfinite(delta).all():
             newton = _merit_backtrack(w, delta, merit, u, gamma, h, dt, p, eps2)
-            if newton[0] is None:
-                newton = None
         if newton is not None:
-            res_newton = float(np.max(np.abs(newton[1]))) / h
+            res_newton = float(abs(newton[1]).max()) / h
             if res_newton <= 0.5 * residual:
-                w, g, merit = newton
+                w, g, edges, merit = newton
                 continue
         # Newton made poor progress: Picard sweep, accepted on either merit
         # decrease (endgame) or strict energy decrease (far field)
         w_picard = _picard(w, u, gamma, h, dt, p, eps2)
-        if np.all(np.isfinite(w_picard)):
-            g_picard = _gradient(w_picard, u, gamma, h, dt, p, eps2)
+        if np.isfinite(w_picard).all():
+            g_picard, edges_picard = _gradient(w_picard, u, gamma, h, dt, p, eps2)
             m_picard = float(np.dot(g_picard, g_picard))
             if m_picard < merit:
-                w, g, merit = w_picard, g_picard, m_picard
+                w, g, edges, merit = w_picard, g_picard, edges_picard, m_picard
                 continue
             e_picard = _energy(w_picard, u, gamma, h, dt, p, eps2)
             if e_picard < _energy(w, u, gamma, h, dt, p, eps2):
-                w, g, merit = w_picard, g_picard, m_picard
+                w, g, edges, merit = w_picard, g_picard, edges_picard, m_picard
                 continue
         if newton is not None:
-            w, g, merit = newton
+            w, g, edges, merit = newton
             continue
         # last resort: gradient direction in state units
         grad_step = _merit_backtrack(w, -g / h, merit, u, gamma, h, dt, p, eps2)
-        if grad_step[0] is None:
+        if grad_step is None:
             break  # merit differences below rounding: stagnation
-        w, g, merit = grad_step
+        w, g, edges, merit = grad_step
     return _settle(w, g, dt, cfg, h, gamma)
 
 
 def _settle(w, g, dt, cfg, h, gamma):
     """Accept an iterate that left the Newton loop, or raise NonConvergence."""
-    residual = float(np.max(np.abs(g))) / h
+    residual = float(abs(g).max()) / h
     if residual <= cfg.newton_tol:
         return w
     # Stiff edges (phi' up to eps_reg^(p-2)) make the sup residual quantized:
     # one ulp of a stiff coordinate can move it by more than newton_tol.  The
     # Newton correction length is a rigorous error proxy without that floor,
     # so a stalled iterate whose correction is at rounding level is converged.
-    delta = _solve(_curvature(w, gamma, h, dt, cfg.p, cfg.eps_reg * cfg.eps_reg), -g, h)
-    w_scale = max(1.0, float(np.max(np.abs(w))))
-    if float(np.max(np.abs(delta))) <= 1e-12 * w_scale:  # false where delta is not finite
+    eps2 = cfg.eps_reg * cfg.eps_reg
+    delta = _solve(_curvature(_edges(w, h, eps2), gamma, h, dt, cfg.p, eps2), -g, h)
+    w_scale = max(1.0, float(abs(w).max()))
+    if float(abs(delta).max()) <= 1e-12 * w_scale:  # false where delta is not finite
         return w
     raise NonConvergence(residual, cfg.newton_max_iter)
 
@@ -393,8 +402,8 @@ def _backtrack_rows(w, delta, merit, u, gamma, h, dt, p, eps2):
     todo = np.arange(len(w))
     step = 1.0
     while step >= 1e-16 and todo.size:
-        w_try = w[todo] + step * delta[todo]
-        g_try = _gradient(w_try, u[todo], gamma, h, dt[todo], p, eps2)
+        w_try = w[todo] + (delta[todo] if step == 1.0 else step * delta[todo])
+        g_try, _ = _gradient(w_try, u[todo], gamma, h, dt[todo], p, eps2)
         m_try = _merits(g_try)
         hit = m_try <= (1.0 - _ARMIJO_C * step) * merit[todo]
         rows = todo[hit]
@@ -421,13 +430,13 @@ def _newton_rows(u, dts, cfg, h, gamma):
     idx = np.arange(n_rows)
     dt = np.asarray(dts, dtype=float)[:, None]
     w = u.copy()
-    g = _gradient(w, u, gamma, h, dt, p, eps2)
+    g, _ = _gradient(w, u, gamma, h, dt, p, eps2)
     merit = _merits(g)
     stall = np.zeros(n_rows, dtype=int)
     mark = np.full(n_rows, math.inf)
     broke = np.zeros(n_rows, dtype=bool)  # the gradient fallback found no step
     for _ in range(cfg.newton_max_iter):
-        residual = np.max(np.abs(g), axis=1) / h
+        residual = abs(g).max(axis=1) / h
         done = residual <= cfg.newton_tol
         out[idx[done]] = w[done]
         flat = merit >= 0.99 * mark
@@ -446,7 +455,7 @@ def _newton_rows(u, dts, cfg, h, gamma):
         # damped Newton attempt
         have = np.zeros(len(idx), dtype=bool)
         w_n, g_n, m_n = np.empty_like(w), np.empty_like(g), np.empty_like(merit)
-        delta = _solve(_curvature(w, gamma, h, dt, p, eps2), -g, h)
+        delta = _solve(_curvature(_edges(w, h, eps2), gamma, h, dt, p, eps2), -g, h)
         rows = np.flatnonzero(np.isfinite(delta).all(axis=1))
         if rows.size:
             found, w_t, g_t, m_t = _backtrack_rows(
@@ -456,7 +465,7 @@ def _newton_rows(u, dts, cfg, h, gamma):
             have[rows] = True
             w_n[rows], g_n[rows], m_n[rows] = w_t[found], g_t[found], m_t[found]
         good = np.zeros(len(idx), dtype=bool)
-        good[have] = np.max(np.abs(g_n[have]), axis=1) / h <= 0.5 * residual[have]
+        good[have] = abs(g_n[have]).max(axis=1) / h <= 0.5 * residual[have]
         w[good], g[good], merit[good] = w_n[good], g_n[good], m_n[good]
         broke = np.zeros(len(idx), dtype=bool)
         rest = np.flatnonzero(~good)
@@ -467,7 +476,7 @@ def _newton_rows(u, dts, cfg, h, gamma):
         w_p = _picard(w[rest], u[rest], gamma, h, dt[rest], p, eps2)
         ok = np.isfinite(w_p).all(axis=1)
         rest, w_p = rest[ok], w_p[ok]
-        g_p = _gradient(w_p, u[rest], gamma, h, dt[rest], p, eps2)
+        g_p, _ = _gradient(w_p, u[rest], gamma, h, dt[rest], p, eps2)
         m_p = _merits(g_p)
         take = m_p < merit[rest]
         tried = rest[~take]

@@ -382,7 +382,7 @@ BRANCH_LINES = {
     "picard_on_energy": ("_newton_step", "if e_picard < _energy(w, u, gamma, h, dt, p, eps2):"),
     "gradient_fallback": ("_newton_step", "grad_step = _merit_backtrack("),
     "stall_break": ("_newton_step", "if stall >= 10:"),
-    "rounding_floor": ("_settle", "if float(np.max(np.abs(delta))) <= 1e-12 * w_scale:"),
+    "rounding_floor": ("_settle", "if float(abs(delta).max()) <= 1e-12 * w_scale:"),
 }
 
 
@@ -641,6 +641,61 @@ def test_picard_matches_a_dense_solve_of_the_frozen_system():
     for i in range(3):
         dense = dense_picard(w[i], u[i], gamma, h, dts[i], p, 0.0)
         np.testing.assert_allclose(rows[i], dense, rtol=1e-12, atol=0)
+
+
+def straight_gradient(w, u, gamma, h, dt, p, eps2):
+    """``gradient_reference``'s arithmetic with the kernel's ``eps2`` and its
+    mask of flat edges at eps_reg = 0."""
+    d = np.diff(w) / h
+    flux = gamma * (d * d + eps2) ** ((p - 2.0) / 2.0) * d
+    if eps2 == 0.0:
+        flux = np.where(d == 0.0, 0.0, flux)
+    g = h * (w - u)
+    g[:-1] -= dt * flux
+    g[1:] += dt * flux
+    return g
+
+
+def straight_curvature(w, gamma, h, dt, p, eps2):
+    """The Newton curvature weights recomputed from ``w`` itself."""
+    d = np.diff(w) / h
+    s2 = d * d + eps2
+    phi_prime = s2 ** ((p - 4.0) / 2.0) * ((p - 1.0) * d * d + eps2)
+    return dt * gamma * phi_prime / h
+
+
+def test_carried_edge_data_is_the_iterate_s_own_bit_for_bit():
+    # the single-state step feeds _curvature the (d, s2) that _gradient
+    # returned for the accepted iterate instead of recomputing them; both
+    # must equal the straight np.diff forms, for one state and for each row
+    # of a stack, with flat and zero runs where eps_reg = 0 divides by zero
+    rng = np.random.default_rng(28)
+    for trial in range(300):
+        n = int(rng.integers(2, 21))
+        n_rows = int(rng.integers(1, 6))
+        h, p = 1.0 / n, float(rng.uniform(1.05, 1.95))
+        eps2 = [0.0, 1e-8 * 1e-8][trial % 2]
+        gamma = rng.uniform(0.5, 2.0, size=n - 1) * 10.0 ** rng.uniform(0, 4)
+        w, u = rng.normal(size=(2, n_rows, n)) * 10.0 ** rng.uniform(-6, 1, size=(2, n_rows, 1))
+        for row in w:
+            a, b = sorted(rng.integers(0, n, size=2))
+            row[a : b + 1] = [row[a], 0.0][int(rng.integers(2))]  # a flat or a zero run
+        dts = 10.0 ** rng.uniform(-4, 0, size=n_rows)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            for i in range(n_rows):
+                g, edges = plaplace._gradient(w[i], u[i], gamma, h, dts[i], p, eps2)
+                expected = straight_gradient(w[i], u[i], gamma, h, dts[i], p, eps2)
+                assert g.tobytes() == expected.tobytes()
+                carried = plaplace._curvature(edges, gamma, h, dts[i], p, eps2)
+                again = straight_curvature(w[i], gamma, h, dts[i], p, eps2)
+                assert carried.tobytes() == again.tobytes()
+            g, edges = plaplace._gradient(w, u, gamma, h, dts[:, None], p, eps2)
+            carried = plaplace._curvature(edges, gamma, h, dts[:, None], p, eps2)
+            for i in range(n_rows):
+                expected = straight_gradient(w[i], u[i], gamma, h, dts[i], p, eps2)
+                assert g[i].tobytes() == expected.tobytes()
+                again = straight_curvature(w[i], gamma, h, dts[i], p, eps2)
+                assert carried[i].tobytes() == again.tobytes()
 
 
 def test_every_banded_solve_goes_through_solve(monkeypatch):
