@@ -24,6 +24,9 @@ class NonConvergence(RuntimeError):
         self.residual = residual
         self.iterations = iterations
 
+    def __reduce__(self):  # pickled by its fields, as a pool worker's error reaches the parent
+        return type(self), (self.residual, self.iterations)
+
 
 class NoExtinction(RuntimeError):
     """A trajectory failed to fall below the extinction threshold within the time cap."""

@@ -28,7 +28,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .errors import QuadratureBudgetExceeded
+from .errors import NonConvergence, QuadratureBudgetExceeded
 from .semigroup import ScalarPowerLaw
 from .spaces import Space, StateVector
 
@@ -308,27 +308,39 @@ def integrate_segments(segments, sg) -> None:
     slice.  Each segment keeps its own nodes, values, acceptance, summation
     order and budget, so its result equals the one it gets alone, bit for
     bit.  Results are memoised on their flows, by (functional, length),
-    where ``integrate_segment`` reads them back.  A failure raises the first
-    one met, which need not be the error of the first failing segment alone.
+    where ``integrate_segment`` reads them back, or its first error: its own
+    budget's, or that of its first node (in request order) whose step failed.
+    A failed segment stops alone, and nothing is raised.
     """
     dt, runs = sg.cfg.dt, {}  # functional -> its open segments' (flow, length, simpson, nodes)
     for xi, delta, flow in segments:
         if delta > 0.0 and (xi, delta) not in flow.integrals:
             breaks = [0.0] + [k * dt for k in range(1, int(delta / dt) + 1) if k * dt < delta]
             simpson = _adaptive_simpson(breaks + [delta], QUAD_TOL, xi, QUAD_MAX_EVALS)
-            runs.setdefault(xi, []).append((flow, delta, simpson, next(simpson)))
+            try:
+                nodes = next(simpson)
+            except QuadratureBudgetExceeded as exc:
+                flow.integrals[xi, delta] = exc
+            else:
+                runs.setdefault(xi, []).append((flow, delta, simpson, nodes))
     while runs:
         requests = [(run[0], t) for group in runs.values() for run in group for t in run[-1]]
         states = type(requests[0][0]).at_many(requests)
+        failed = np.isnan(states[:, 0]).tolist()  # a node whose step failed
         level, runs, lo = runs, {}, 0
         for xi, group in level.items():
             values, at = xi.apply_rows(states[lo : lo + sum(len(run[-1]) for run in group)]), 0
             for flow, delta, simpson, nodes in group:
-                sent, at = values[at : at + len(nodes)], at + len(nodes)
+                sent, bad = values[at : at + len(nodes)], failed[lo + at : lo + at + len(nodes)]
+                at += len(nodes)
                 try:
+                    if True in bad:
+                        flow.at(nodes[bad.index(True)])  # raises that node's error
                     nodes = simpson.send(sent)
                 except StopIteration as done:
                     flow.integrals[xi, delta] = SegmentIntegralResult(*done.value)
+                except (NonConvergence, QuadratureBudgetExceeded) as exc:
+                    flow.integrals[xi, delta] = exc
                 else:
                     runs.setdefault(xi, []).append((flow, delta, simpson, nodes))
             lo += at
@@ -347,7 +359,7 @@ def integrate_segment(
     one is rejected; on the grid a precomputed segment flow (from
     ``sg.segment_flow``) may be passed in so that several functionals
     integrated over the same segment share the cached trajectory, and a
-    result ``integrate_segments`` left on it is returned as it is.
+    result ``integrate_segments`` left on it is returned as it is (an error, raised).
     """
     if delta < 0:
         raise ValueError("segment length must be nonnegative")
@@ -363,4 +375,7 @@ def integrate_segment(
     if flow is None:
         flow = sg.segment_flow(state)
     integrate_segments([(xi, delta, flow)], sg)
-    return flow.integrals[xi, delta]
+    result = flow.integrals[xi, delta]
+    if isinstance(result, Exception):
+        raise result
+    return result

@@ -365,8 +365,8 @@ def _newton_step(u, dt, cfg, h, gamma):
     return _settle(w, g, dt, cfg, h, gamma)
 
 
-def _settle(w, g, dt, cfg, h, gamma):
-    """Accept an iterate that left the Newton loop, or raise NonConvergence."""
+def _settle(w, g, dt, cfg, h, gamma, row=False):
+    """Accept an iterate that left the Newton loop, or raise NonConvergence (NaN for a row)."""
     residual = float(abs(g).max()) / h
     if residual <= cfg.newton_tol:
         return w
@@ -379,6 +379,8 @@ def _settle(w, g, dt, cfg, h, gamma):
     w_scale = max(1.0, float(abs(w).max()))
     if float(abs(delta).max()) <= 1e-12 * w_scale:  # false where delta is not finite
         return w
+    if row:
+        return np.full_like(w, np.nan)
     raise NonConvergence(residual, cfg.newton_max_iter)
 
 
@@ -421,7 +423,7 @@ def _newton_rows(u, dts, cfg, h, gamma):
     merit backtracking, the Picard sweep accepted on merit or energy, the
     gradient fallback, the stall break and the rounding-floor acceptance.
     A row that converges leaves the batch and the others go on, so no row's
-    result depends on which rows share its batch.
+    result depends on which rows share its batch; a row that fails is NaN.
     """
     p = cfg.p
     eps2 = cfg.eps_reg * cfg.eps_reg
@@ -444,7 +446,7 @@ def _newton_rows(u, dts, cfg, h, gamma):
         mark = np.where(flat, mark, merit)
         quit = ~done & (broke | (stall >= 10))
         for j in np.flatnonzero(quit):
-            out[idx[j]] = _settle(w[j], g[j], dt[j, 0], cfg, h, gamma)
+            out[idx[j]] = _settle(w[j], g[j], dt[j, 0], cfg, h, gamma, row=True)
         keep = ~(done | quit)
         if not keep.all():
             idx, u, w, g, merit, dt, residual, stall, mark = (
@@ -499,7 +501,7 @@ def _newton_rows(u, dts, cfg, h, gamma):
             rows = grad[found]
             w[rows], g[rows], merit[rows] = w_t[found], g_t[found], m_t[found]
     for j in range(len(idx)):
-        out[idx[j]] = _settle(w[j], g[j], dt[j, 0], cfg, h, gamma)
+        out[idx[j]] = _settle(w[j], g[j], dt[j, 0], cfg, h, gamma, row=True)
     return out
 
 
@@ -605,8 +607,9 @@ class _SegmentFlow:
     times need no ``_split_times``.  ``at_many`` serves many flows at once:
     the quadrature hands it each refinement level's nodes of every segment it
     integrates, all their partial steps are solved as one row-batched step,
-    and the level's states come back as one stack.  ``integrals`` memoises
-    finished segment integrals by (functional, length) for
+    and the level's states come back as one stack.  A failed step's time is
+    a NaN row, and ``at`` raises its error.  ``integrals`` memoises finished
+    segment integrals (or errors) by (functional, length) for
     ``functionals.integrate_segment``.  ``full_state`` is the grid's only
     loop of full steps.  Returned states are shared and therefore read-only.
     """
@@ -615,6 +618,7 @@ class _SegmentFlow:
         self._sg = sg
         self._states = [_frozen(start.copy())]
         self._at: dict[float, np.ndarray] = {0.0: self._states[0]}
+        self._failed: dict[float, NonConvergence] = {}
         self._zero_from = math.inf if start.any() else 0  # index of the first zero full state
         self.integrals: dict = {}
 
@@ -630,11 +634,15 @@ class _SegmentFlow:
         return states[min(k, len(states) - 1)]
 
     def at(self, tau: float) -> np.ndarray:
-        state = self._at.get(tau)
-        if state is None:
+        if tau not in self._at:
             _SegmentFlow.at_many([(self, tau)])
-            state = self._at[tau]
-        return state
+        if tau in self._failed:
+            raise self._failed[tau]
+        return self._at[tau]
+
+    def _fail(self, tau: float, error: NonConvergence):
+        self._at[tau] = _frozen(np.full_like(self._states[0], np.nan))
+        self._failed[tau] = error
 
     @staticmethod
     def at_many(requests) -> np.ndarray:
@@ -645,26 +653,35 @@ class _SegmentFlow:
         the partial steps left over are one ``_advance_rows`` stack across
         all of them (one ``_advance`` if there is only one).  Rows do not
         depend on the rows beside them, so every state is the one ``at``
-        computes alone, bit for bit.
+        computes alone, bit for bit; a failed row is stepped again alone, for
+        the single-state kernel's error.
         """
         new = {(flow, tau): None for flow, tau in requests if tau not in flow._at}
         if new:
             sg = next(iter(new))[0]._sg
             partial, splits = {}, _split_times([tau for _, tau in new], sg.cfg.dt)
             for (flow, tau), n_full, rem in zip(new, *splits):
-                state = flow.full_state(n_full)
+                try:
+                    state = flow.full_state(n_full)
+                except NonConvergence as exc:
+                    flow._fail(tau, exc)
+                    continue
                 if rem != 0.0 and n_full < flow._zero_from:
                     partial[flow, tau] = state, rem
                 else:
                     flow._at[tau] = state
-            if len(partial) == 1:
-                ((flow, tau), (state, rem)), = partial.items()
-                flow._at[tau] = _frozen(sg._advance(state, rem))
-            elif partial:
+            if len(partial) > 1:
                 states, rems = zip(*partial.values())
                 rows = _frozen(sg._advance_rows(np.array(states), np.array(rems)))
                 for (flow, tau), row in zip(partial, rows):
                     flow._at[tau] = row
+                failed = np.isnan(rows[:, 0]).tolist()
+                partial = {key: step for (key, step), bad in zip(partial.items(), failed) if bad}
+            for (flow, tau), (state, rem) in partial.items():
+                try:
+                    flow._at[tau] = _frozen(sg._advance(state, rem))
+                except NonConvergence as exc:
+                    flow._fail(tau, exc)
         return _frozen(np.array([flow._at[tau] for flow, tau in requests]))
 
 

@@ -615,8 +615,8 @@ class _Walk:
 
     Each step's (state, flow); the jump times after 0, 1, ... steps; the
     window positions where its closed cycles end; the (beta, kick) inputs
-    drawn, one a step; the state after the last step; each step's values if
-    it was integrated as it was taken; and the error that stopped the steps.
+    drawn, one a step; the state after the last step; and the error that
+    stopped the steps, whose step is the last one.
     """
 
     steps: list
@@ -624,7 +624,6 @@ class _Walk:
     ends: list
     draws: list
     x: StateVector
-    values: list | None
     error: Exception | None = None
 
 
@@ -641,10 +640,10 @@ class _StepChain(_Chain):
     time across all of them), and each window reads its values back through
     ``integrate_segment``, once per (step, functional).  A window keeps each
     step's (state, flow) for ``partial``; a cycle still open when a window
-    is full is carried into the next one with its integrals so far.  If a
-    window's steps or its block's integrals fail, the window is stepped again
-    from its start on the same inputs, integrating each step as it is taken,
-    so that the error raised is the one a step-at-a-time chain raises.
+    is full is carried into the next one with its integrals so far.  A
+    failure stays with its step: a solver or quadrature error is kept on the
+    step's flow, and the walk's own error stops it after the failing step, so
+    the read-back in chain order raises what a step-at-a-time chain raises.
     """
 
     def __init__(self, x0, driver, sg, policy, functionals, replicate_index):
@@ -667,22 +666,34 @@ class _StepChain(_Chain):
         """Yield the next window of each chain, asked as ``advance``'s (cycles, until, last).
 
         Chains take their steps in order, each window at most the room left
-        of ``_GRID_STEPS``; once the room is used, those windows are
-        integrated together and yielded, and the next chains start afresh.  A
-        chain whose cycle exceeds the step cap, or whose solver or quadrature
-        fails, yields that error in place of a window.
+        of ``_GRID_STEPS``; once the room is used (or the chains are), those
+        windows are integrated together and yielded, and the next chains start
+        afresh.  A chain whose cycle exceeds the step cap, or whose solver or
+        quadrature fails, yields that error in place of a window.
         """
         group, room = [], _GRID_STEPS
-        for chain, ask in zip(chains, asks):
+        for n, (chain, ask) in enumerate(zip(chains, asks), start=1):
             walk = chain._walk(*ask, room)
-            group.append((chain, ask, walk))
+            group.append((chain, walk))
             room -= len(walk.draws)
-            if room <= 0:
-                yield from _StepChain._integrate(group)
-                group, room = [], _GRID_STEPS
-        yield from _StepChain._integrate(group)
+            if room > 0 and n < len(chains):
+                continue
+            segments = [
+                (xi, beta, flow)
+                for chain, walk in group
+                for (_, flow), (beta, _) in zip(walk.steps, walk.draws)
+                for xi in chain.functionals
+            ]
+            integrate_segments(segments, chain._sg)
+            for chain, walk in group:
+                try:
+                    window = chain._close(walk)
+                except (CycleCapExceeded, NonConvergence, QuadratureBudgetExceeded) as exc:
+                    window = exc
+                yield window
+            group, room = [], _GRID_STEPS
 
-    def _walk(self, cycles, until, last, room, draws=None) -> _Walk:
+    def _walk(self, cycles, until, last, room) -> _Walk:
         """The steps of this chain's next window, at most ``room`` of them; the
         chain itself does not move.
 
@@ -692,14 +703,11 @@ class _StepChain(_Chain):
         run to a horizon asks for 2 cycles and its horizon while the horizon
         is ahead of the chain, and then for the cycles through ``last``, so
         no step past its last cycle is taken: a cycle that starts before the
-        horizon is not its last one.  An error stops the steps and is kept.
-        With ``draws``, the steps take those inputs and integrate each step
-        before its pre-kick state, as a step-at-a-time chain does, and an
-        error is raised.
+        horizon is not its last one.  An error stops the steps and is kept,
+        with the step it came from, so that step is integrated too.
         """
-        sg, fns, policy, space = self._sg, self.functionals, self._policy, self._sg.space
-        replay = draws is not None
-        walk = _Walk([], [self.alpha], [], draws or [], self._x, [] if replay else None)
+        sg, policy, space = self._sg, self._policy, self._sg.space
+        walk = _Walk([], [self.alpha], [], [], self._x)
         state, m, m_start, first = self._x, self.m, self._m_start, self.closed
         started = self._t_start  # when the cycle last begun started
         try:
@@ -709,68 +717,35 @@ class _StepChain(_Chain):
                     j = first + len(walk.ends)
                     if (last is not None and j > last) or (j - first >= cycles and previous >= until):
                         break
-                if not replay:
-                    walk.draws.append((self._next_beta(), self._next_eta()))
+                walk.draws.append((self._next_beta(), self._next_eta()))
                 beta, eta_vals = walk.draws[k]
                 flow = sg.segment_flow(state)
-                if replay:
-                    walk.values.append(
-                        [integrate_segment(xi, state, beta, sg, flow=flow).value for xi in fns]
-                    )
+                walk.alpha.append(walk.alpha[-1] + beta)
+                walk.steps.append((state, flow))
                 pre = StateVector(space, flow.at(beta))
                 extinct = pre.norm_v() <= policy.eps_ext
                 m += 1
                 if m - m_start > policy.m_cap:
                     cycle = first + len(walk.ends)
                     raise CycleCapExceeded(f"cycle {cycle} exceeded {policy.m_cap} chain steps")
-                walk.alpha.append(walk.alpha[-1] + beta)
-                walk.steps.append((state, flow))
                 state = StateVector(space, eta_vals if extinct else pre.values + eta_vals)
                 if extinct:
                     walk.ends.append(k + 1)
                     previous, started, m_start = started, walk.alpha[-1], m
         except (CycleCapExceeded, NonConvergence) as exc:
-            if replay:
-                raise
             walk.error = exc
         walk.x = state
         return walk
 
-    @staticmethod
-    def _integrate(group):
-        """Integrate the walked windows of a group of (chain, ask, walk) together,
-        and yield each chain's window (or error) in turn."""
-        segments = [
-            (xi, beta, flow)
-            for chain, _, walk in group
-            if walk.error is None
-            for (_, flow), (beta, _) in zip(walk.steps, walk.draws)
-            for xi in chain.functionals
-        ]
-        try:
-            if segments:
-                integrate_segments(segments, group[0][0]._sg)
-            failed = False
-        except (NonConvergence, QuadratureBudgetExceeded):
-            failed = True
-        for chain, ask, walk in group:
-            if failed or walk.error is not None:
-                try:
-                    walk = chain._walk(*ask, len(walk.draws), walk.draws)
-                except (CycleCapExceeded, NonConvergence, QuadratureBudgetExceeded) as exc:
-                    yield exc
-                    continue
-            yield chain._close(walk)
-
     def _close(self, walk: _Walk) -> _Window:
         """This chain's window off its walked, integrated steps; moves the chain past it."""
         sg, fns = self._sg, self.functionals
-        values = walk.values
-        if values is None:  # what the block's integration left on each flow
-            values = [
-                [integrate_segment(xi, state, beta, sg, flow=flow).value for xi in fns]
-                for (state, flow), (beta, _) in zip(walk.steps, walk.draws)
-            ]
+        values = [
+            [integrate_segment(xi, state, beta, sg, flow=flow).value for xi in fns]
+            for (state, flow), (beta, _) in zip(walk.steps, walk.draws)
+        ]
+        if walk.error is not None:  # after the quadrature errors, in chain order
+            raise walk.error
         acc, sums, ends = self._acc, [], set(walk.ends)
         for k, vals in enumerate(values, start=1):  # as a loop adds, from each cycle's start
             acc = [a + v for a, v in zip(acc, vals)]
@@ -804,19 +779,12 @@ class _StepChain(_Chain):
         return window
 
     def partial(self, window: _Window, i: int, dt: float) -> list:
-        """Each functional's integral over the first dt of step i of a window.
-
-        The functionals are integrated together, sharing each Simpson level's
-        stack, and read back one at a time; if that fails, the read-back
-        integrates them one at a time and raises what a step-at-a-time chain
-        raises.
-        """
+        """Each functional's integral over the first dt of step i of a window:
+        integrated together, sharing each Simpson level's stack, and read
+        back one at a time, which raises the first functional's error."""
         state, flow = window.states[i]
         sg, fns = self._sg, self.functionals
-        try:
-            integrate_segments([(xi, dt, flow) for xi in fns], sg)
-        except (NonConvergence, QuadratureBudgetExceeded):
-            pass
+        integrate_segments([(xi, dt, flow) for xi in fns], sg)
         return [integrate_segment(xi, state, dt, sg, flow=flow).value for xi in fns]
 
 

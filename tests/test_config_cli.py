@@ -814,6 +814,20 @@ def test_cli_runtime_error_exit_4(tmp_path):
     assert run_cli(["semigroup-check", "--config", cfg, "--out", tmp_path / "o"]) == 4
 
 
+def test_cli_solver_failure_in_a_pool_worker_exits_4(tmp_path, capsys):
+    # a worker's NonConvergence reaches the parent whole: the same exit code,
+    # message and manifest at every thread count
+    cfg = write(tmp_path, PLAPLACE_CFG.replace("newton_max_iter = 80", "newton_max_iter = 10"))
+    errs = []
+    for threads in (1, 2):
+        out = tmp_path / f"out{threads}"
+        assert run_cli(["slln", "--config", cfg, "--out", out, "--threads", threads]) == 4
+        errs.append(capsys.readouterr().err)
+        assert read_json(out / "manifest.json")["command"] == "slln"
+    assert errs[0] == errs[1]
+    assert errs[0].startswith("runtime error: implicit step did not converge")
+
+
 def _tree_bytes(root):
     out = {}
     for name in sorted(os.listdir(root)):

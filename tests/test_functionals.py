@@ -7,8 +7,15 @@ from hypothesis import example, given, settings, strategies as st
 from _oracles import grid_simpson_reference, quad_segment_integral
 from regenjump import functionals as functionals_module
 from regenjump.config import build_functional
-from regenjump.errors import QuadratureBudgetExceeded
-from regenjump.functionals import AffineShift, IdentityV2, Linear, NormV2, integrate_segment
+from regenjump.errors import NonConvergence, QuadratureBudgetExceeded
+from regenjump.functionals import (
+    AffineShift,
+    IdentityV2,
+    Linear,
+    NormV2,
+    integrate_segment,
+    integrate_segments,
+)
 from regenjump.plaplace import Grid1D, PLaplaceConfig, PLaplaceSemigroup, WeightField
 from regenjump.semigroup import ExtinctionParams, ScalarPowerLaw
 from regenjump.spaces import grid_space, project_zero_mean, scalar_space
@@ -312,3 +319,39 @@ def test_grid_budget_exceeded_exactly_where_the_recursion_exceeds(monkeypatch):
     monkeypatch.setattr(functionals_module, "QUAD_MAX_EVALS", n_evals)
     res = integrate_segment(xi, state, 0.047, sg)
     assert res.n_evals == n_evals
+
+
+def test_grid_segments_fail_alone_in_one_pass(monkeypatch):
+    # converging segments beside one with a node that cannot converge and one
+    # over its budget, in one pass and sharing their flows: each result, and
+    # each error, is the one the segment gets alone
+    grid = Grid1D(8, 1.0)
+    weights = WeightField.uniform(grid, 0.5, 2.0, np.random.default_rng(0))
+    sg = PLaplaceSemigroup(grid, weights, PLaplaceConfig(p=1.5, dt=1e-2, newton_max_iter=8))
+    x = sg.space.centers()
+    step, big, wave = (sg.space.state(v) for v in (
+        np.where(x < 0.5, 1.0, -0.5), 5.0 * np.sin(2 * np.pi * x), np.sin(2 * np.pi * x)))
+    fns = [NormV2(sg.space), IdentityV2(sg.space)]
+    live = [(xi, state, delta) for state, delta in
+            ((step, 0.005), (step, 0.047), (big, 0.005), (big, 0.047), (wave, 0.005)) for xi in fns]
+    alone = [integrate_segment(xi, state, delta, sg) for xi, state, delta in live]
+    cap = max(result.n_evals for result in alone)
+    over, stuck = (fns[1], step, 0.13), (fns[1], wave, 0.047)
+    assert integrate_segment(*over, sg).n_evals > cap
+    monkeypatch.setattr(functionals_module, "QUAD_MAX_EVALS", cap)
+    errors = []
+    for segment, kind in ((over, QuadratureBudgetExceeded), (stuck, NonConvergence)):
+        with pytest.raises(kind) as info:
+            integrate_segment(*segment, sg)
+        errors.append((kind, str(info.value)))
+    flows = {id(state): sg.segment_flow(state) for state in (step, big, wave)}
+    together = live[:4] + [over] + live[4:7] + [stuck] + live[7:]
+    integrate_segments([(xi, delta, flows[id(state)]) for xi, state, delta in together], sg)
+    for (xi, state, delta), want in zip(live, alone):
+        got = integrate_segment(xi, state, delta, sg, flow=flows[id(state)])
+        assert np.asarray(got.value).tobytes() == np.asarray(want.value).tobytes()
+        assert (got.abs_error_estimate, got.n_evals) == (want.abs_error_estimate, want.n_evals)
+    for (xi, state, delta), (kind, message) in zip((over, stuck), errors):
+        with pytest.raises(kind) as info:
+            integrate_segment(xi, state, delta, sg, flow=flows[id(state)])
+        assert str(info.value) == message

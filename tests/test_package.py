@@ -3,6 +3,7 @@ import csv
 import importlib
 import json
 import os
+import pickle
 import pkgutil
 import subprocess
 import sys
@@ -11,6 +12,7 @@ from pathlib import Path
 import pytest
 
 import regenjump
+from regenjump import errors
 from test_config_cli import PLAPLACE_CFG, SCALAR_CFG
 
 MODULES = [regenjump] + [
@@ -41,6 +43,20 @@ def test_no_unused_imports(module):
     used |= set(getattr(module, "__all__", ()))
     unused = sorted((line, name) for name, line in imported.items() if name not in used)
     assert not unused, f"{module.__name__} imports unused names (line, name): {unused}"
+
+
+def test_every_error_survives_a_pickle_round_trip():
+    # a pool worker's error reaches the parent pickled
+    classes = [c for c in vars(errors).values()
+               if isinstance(c, type) and c.__module__ == errors.__name__]
+    assert len(classes) == 9 and all(issubclass(c, Exception) for c in classes)
+    for cls in classes:
+        exc = cls(1.225e-07, 10) if cls is errors.NonConvergence else cls("a message")
+        back = pickle.loads(pickle.dumps(exc))
+        assert type(back) is cls
+        assert str(back) == str(exc)
+        assert vars(back) == vars(exc)
+    assert vars(errors.NonConvergence(1.225e-07, 10)) == {"residual": 1.225e-07, "iterations": 10}
 
 
 def _imported_names(node) -> list:

@@ -31,6 +31,7 @@ from regenjump.runner import ESTIMATION_SHARD_BASE, run_cycle_estimation
 from regenjump.semigroup import ExtinctionParams, ScalarPowerLaw
 from regenjump.spaces import scalar_space
 
+import _oracles
 from _oracles import add_cycle, chain_by_steps, horizon_by_steps, records_by_steps
 
 REPO = Path(__file__).resolve().parent.parent
@@ -1123,12 +1124,23 @@ def grid_failure(kind, monkeypatch):
     step after the first few; returns them with the error class."""
     solver = {"newton_max_iter": 11} if kind == "nonconvergence" else {}
     sg, driver = grid_chain_setup(**solver)
-    if kind == "budget":  # the first segments take at most 255 evaluations, the 8th 302
-        monkeypatch.setattr(functionals, "QUAD_MAX_EVALS", 260)
+    fns = [IdentityV2(sg.space), NormV2(sg.space)]
+    if kind == "budget":  # the most evaluations a segment of the oracle's first 4 steps takes
+        evals = []
+
+        def counted(*args):
+            result = integrate_segment(*args)
+            evals.append(result.n_evals)
+            return result
+
+        with monkeypatch.context() as oracle:
+            oracle.setattr(_oracles, "integrate_segment", counted)
+            list(islice(chain_by_steps(sg.space.zero(), driver, sg, 1e-10, fns), 4))
+        monkeypatch.setattr(functionals, "QUAD_MAX_EVALS", max(evals))
     policy = ExtinctionPolicy(eps_ext=1e-10, m_cap=3 if kind == "cap" else 10_000)
     errors = {"nonconvergence": NonConvergence, "budget": QuadratureBudgetExceeded,
               "cap": CycleCapExceeded}
-    return sg, driver, policy, [IdentityV2(sg.space), NormV2(sg.space)], errors[kind]
+    return sg, driver, policy, fns, errors[kind]
 
 
 @pytest.mark.parametrize("kind", ["nonconvergence", "budget", "cap"])
@@ -1180,6 +1192,19 @@ def test_grid_errors_come_from_the_step_a_one_step_window_fails_at(monkeypatch, 
     assert all(message == oracle_message for message, _ in outcomes[1][:3])
     betas = [t_end - t for _, t, t_end, *_ in done]
     assert len(done) >= 4 and outcomes[1][0][1][0] not in betas
+
+
+def test_a_failed_grid_window_is_walked_once(monkeypatch):
+    # a failure stays with the step it came from, so the window that fails
+    # is not stepped again: its 4 steps and the failing one make a flow each
+    sg, driver, policy, fns, error = grid_failure("nonconvergence", monkeypatch)
+    flows = []
+    segment_flow = PLaplaceSemigroup.segment_flow
+    monkeypatch.setattr(PLaplaceSemigroup, "segment_flow",
+                        lambda self, v: flows.append(1) or segment_flow(self, v))
+    with pytest.raises(error):
+        cycle_moments(sg.space.zero(), driver, sg, policy, 20, fns)
+    assert len(flows) == 5
 
 
 def test_grid_window_memory_is_bounded_by_the_cap(monkeypatch):
